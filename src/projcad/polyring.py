@@ -11,6 +11,15 @@ variable inside the ambient VarOrder and ``terms`` is a tuple of
 Canonical-form invariants: no zero coefficients, the top exponent is >= 1,
 and every coefficient node lives at a strictly smaller level.  Two
 polynomials over the same VarOrder are equal iff their nodes are equal.
+
+Most gcds met in projection are trivial, so poly_gcd first tries to prove
+coprimality cheaply: it evaluates the lower variables at a fixed point,
+reduces modulo a fixed prime and runs Euclid in F_p[x].  A constant
+modular gcd, with a leading coefficient that survives the map, proves
+that the gcd has degree 0 in x; the result is then the gcd of the
+contents.  Every other outcome falls back to the exact primitive PRS, so
+results are unchanged (see poly_gcd for the argument).
+finest_squarefree_basis refines incrementally and gcds each pair once.
 """
 
 from __future__ import annotations
@@ -639,8 +648,85 @@ def _int_poly_gcd(c: int, g: MultiPoly) -> MultiPoly:
     return MultiPoly.const(g.order, math.gcd(abs(c), g.int_content()))
 
 
+# The modular coprimality filter maps the variable at level i to
+# _mod_point(i) and reduces modulo the Mersenne prime _MOD_P.
+_MOD_P = (1 << 61) - 1
+
+
+def _mod_point(level: int) -> int:
+    """Fixed nonzero value in F_p given to the variable at `level`."""
+    return level * 0x9E3779B97F4A7C15 % _MOD_P
+
+
+def _nmod_eval(node) -> int:
+    """Image of a node in F_p under every variable -> _mod_point(level)."""
+    if isinstance(node, int):
+        return node % _MOD_P
+    v = _mod_point(node[0])
+    acc, prev = 0, node[1][0][0]
+    for e, c in node[1]:
+        acc = (acc * pow(v, prev - e, _MOD_P) + _nmod_eval(c)) % _MOD_P
+        prev = e
+    return acc * pow(v, prev, _MOD_P) % _MOD_P
+
+
+def _nmod_image(node) -> list[int]:
+    """Dense image in F_p[x] of a node in its main variable x (only the
+    lower variables are evaluated), leading coefficient first."""
+    top = node[1][0][0]
+    out = [0] * (top + 1)
+    for e, c in node[1]:
+        out[top - e] = _nmod_eval(c)
+    return out
+
+
+def _coprime_mod_p(f, g) -> bool:
+    """True when the images mod p prove deg_x gcd(f, g) == 0.
+
+    f and g are nodes with the same main variable x.  False means
+    "not proven", never "not coprime"; see poly_gcd for the argument.
+    """
+    a, b = _nmod_image(f), _nmod_image(g)
+    if a[0] == 0:
+        a, b = b, a
+        if a[0] == 0:
+            return False
+    # Euclid in F_p[x]; a keeps a nonzero leading coefficient throughout
+    while True:
+        while b and b[0] == 0:
+            del b[0]
+        if not b:
+            return False
+        if len(b) == 1:
+            return True
+        if len(a) < len(b):
+            a, b = b, a
+        inv = pow(b[0], -1, _MOD_P)
+        nb = len(b)
+        for i in range(len(a) - nb + 1):
+            q = a[i] * inv % _MOD_P
+            if q:
+                for j in range(1, nb):
+                    a[i + j] = (a[i + j] - q * b[j]) % _MOD_P
+        a, b = b, a[len(a) - nb + 1:]
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Sign-normalized gcd over the integers (primitive PRS)."""
+    """Sign-normalized gcd over the integers (primitive PRS).
+
+    When f and g share their main variable x, a modular filter runs
+    before the PRS (Brown, JACM 18, 1971).  Every lower variable is set
+    to a fixed value and everything is reduced modulo the prime
+    p = 2^61 - 1; a Euclid loop in F_p[x], bounded by the degrees, then
+    gives gcd(phi(f), phi(g)).  Let h = gcd(f, g) and suppose phi(lc_x f)
+    is nonzero.  Then h | f gives lc_x f = lc_x h * lc_x(f/h), so phi
+    keeps the x-degree of h, and phi(h) divides both images.  If their
+    gcd is constant, deg_x h = 0, and gcd(f, g) is exactly
+    gcd(content(f), content(g)).  The same holds with g in place of f.
+    If both leading coefficients vanish under phi, or the modular gcd
+    is not constant (a common factor or an unlucky point or prime), the
+    PRS runs as before: the filter only ever proves coprimality.
+    """
     if f.order != g.order:
         raise ValueError("mixed variable orders")
     if f.is_zero() and g.is_zero():
@@ -660,6 +746,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if lf > lg:
         # g involves only smaller variables: reduce f to its full content
         return poly_gcd(content(f), g)
+    if _coprime_mod_p(f.node, g.node):
+        return poly_gcd(content(f), content(g))
     var = f.order.name(lf)
     cf, pf = content(f), primitive_part(f)
     cg, pg = content(g), primitive_part(g)
@@ -761,28 +849,25 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
             if h not in seen:
                 seen.add(h)
                 items.append(h)
-    items.sort()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                g = poly_gcd(items[i], items[j])
-                if g.is_constant():
-                    continue
-                a, b = items[i], items[j]
-                g = g.assoc_normalized()
-                repl = {g}
-                qa = exact_div(a, g).assoc_normalized()
-                qb = exact_div(b, g).assoc_normalized()
-                if not qa.is_constant():
-                    repl.add(qa)
-                if not qb.is_constant():
-                    repl.add(qb)
-                rest = [p for k, p in enumerate(items) if k not in (i, j)]
-                items = sorted(set(rest) | repl)
-                changed = True
-                break
-            if changed:
-                break
-    return items
+    # Incremental refinement (Bach, Driscoll and Shallit, J. Algorithms
+    # 15, 1993): basis stays pairwise coprime, and each new item p is
+    # split against each element once.  All items are squarefree, so g,
+    # b/g and the rest of p are pairwise coprime and b/g, like g, is
+    # coprime to every other element.  The coarsest coprime refinement
+    # is unique, so the sorted result does not depend on item order.
+    basis: list[MultiPoly] = []
+    for p in items:
+        refined = []
+        for b in basis:
+            g = p if p.is_constant() else poly_gcd(p, b)
+            if g.is_constant():
+                refined.append(b)
+                continue
+            g = g.assoc_normalized()
+            p = exact_div(p, g)
+            qb = exact_div(b, g).assoc_normalized()
+            refined += [g] if qb.is_constant() else [g, qb]
+        if not p.is_constant():
+            refined.append(p.assoc_normalized())
+        basis = refined
+    return sorted(basis)

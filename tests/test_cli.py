@@ -1,6 +1,9 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,8 +235,16 @@ def test_main_collins_method(tmp_path, capsys):
 
 
 def test_console_script():
-    r = subprocess.run(["projcad", "examples", "circle"],
-                       capture_output=True, text=True)
+    # run the entry point pyproject.toml declares, without a PATH install
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text()
+    m = re.search(r'^projcad\s*=\s*"([\w.]+):(\w+)"\s*$', text, re.M)
+    assert m, "pyproject.toml declares no projcad console script"
+    module, func = m.groups()
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    r = subprocess.run([sys.executable, "-c", code, "examples", "circle"],
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "pass" in r.stdout
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from projcad import polyring
 from projcad.polyring import (
     InexactDivisionError,
     MultiPoly,
@@ -172,6 +173,71 @@ def test_gcd_frozen_and_properties():
         assert g.is_zero() or g.lead_base_coeff() > 0
 
 
+P = polyring._MOD_P
+
+
+def prs_gcd(f, g):
+    """poly_gcd with the modular coprimality filter switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_coprime_mod_p", lambda f, g: False)
+        return poly_gcd(f, g)
+
+
+def test_gcd_modular_filter_edge_cases():
+    x, y = xy()
+    k = polyring._mod_point(1)  # the value the filter gives x
+    cases = [
+        # lc_y a multiple of p: on one side the other lc decides, on
+        # both sides the PRS does
+        (P * y + x, y - 1, True),
+        (P * y + 1, P * y + 2, False),
+        ((P * y + 1) * (y + x), (P * y + 1) * (y - x), False),
+        # lc_y vanishes at the evaluation point, on one side or both
+        ((x - k) * y + 1, y + 2, True),
+        ((x - k) * y + 1, (x - k) * y + x, False),
+        (((x - k) * y + 1) * (y + x), ((x - k) * y + 1) * (y - x), False),
+        # unlucky prime: coprime over Z, equal mod p
+        (y**2 + x, y**2 + x + P * (y + 1), False),
+        (x**2 + 1, x**2 + 1 + P * x, False),
+        # unlucky point: coprime, equal images
+        (y + x, y + k, False),
+        # integer and polynomial content on one or both sides
+        (6 * (y + x), 4 * (y - x), True),
+        (6 * x * (y + 1), 4 * x**2 * (y - 1), True),
+        (3 * (x + 1) * (y**2 - x), (x + 1) * (y + 2), True),
+        (10 * (y + x) * (y - 1), 4 * (y + x) * (y + 2), False),
+        # mixed levels never reach the filter
+        ((x + 1) * (y**2 + x), (x + 1) * (x - 3), None),
+        (2 * y * x + 4 * x, 6 * x**2, None),
+    ]
+    for f, g, proven in cases:
+        assert poly_gcd(f, g) == prs_gcd(f, g) == prs_gcd(g, f)
+        if proven is not None:
+            assert polyring._coprime_mod_p(f.node, g.node) is proven
+    assert poly_gcd(P * y + x, y - 1) == MultiPoly.one(O2)
+    assert poly_gcd(6 * x * (y + 1), 4 * x**2 * (y - 1)) == 2 * x
+    assert poly_gcd((x - k) * y + 1, (x - k) * y + x) == MultiPoly.one(O2)
+    assert poly_gcd(10 * (y + x) * (y - 1), 4 * (y + x) * (y + 2)) == 2 * (y + x)
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+def test_gcd_random_differential(names):
+    # gcd(a*m, b*m) == m * gcd(a, b) when gcd(a, b) is an integer
+    rng = random.Random(1302 + len(names))
+    checked = 0
+    for _ in range(100):
+        a, b, m = (random_nonconstant(rng, O3, vars_used=names, max_deg=2,
+                                      n_terms=3) for _ in range(3))
+        c = prs_gcd(a, b)
+        if not c.is_constant():
+            continue
+        g = poly_gcd(a * m, b * m)
+        assert g == (m * c).sign_normalized()
+        assert g == prs_gcd(a * m, b * m)
+        checked += 1
+    assert checked >= 25
+
+
 def test_content_primitive_part():
     x, y = xy()
     c, pp = content_primitive_part(6 * x**2 + 4 * x)
@@ -236,6 +302,34 @@ def test_finest_squarefree_basis_frozen():
     assert basis2 == sorted([x - 1, x + 2])
     with pytest.raises(ValueError):
         finest_squarefree_basis([MultiPoly.const(O2, 2)])
+
+
+def test_finest_squarefree_basis_order_and_pair_count(monkeypatch):
+    x, y = xy()
+    polys = [x**2 - 1, x + 3, x**2 + 5 * x + 6, x - 1]
+    # the only split comes after several coprime pairs; no pair of
+    # nonconstant polynomials is gcd'd twice
+    pairs = []
+    real_gcd = polyring.poly_gcd
+
+    def counting_gcd(f, g):
+        if not (f.is_constant() or g.is_constant()):
+            pairs.append(frozenset((f, g)))
+        return real_gcd(f, g)
+
+    monkeypatch.setattr(polyring, "poly_gcd", counting_gcd)
+    assert finest_squarefree_basis(polys) == sorted([x - 1, x + 1, x + 2, x + 3])
+    assert len(pairs) == len(set(pairs))
+    monkeypatch.undo()
+    rng = random.Random(97)
+    for _ in range(20):
+        polys = [random_nonconstant(rng, O2, max_deg=2, n_terms=2)
+                 for _ in range(4)]
+        polys.append(polys[0] * polys[1])
+        basis = finest_squarefree_basis(polys)
+        for _ in range(3):
+            rng.shuffle(polys)
+            assert finest_squarefree_basis(polys) == basis
 
 
 def test_finest_squarefree_basis_properties():
