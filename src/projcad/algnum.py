@@ -6,14 +6,37 @@ decision here reduces to integer polynomial arithmetic plus exact sign
 tests; interval arithmetic only ever separates quantities already known
 to be nonzero, so nothing depends on floating point.
 
-Root isolation is Descartes/bisection where the transformed polynomials
-stay symbolic (integer polynomials in the lower variables) and each
-coefficient sign at the fiber is decided exactly.  The zero test for a
-value at an algebraic coordinate goes through a fiber-local gcd with the
-coordinate's defining polynomial: the defining polynomial may well be
-reducible (bases are only squarefree, not irreducible), so a shared root
-is detected by a sign change of that gcd across the isolating interval
-rather than by divisibility.
+Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
+SYMSAC 1976), and roots_over_cell takes one of two routes per polynomial:
+
+* Dense route.  When every lower variable the polynomial involves sits
+  at a point-valued coordinate (a rational, or a root whose interval has
+  collapsed to a point), the point values are substituted once.  That
+  gives the polynomial's image: a list of integers, a positive multiple
+  of the polynomial on the fiber.  Squarefreeness and separability are
+  exact gcds of images; isolation runs on the list, each step an integer
+  scale, a Taylor shift, a reversal, a shift by 1 and a sign count
+  (Rouillier and Zimmermann, JCAM 162, 2004); bisection evaluates the
+  image by integer Horner.  Exact because a positive multiple has the
+  same roots and signs everywhere on the fiber, and every transformation
+  is integer arithmetic.  A polynomial that first involves an algebraic
+  coordinate but is free of it once reduced over the fiber also takes
+  this route.
+* Symbolic route, for the rest.  The transformed polynomials stay
+  integer polynomials in the lower variables, and each coefficient sign
+  at the fiber is decided exactly by sign_at.  Exact because every
+  decision is such a sign.
+
+Both routes make the same decisions (the same variation counts, split
+points and bisection signs), so they return identical roots, intervals
+and samples; the dense one only does the arithmetic once, on integers,
+and also returns the root of a linear polynomial as an exact rational.
+
+The zero test for a value at an algebraic coordinate goes through a
+fiber-local gcd with the coordinate's defining polynomial: the defining
+polynomial may well be reducible (bases are only squarefree, not
+irreducible), so a shared root is detected by a sign change of that gcd
+across the isolating interval rather than by divisibility.
 """
 
 from __future__ import annotations
@@ -99,16 +122,20 @@ class RootOfCoordinate:
     coefficients are evaluated over.  The interval shrinks in place as
     refinement happens; the defining polynomial, being squarefree over
     the fiber, changes sign exactly once inside the interval, which is
-    what bisection relies on.
+    what bisection relies on.  `image`, when the prefix fixes every
+    variable of the defining polynomial to a point value, is its dense
+    image there (a tuple of ints, lowest degree first), which bisection
+    evaluates instead of calling sign_at.
     """
 
-    __slots__ = ("defining", "interval", "prefix", "_sign_lo")
+    __slots__ = ("defining", "interval", "prefix", "image", "_sign_lo")
 
     def __init__(self, defining: MultiPoly, interval: IsolatingInterval,
-                 prefix=()):
+                 prefix=(), image: Optional[tuple] = None):
         self.defining = defining
         self.interval = interval
         self.prefix = tuple(prefix)
+        self.image = image
         self._sign_lo = None
 
     def point_value(self) -> Optional[Fraction]:
@@ -130,6 +157,7 @@ def _copy_coord(coord, new_prefix):
         coord.defining,
         IsolatingInterval(coord.interval.lo, coord.interval.hi),
         new_prefix,
+        coord.image,
     )
 
 
@@ -261,22 +289,28 @@ def _ipow(x, k: int):
     return acc
 
 
+def _defining_sign(coord: RootOfCoordinate, x: Fraction) -> int:
+    """Sign of the coordinate's defining polynomial at x over its prefix."""
+    if coord.image is not None:
+        return _image_sign(coord.image, x)
+    f = coord.defining
+    return sign_at(f.subs_rational_cleared(f.mvar(), x),
+                   SamplePoint(coord.prefix))
+
+
 def _bisect_once(coord: RootOfCoordinate):
     """One bisection step; collapses to a point on an exact hit."""
     iv = coord.interval
     if iv.lo == iv.hi:
         return
     mid = iv.midpoint()
-    pref = SamplePoint(coord.prefix)
-    var = coord.defining.mvar()
-    sm = sign_at(coord.defining.subs_rational_cleared(var, mid), pref)
+    sm = _defining_sign(coord, mid)
     if sm == 0:
         iv.lo = iv.hi = mid
         coord._sign_lo = 0
         return
     if coord._sign_lo is None:
-        coord._sign_lo = sign_at(
-            coord.defining.subs_rational_cleared(var, iv.lo), pref)
+        coord._sign_lo = _defining_sign(coord, iv.lo)
     if coord._sign_lo * sm < 0:
         iv.hi = mid
     else:
@@ -314,17 +348,23 @@ def _strip(p: MultiPoly) -> MultiPoly:
 
 def fiber_reduce(f: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
     """Drop leading coefficients of f (in var) that vanish at s."""
-    terms = f.coeff_terms(var)
-    xv = MultiPoly.var(f.order, var)
-    for idx, (e, c) in enumerate(terms):
+    for e, c in f.coeff_terms(var):
         if sign_at(c, s) != 0:
-            if idx == 0:
-                return f
-            acc = MultiPoly.zero(f.order)
-            for e2, c2 in terms[idx:]:
-                acc = acc + c2 * xv**e2
-            return acc
+            return _truncated(f, var, e)
     return MultiPoly.zero(f.order)
+
+
+def _truncated(f: MultiPoly, var: str, top: int) -> MultiPoly:
+    """f without its terms of degree above `top` in var (0 for top < 0)."""
+    terms = f.coeff_terms(var)
+    if terms[0][0] <= top:
+        return f
+    xv = MultiPoly.var(f.order, var)
+    acc = MultiPoly.zero(f.order)
+    for e, c in terms:
+        if e <= top:
+            acc = acc + c * xv**e
+    return acc
 
 
 def fiber_degree(f: MultiPoly, var: str, s: SamplePoint) -> int:
@@ -376,16 +416,82 @@ def fiber_squarefree_part(f: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
     return _strip(q)
 
 
-def _fiber_values(s: SamplePoint, names, order):
-    """Exact rational values for the named coordinates, or None if any
-    of them is a proper algebraic number."""
+# ---------------------------------------------------------------------------
+# dense images over point-valued fibers
+
+
+def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
+    """Dense image of p in var at the fiber s, lowest degree first, with
+    no zero leading entries ([] when p vanishes there).
+
+    Every lower variable of p is substituted by its point value and the
+    denominators are cleared, so the image is a positive multiple of p on
+    the fiber.  None when some lower variable of p sits at a coordinate
+    without a point value: this is the route selector of roots_over_cell.
+    """
+    order = p.order
+    lvl = order.level(var)
     vals = {}
-    for name in names:
-        v = s.coords[order.level(name) - 1].point_value()
-        if v is None:
-            return None
-        vals[name] = v
-    return vals
+    for name in p.variables():
+        j = order.level(name)
+        if j < lvl:
+            v = s.coords[j - 1].point_value()
+            if v is None:
+                return None
+            vals[name] = v
+    terms = p.coeff_terms(var)
+    vs = [Fraction(0)] * (terms[0][0] + 1 if terms else 0)
+    for e, c in terms:
+        vs[e] = c.evaluate(vals)
+    while vs and vs[-1] == 0:
+        vs.pop()
+    den = math.lcm(*(v.denominator for v in vs)) if vs else 1
+    img = [v.numerator * (den // v.denominator) for v in vs]
+    g = math.gcd(*img)
+    return [c // g for c in img] if g > 1 else img
+
+
+def _image_sign(img, x: Fraction) -> int:
+    """Sign of the image at a rational x, by integer Horner on
+    den(x)^d * img(x)."""
+    u, v = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(img):
+        acc = acc * u + c * w
+        w *= v
+    return _sgn(acc)
+
+
+def _taylor_shift(c: list, t: int):
+    """c(x) -> c(x + t) in place, lowest degree first."""
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+
+
+def _image_variations(img, a: Fraction, b: Fraction) -> int:
+    """Sign variations of (v+1)^d h(1/(v+1)), h = q^d img(a + (b-a)v):
+    the dense counterpart of _variations_poly(_shifted_to_unit(...))."""
+    a, w = Fraction(a), Fraction(b) - Fraction(a)
+    q = math.lcm(a.denominator, w.denominator)
+    pa = a.numerator * (q // a.denominator)
+    pw = w.numerator * (q // w.denominator)
+    d = len(img) - 1
+    c = [ci * q ** (d - i) for i, ci in enumerate(img)]
+    if pa:
+        _taylor_shift(c, pa)
+    c = [ci * pw**i for i, ci in enumerate(c)]
+    c.reverse()
+    _taylor_shift(c, 1)
+    signs = [ci > 0 for ci in c if ci]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def _image_root_bound(img) -> Fraction:
+    """B with every real root of the image strictly inside (-B, B):
+    1 + max |c_i| / |lc|; the image has positive degree."""
+    return 1 + Fraction(max(abs(c) for c in img[:-1]), abs(img[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +500,7 @@ def _fiber_values(s: SamplePoint, names, order):
 
 def _root_bound(g: MultiPoly, var: str, s: SamplePoint) -> Fraction:
     """B with every real root of g at the fiber strictly inside (-B, B):
-    1 + max |c_i| / |lc|, coefficients taken at the fiber."""
+    1 + max |c_i| / |lc|, coefficients enclosed at the fiber."""
     terms = g.coeff_terms(var)
     lead = terms[0][1]
     rest = [c for _, c in terms[1:]]
@@ -404,13 +510,8 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint) -> Fraction:
     names = set()
     for c in [lead] + rest:
         names.update(c.variables())
-    vals = _fiber_values(s, names, order)
-    if vals is not None:
-        lv = abs(lead.evaluate(vals))
-        m = max(abs(c.evaluate(vals)) for c in rest)
-        return 1 + m / lv
-    # enclosure route: shrink until the leading coefficient's box
-    # excludes zero, then bound the others by their current boxes
+    # shrink until the leading coefficient's box excludes zero, then
+    # bound the others by their current boxes
     coords = {order.level(v): s.coords[order.level(v) - 1] for v in names}
     while True:
         boxes = {lvl: c.box() for lvl, c in coords.items()}
@@ -462,10 +563,16 @@ def _sign_variations(g: MultiPoly, var: str, s: SamplePoint) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def _nonroot_split(f, var, s, a, b) -> Fraction:
-    """Deterministic split point in the middle half of (a, b) where f is
-    nonzero at the fiber; keeps both parts at most 3/4 of the width."""
+def _split_point(nonzero, degree: int, a: Fraction, b: Fraction) -> Fraction:
+    """Deterministic split point in the middle half of (a, b) where the
+    predicate `nonzero` holds; keeps both parts at most 3/4 of the width.
+
+    The candidates are distinct, and a polynomial of degree `degree` that
+    does not vanish has at most that many roots, so once more candidates
+    than that have failed the polynomial vanishes on the fiber.
+    """
     w = b - a
+    tried = 0
     t = 1
     while True:
         den = 1 << t
@@ -473,9 +580,25 @@ def _nonroot_split(f, var, s, a, b) -> Fraction:
             if 4 * num < den or 4 * num > 3 * den:
                 continue
             m = a + w * Fraction(num, den)
-            if sign_at(f.subs_rational_cleared(var, m), s) != 0:
+            if nonzero(m):
                 return m
+            tried += 1
+            if tried > degree:
+                raise ArithmeticError(
+                    "no split point in (%s, %s): the polynomial vanishes "
+                    "on the fiber" % (a, b))
         t += 1
+
+
+def _nonroot_split(f, var, s, a, b) -> Fraction:
+    return _split_point(
+        lambda m: sign_at(f.subs_rational_cleared(var, m), s) != 0,
+        f.degree(var), a, b)
+
+
+def _image_split(img, a, b) -> Fraction:
+    return _split_point(lambda m: _image_sign(img, m) != 0,
+                        len(img) - 1, a, b)
 
 
 def _vca(f, var, s, a, b, out):
@@ -491,33 +614,45 @@ def _vca(f, var, s, a, b, out):
     _vca(f, var, s, m, b, out)
 
 
-def _isolate_over_fiber(f: MultiPoly, var: str, s: SamplePoint,
-                        exact_linear: bool = True):
+def _image_vca(img, a, b, out):
+    v = _image_variations(img, a, b)
+    if v == 0:
+        return
+    if v == 1:
+        out.append(IsolatingInterval(a, b))
+        return
+    m = _image_split(img, a, b)
+    _image_vca(img, a, m, out)
+    _image_vca(img, m, b, out)
+
+
+def _isolate_symbolic(f: MultiPoly, var: str, s: SamplePoint):
     """Isolate the real roots of f at the fiber s.
 
-    Returns (coordinates in increasing order, root bound B).  The
-    polynomial must not vanish identically at s and must be squarefree
-    there (bisection termination depends on it).
+    Returns (coordinates in increasing order, root bound B).  f must be
+    squarefree at s and of positive degree there.
     """
-    g = fiber_reduce(f, var, s)
-    if g.is_zero():
-        raise ValueError("polynomial vanishes identically over the fiber")
-    if g.degree(var) == 0:
-        return [], Fraction(1)
-    g = _strip(g)
+    g = _strip(fiber_reduce(f, var, s))
     B = _root_bound(g, var, s)
-    if exact_linear and g.degree(var) == 1:
-        terms = dict(g.coeff_terms(var))
-        names = set(g.variables()) - {var}
-        vals = _fiber_values(s, names, g.order)
-        if vals is not None:
-            c1 = terms[1].evaluate(vals)
-            c0 = terms.get(0)
-            r = -(c0.evaluate(vals) if c0 is not None else Fraction(0)) / c1
-            return [RationalCoordinate(r)], B
     ivs = []
     _vca(g, var, s, -B, B, ivs)
     return [RootOfCoordinate(g, iv, s.coords) for iv in ivs], B
+
+
+def _isolate_image(f: MultiPoly, img, s: SamplePoint):
+    """_isolate_symbolic for an f whose dense image at s is img; a linear
+    f gives its exact rational root."""
+    B = _image_root_bound(img)
+    if len(img) == 2:
+        return [RationalCoordinate(Fraction(-img[0], img[1]))], B
+    ivs = []
+    _image_vca(img, -B, B, ivs)
+    # the image of the defining polynomial _strip(f), up to a positive
+    # factor: _strip divides by the content and may flip the sign
+    if f.lead_base_coeff() < 0:
+        img = [-c for c in img]
+    g, img = _strip(f), tuple(img)
+    return [RootOfCoordinate(g, iv, s.coords, img) for iv in ivs], B
 
 
 def isolate_real_roots(f: MultiPoly):
@@ -532,10 +667,11 @@ def isolate_real_roots(f: MultiPoly):
     var = f.mvar()
     if not poly_gcd(f, f.derivative(var)).is_constant():
         raise ValueError("squarefree polynomial required")
-    coords, _ = _isolate_over_fiber(f, var, SamplePoint(()),
-                                    exact_linear=False)
-    return [c.interval for c in coords]
-
+    img = _fiber_image(f, var, SamplePoint(()))
+    B = _image_root_bound(img)
+    ivs = []
+    _image_vca(img, -B, B, ivs)
+    return ivs
 
 # ---------------------------------------------------------------------------
 # merged roots of several polynomials over one cell
@@ -602,6 +738,14 @@ def _simplest_pos(a: Fraction, b: Fraction) -> Fraction:
     return fa + 1 / _simplest_pos(1 / yb, 1 / ya)
 
 
+def _fiber_squarefree(r: MultiPoly, img, var: str, s: SamplePoint) -> bool:
+    """Whether r, reduced over the fiber, is squarefree there."""
+    if img is None:
+        return fiber_gcd(r, r.derivative(var), var, s).degree(var) == 0
+    u = MultiPoly.from_coeffs(r.order, var, img)
+    return poly_gcd(u, u.derivative(var)).is_constant()
+
+
 def roots_over_cell(polys, s: SamplePoint):
     """All real roots of the given polynomials at the fiber s, strictly
     ordered, plus rational sector samples around them.
@@ -628,24 +772,41 @@ def roots_over_cell(polys, s: SamplePoint):
         if p.level() != lvl:
             raise ValueError(
                 "expected main variable %r, got %r" % (var, p.mvar()))
-        r = fiber_reduce(p, var, s)
+        img = _fiber_image(p, var, s)
+        if img is None:
+            r = fiber_reduce(p, var, s)
+        else:
+            r = _truncated(p, var, len(img) - 1)
         if r.is_zero():
             raise ValueError(
                 "polynomial vanishes identically over the cell: %s" % (p,))
-        if r.degree(var) >= 1:
-            # repeated roots over this fiber are harmless for the root
-            # set, so flatten them here rather than reject the input
-            if fiber_gcd(r, r.derivative(var), var, s).degree(var) != 0:
-                r = fiber_squarefree_part(r, var, s)
-            reduced.append(r)
-    for i, r in enumerate(reduced):
-        for r2 in reduced[i + 1:]:
-            if fiber_gcd(r, r2, var, s).degree(var) != 0:
+        if r.degree(var) < 1:
+            continue
+        # repeated roots over this fiber are harmless for the root set,
+        # so flatten them here rather than reject the input
+        if not _fiber_squarefree(r, img, var, s):
+            r = fiber_squarefree_part(r, var, s)
+            img = None
+        if img is None:
+            # reduction may have removed every algebraic coordinate
+            img = _fiber_image(r, var, s)
+        reduced.append((r, img))
+    for i, (r, img) in enumerate(reduced):
+        for r2, img2 in reduced[i + 1:]:
+            if img is not None and img2 is not None:
+                common = poly_gcd(MultiPoly.from_coeffs(order, var, img),
+                                  MultiPoly.from_coeffs(order, var, img2))
+            else:
+                common = fiber_gcd(r, r2, var, s)
+            if common.degree(var) != 0:
                 raise SeparabilityError("separability violated")
     sections = []
     bound = Fraction(1)
-    for r in reduced:
-        coords, b = _isolate_over_fiber(r, var, s)
+    for r, img in reduced:
+        if img is None:
+            coords, b = _isolate_symbolic(r, var, s)
+        else:
+            coords, b = _isolate_image(r, img, s)
         sections.extend(coords)
         bound = max(bound, b)
     sections.sort(key=cmp_to_key(_compare_coords))

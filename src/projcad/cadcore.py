@@ -23,6 +23,7 @@ from .algnum import (
     SamplePoint,
     SeparabilityError,
     _bisect_once,
+    _defining_sign,
     roots_over_cell,
     sign_at,
 )
@@ -57,32 +58,13 @@ def cad_full(polys, order: VarOrder, method: str = "mccallum",
 # point location
 
 
-def _stack_section_polys(cad: CAD, prefix: tuple):
-    """Section polynomials of the stack sitting over an index prefix,
-    in ascending root order (one entry per section, repeats allowed)."""
-    j = len(prefix)
-    out = []
-    entry = 2
-    while True:
-        hit = None
-        for c in cad.cells:
-            if c.index[:j] == prefix and c.index[j] == entry:
-                hit = c
-                break
-        if hit is None:
-            return out
-        out.append(hit.bounds[j].lo.poly)
-        entry += 2
-
-
-def _cmp_root_to_rational(coord, q: Fraction, names, vals) -> int:
+def _cmp_root_to_rational(coord, q: Fraction) -> int:
     """-1/0/+1 for root < q / root == q / root > q, exact."""
     if isinstance(coord, RationalCoordinate):
         v = coord.value
         return (v > q) - (v < q)
-    env = dict(zip(names, vals + [q]))
     iv = coord.interval
-    if coord.defining.evaluate(env) == 0 and iv.lo <= q <= iv.hi:
+    if iv.lo <= q <= iv.hi and _defining_sign(coord, q) == 0:
         return 0
     while iv.lo <= q <= iv.hi:
         _bisect_once(coord)
@@ -95,19 +77,14 @@ def locate_point(pt, cad: CAD) -> Cell:
     vals = [Fraction(v) for v in pt]
     if len(vals) != n:
         raise ValueError("expected %d coordinates, got %d" % (n, len(vals)))
-    names = [cad.order.name(i) for i in range(1, n + 1)]
     prefix: tuple = ()
     for j in range(n):
         fiber = SamplePoint(
             tuple(RationalCoordinate(v) for v in vals[:j]))
-        refs = _stack_section_polys(cad, prefix)
-        owners: list = []
-        for p in refs:
-            if p not in owners:
-                owners.append(p)
-        if owners:
+        refs = cad.section_polys(prefix)
+        if refs:
             try:
-                coords, _ = roots_over_cell(owners, fiber)
+                coords, _ = roots_over_cell(refs, fiber)
             except (SeparabilityError, ValueError) as e:
                 raise IntegrityError(
                     "stack over %s broke down at %s: %s"
@@ -121,7 +98,7 @@ def locate_point(pt, cad: CAD) -> Cell:
         pinned = None
         below = 0
         for i, c in enumerate(coords):
-            cmp = _cmp_root_to_rational(c, vals[j], names[:j + 1], vals[:j])
+            cmp = _cmp_root_to_rational(c, vals[j])
             if cmp == 0:
                 pinned = i
                 break
@@ -129,10 +106,10 @@ def locate_point(pt, cad: CAD) -> Cell:
                 below += 1
         prefix += (2 * (pinned + 1),) if pinned is not None \
             else (2 * below + 1,)
-    for c in cad.cells:
-        if c.index == prefix:
-            return c
-    raise IntegrityError("no cell carries index %s" % (prefix,))
+    cell = cad.cell_at(prefix)
+    if cell is None:
+        raise IntegrityError("no cell carries index %s" % (prefix,))
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +163,8 @@ def _random_interior_point(cad: CAD, cell: Cell, rng):
     names = [cad.order.name(i) for i in range(1, cad.order.n + 1)]
     for j, entry in enumerate(cell.index):
         fiber = SamplePoint(tuple(RationalCoordinate(v) for v in vals))
-        owners: list = []
-        for p in _stack_section_polys(cad, cell.index[:j]):
-            if p not in owners:
-                owners.append(p)
-        coords = roots_over_cell(owners, fiber)[0] if owners else []
+        refs = cad.section_polys(cell.index[:j])
+        coords = roots_over_cell(refs, fiber)[0] if refs else []
         vals.append(_random_in_gap(coords, (entry - 1) // 2, rng))
     return dict(zip(names, vals))
 

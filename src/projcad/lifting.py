@@ -22,6 +22,7 @@ The larger operator's theory needs none of this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -301,7 +302,12 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
 @dataclass(frozen=True)
 class CAD:
     """Finished decomposition: cells sorted by index, plus the records
-    of every nullification event met along the way."""
+    of every nullification event met along the way.
+
+    The stack tree is kept as two maps built once, on first use, from
+    the cells: index prefix -> section polynomials of the stack over it,
+    and index -> cell.
+    """
 
     order: VarOrder
     method: str
@@ -310,6 +316,40 @@ class CAD:
     warnings: tuple = ()
     delineations: tuple = ()
     levels: Optional[ProjectionLevels] = None
+
+    @cached_property
+    def _by_index(self) -> dict:
+        out: dict = {}
+        for c in self.cells:
+            out.setdefault(c.index, c)
+        return out
+
+    @cached_property
+    def _sections(self) -> dict:
+        owner: dict = {}
+        for c in self.cells:
+            for j, entry in enumerate(c.index):
+                if entry % 2 == 0:
+                    owner.setdefault((c.index[:j], entry),
+                                     c.bounds[j].lo.poly)
+        out: dict = {}
+        for prefix, _ in owner:
+            if prefix in out:
+                continue
+            polys = []
+            while (prefix, 2 * len(polys) + 2) in owner:
+                polys.append(owner[prefix, 2 * len(polys) + 2])
+            out[prefix] = tuple(polys)
+        return out
+
+    def section_polys(self, prefix) -> tuple:
+        """Section polynomials of the stack over an index prefix, in
+        ascending root order (one entry per section, repeats allowed)."""
+        return self._sections.get(tuple(prefix), ())
+
+    def cell_at(self, index) -> Optional[Cell]:
+        """The cell carrying this index, or None."""
+        return self._by_index.get(tuple(index))
 
 
 def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,

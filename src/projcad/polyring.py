@@ -238,6 +238,12 @@ class MultiPoly:
         lvl = order.level(name)
         return MultiPoly(order, (lvl, ((1, 1),)))
 
+    @staticmethod
+    def from_coeffs(order: VarOrder, name: str, coeffs) -> "MultiPoly":
+        """Univariate sum of coeffs[e] * name^e over ints, lowest first."""
+        lvl = order.level(name)
+        return MultiPoly(order, _nmake(lvl, dict(enumerate(coeffs))))
+
     # -- predicates and structure
 
     def is_zero(self) -> bool:

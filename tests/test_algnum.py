@@ -9,13 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projcad import algnum
 from projcad.algnum import (
     IsolatingInterval,
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
     SeparabilityError,
+    _fiber_image,
+    _image_split,
+    _image_variations,
+    _nonroot_split,
+    _shifted_to_unit,
+    _sign_variations,
     _simplest_in_open,
+    _variations_poly,
     fiber_degree,
     fiber_gcd,
     fiber_reduce,
@@ -27,7 +35,7 @@ from projcad.algnum import (
 )
 from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
-from helpers import random_poly
+from helpers import random_nonconstant, random_poly
 
 O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
@@ -335,6 +343,108 @@ def test_extend_does_not_share_interval_state():
     refine(s2.coords[0], F(1, 2**16))
     # the original fiber coordinate is untouched
     assert s1.coords[0].interval.width() > F(1, 2**16)
+
+
+def test_dense_route_carries_image():
+    s = _rational_fiber(F(1, 3))
+    sections, _ = roots_over_cell([Y2**2 - X2 - 1], s)
+    assert len(sections) == 2
+    for c in sections:
+        assert c.image == tuple(_fiber_image(c.defining, "y", s))
+        assert s.extend(c).coords[-1].image == c.image
+    # the image is a positive multiple of the defining polynomial
+    c = sections[1]
+    assert c.image == (-4, 0, 3)
+
+
+def test_split_search_is_bounded():
+    # y*x vanishes identically over x = 0: no candidate can be a
+    # non-root, and the search must say so instead of looping
+    with pytest.raises(ArithmeticError, match=r"\(0, 1\)"):
+        _nonroot_split(X2 * Y2, "y", _rational_fiber(0), F(0), F(1))
+    with pytest.raises(ArithmeticError, match="vanishes"):
+        _image_split([0, 0, 0], F(-2), F(2))
+    # a nonzero image finds a split among its first deg + 1 candidates
+    # even when the early ones are roots: (y - 1/2)(y - 1/4) on (0, 1)
+    assert _image_split([1, -6, 8], F(0), F(1)) == F(3, 4)
+
+
+def _random_fiber(rng, n):
+    vals = []
+    for _ in range(n):
+        if rng.random() < 0.3:
+            vals.append(F(rng.choice([0, 1, -1])))
+        else:
+            vals.append(F(rng.randint(-9, 9), rng.randint(1, 4)))
+    return SamplePoint(tuple(RationalCoordinate(v) for v in vals))
+
+
+def _roots_outcome(polys, s):
+    try:
+        sections, samples = roots_over_cell(polys, s)
+    except (ValueError, ArithmeticError) as e:
+        return ("error", type(e), str(e))
+    return (tuple((type(c), c.box()) for c in sections), tuple(samples))
+
+
+def test_dense_route_matches_symbolic(monkeypatch):
+    # the same polynomials over the same rational fibers, once through
+    # the dense route and once through the symbolic one
+    rng = random.Random(4711)
+    same = linear = 0
+    for trial in range(160):
+        order = O2 if trial % 2 == 0 else O3
+        var = order.names[-1]
+        polys = []
+        for _ in range(rng.randint(1, 3)):
+            p = random_nonconstant(rng, order, max_deg=2, max_coeff=4,
+                                   n_terms=4)
+            if p.mvar() == var:
+                polys.append(p)
+        if not polys:
+            continue
+        s = _random_fiber(rng, order.n - 1)
+        dense = _roots_outcome(polys, s)
+        with monkeypatch.context() as m:
+            m.setattr(algnum, "_fiber_image", lambda p, var, s: None)
+            symbolic = _roots_outcome(polys, s)
+        if dense[0] != "error" and any(
+                t is RationalCoordinate for t, _ in dense[0]):
+            # only the dense route turns a linear polynomial into its
+            # exact root; the symbolic route isolates the same roots, but
+            # comparing them refines its boxes differently
+            assert len(dense[0]) == len(symbolic[0])
+            for (_, (lo, hi)), (_, (slo, shi)) in zip(dense[0],
+                                                      symbolic[0]):
+                assert max(lo, slo) <= min(hi, shi)
+            linear += 1
+            continue
+        assert dense == symbolic
+        same += 1
+    assert same >= 80 and linear >= 10
+
+
+def test_dense_variations_match_symbolic():
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 150:
+        order = O2 if checked % 2 == 0 else O3
+        var = order.names[-1]
+        p = random_nonconstant(rng, order, max_deg=3, max_coeff=6,
+                               n_terms=5)
+        if p.mvar() != var:
+            continue
+        s = _random_fiber(rng, order.n - 1)
+        f = fiber_reduce(p, var, s)
+        if f.degree(var) < 1:
+            continue
+        img = _fiber_image(f, var, s)
+        a = F(rng.randint(-40, 40), rng.randint(1, 8))
+        b = a + F(rng.randint(1, 40), rng.randint(1, 8))
+        want = _sign_variations(
+            _variations_poly(_shifted_to_unit(f, var, a, b), var), var, s)
+        assert _image_variations(img, a, b) == want
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

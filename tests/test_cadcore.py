@@ -128,6 +128,21 @@ def _dummy_cell(idx):
         tuple(RationalCoordinate(F(0)) for _ in idx)), ())
 
 
+def test_stack_maps():
+    cad = cad_full([CIRCLE], O2)
+    # over the sector x in (-1, 1) the circle cuts the line twice
+    assert cad.section_polys((3,)) == (CIRCLE, CIRCLE)
+    assert cad.section_polys((1,)) == ()
+    assert len(cad.section_polys(())) == 2
+    assert cad.cell_at((3, 3)).index == (3, 3)
+    assert cad.cell_at((3, 7)) is None
+    # a CAD assembled by hand from the same cells answers the same way
+    again = CAD(cad.order, cad.method, cad.final_oi, cad.cells)
+    assert again.section_polys((3,)) == cad.section_polys((3,))
+    for pt in ((0, 0), (-2, 5), (1, 0), (F(1, 2), F(7, 8))):
+        assert locate_point(pt, again).index == locate_point(pt, cad).index
+
+
 def test_cylindricity_rejects_duplicates():
     bad = CAD(O1, "mccallum", False,
               (_dummy_cell((1,)), _dummy_cell((1,))))

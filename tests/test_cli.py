@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from projcad.cli import (ParseError, RunConfig, examples_suite, main,
-                         parse_input, run_compute)
+from projcad.cli import (_EXAMPLES, ParseError, RunConfig, examples_suite,
+                         main, parse_input, run_compute)
 
 CIRCLE = "vars: x, y\nx^2 + y^2 - 1\n"
 SADDLE = "vars: x, y, z\nz*y - x^2\n"
@@ -292,3 +293,35 @@ def test_json_matches_cad_bit_exact():
                 assert coord_doc["rootOf"] == str(coord.defining)
                 assert [Fraction(v) for v in coord_doc["interval"]] \
                     == [lo, hi]
+
+
+# sha256 of the JSON output: sections, isolating intervals and sample
+# points must not move when the arithmetic behind them is reworked
+GOLDEN_JSON = {
+    "circle":
+        "a603b63c2fffa1ddcbb57cf54fe409b25a46b5de2404d54f979b1e22aa5d3e0a",
+    "zy-x2":
+        "feddd85c2ae3334dca44384ce1a2316a2148ac630b8addba9c98fa51a5ef0bc9",
+    "zy-x2-oi":
+        "659339edba98aff78d8ab2392fda27f62d3de9ccde04d66c90ac86aa0cc0b6be",
+    "w-example":
+        "1a9a3c6844a9b1bbc15bc979abe91592923b70ba901a4c4a9dff7ea8c25df145",
+    "warn-4var":
+        "5a495944e98868e937fee041f6bc4b760eb4b3945dcb8f7d73edcacce9becf28",
+    "sphere-plane":
+        "7888330d7f5e8936a6352fe165705aa041bf741a76fd0b02fa2a871b4ee0ac7d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_json_golden_digest(name):
+    if name == "sphere-plane":
+        text, cfg = ("vars: x, y, z\nx^2 + y^2 + z^2 - 1\nx + y + z\n",
+                     RunConfig())
+    else:
+        text, cfg, _ = _EXAMPLES[name]
+    out, _, code = run_compute(cfg, text)
+    assert code == 0
+    if name == "sphere-plane":
+        assert len(json.loads(out)["cells"]) == 351
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[name]
