@@ -6,6 +6,13 @@ decision here reduces to integer polynomial arithmetic plus exact sign
 tests; interval arithmetic only ever separates quantities already known
 to be nonzero, so nothing depends on floating point.
 
+roots_over_cell is the one place a fiber basis is built: each
+polynomial is reduced over the fiber, flattened to its squarefree part
+there if needed, and split along its fiber gcd with every basis element
+it shares roots with.  The pieces stay polynomials in the lower
+variables, so a section can be re-evaluated anywhere over the base
+cell.  Each element is isolated once and owns the roots it yields.
+
 Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
 SYMSAC 1976), and roots_over_cell takes one of two routes per polynomial:
 
@@ -13,15 +20,16 @@ SYMSAC 1976), and roots_over_cell takes one of two routes per polynomial:
   at a point-valued coordinate (a rational, or a root whose interval has
   collapsed to a point), the point values are substituted once.  That
   gives the polynomial's image: a list of integers, a positive multiple
-  of the polynomial on the fiber.  Squarefreeness and separability are
-  exact gcds of images; isolation runs on the list, each step an integer
-  scale, a Taylor shift, a reversal, a shift by 1 and a sign count
-  (Rouillier and Zimmermann, JCAM 162, 2004); bisection evaluates the
-  image by integer Horner.  Exact because a positive multiple has the
-  same roots and signs everywhere on the fiber, and every transformation
-  is integer arithmetic.  A polynomial that first involves an algebraic
-  coordinate but is free of it once reduced over the fiber also takes
-  this route.
+  of the polynomial on the fiber.  Squarefreeness and coprimality are
+  exact gcds of images (the fiber gcd that splits two polynomials runs
+  only when their images share a factor); isolation runs on the list,
+  each step an integer scale, a Taylor shift, a reversal, a shift by 1
+  and a sign count (Rouillier and Zimmermann, JCAM 162, 2004);
+  bisection evaluates the image by integer Horner.  Exact because a
+  positive multiple has the same roots and signs everywhere on the
+  fiber, and every transformation is integer arithmetic.  A polynomial
+  that first involves an algebraic coordinate but is free of it once
+  reduced over the fiber also takes this route.
 * Symbolic route, for the rest.  The transformed polynomials stay
   integer polynomials in the lower variables, and each coefficient sign
   at the fiber is decided exactly by sign_at.  Exact because every
@@ -523,9 +531,14 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint) -> Fraction:
                 clo, chi = _box_eval(c, boxes)
                 m = max(m, abs(clo), abs(chi))
             return 1 + m / lv
+        progressed = False
         for c in coords.values():
             if isinstance(c, RootOfCoordinate) and c.point_value() is None:
                 _bisect_once(c)
+                progressed = True
+        if not progressed:
+            raise ArithmeticError(
+                "leading coefficient of %s vanishes at the fiber" % (g,))
 
 
 def _shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
@@ -630,9 +643,10 @@ def _isolate_symbolic(f: MultiPoly, var: str, s: SamplePoint):
     """Isolate the real roots of f at the fiber s.
 
     Returns (coordinates in increasing order, root bound B).  f must be
+    reduced over the fiber (its leading coefficient nonzero at s),
     squarefree at s and of positive degree there.
     """
-    g = _strip(fiber_reduce(f, var, s))
+    g = _strip(f)
     B = _root_bound(g, var, s)
     ivs = []
     _vca(g, var, s, -B, B, ivs)
@@ -738,38 +752,36 @@ def _simplest_pos(a: Fraction, b: Fraction) -> Fraction:
     return fa + 1 / _simplest_pos(1 / yb, 1 / ya)
 
 
+def _images_coprime(order, var: str, img_f, img_g) -> bool:
+    """Whether two dense images at a fiber are coprime."""
+    return poly_gcd(MultiPoly.from_coeffs(order, var, img_f),
+                    MultiPoly.from_coeffs(order, var, img_g)).is_constant()
+
+
 def _fiber_squarefree(r: MultiPoly, img, var: str, s: SamplePoint) -> bool:
     """Whether r, reduced over the fiber, is squarefree there."""
     if img is None:
         return fiber_gcd(r, r.derivative(var), var, s).degree(var) == 0
-    u = MultiPoly.from_coeffs(r.order, var, img)
-    return poly_gcd(u, u.derivative(var)).is_constant()
+    return _images_coprime(r.order, var, img,
+                           [i * c for i, c in enumerate(img)][1:])
 
 
-def roots_over_cell(polys, s: SamplePoint):
-    """All real roots of the given polynomials at the fiber s, strictly
-    ordered, plus rational sector samples around them.
+def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
+    # exact over the fiber: the pseudo-remainder vanishes there, and the
+    # pseudo-quotient differs from the true quotient by a nonzero constant
+    return _strip(fiber_reduce(pquo(f, g, var), var, s))
 
-    Returns (sections, samples): len(samples) == len(sections) + 1, the
-    first sample lies below every root and the last above every root;
-    with no roots at all the single sample is 0.  A polynomial that is
-    not squarefree at s is replaced by its fiber squarefree part (same
-    roots); two polynomials sharing a root at s are rejected as
-    "separability violated".  Polynomials that degenerate to a nonzero
-    constant over the fiber contribute nothing; identically vanishing
-    ones are a contract violation.
-    """
-    ps = sorted(set(polys))
-    if not ps:
-        return [], [Fraction(0)]
-    order = ps[0].order
-    lvl = len(s) + 1
-    var = order.name(lvl)
-    reduced = []
-    for p in ps:
+
+def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
+    """Separable basis of the polynomials over the fiber s: reduced
+    there, squarefree and pairwise coprime there, with the same zero set.
+    Maps each element to its dense image (None off the dense route)."""
+    order = polys[0].order
+    work = []
+    for p in polys:
         if p.order != order:
             raise ValueError("mixed variable orders")
-        if p.level() != lvl:
+        if p.level() != order.level(var):
             raise ValueError(
                 "expected main variable %r, got %r" % (var, p.mvar()))
         img = _fiber_image(p, var, s)
@@ -782,38 +794,75 @@ def roots_over_cell(polys, s: SamplePoint):
                 "polynomial vanishes identically over the cell: %s" % (p,))
         if r.degree(var) < 1:
             continue
+        if img is None:
+            # reduction may have removed every algebraic coordinate
+            img = _fiber_image(r, var, s)
         # repeated roots over this fiber are harmless for the root set,
         # so flatten them here rather than reject the input
         if not _fiber_squarefree(r, img, var, s):
             r = fiber_squarefree_part(r, var, s)
-            img = None
-        if img is None:
-            # reduction may have removed every algebraic coordinate
             img = _fiber_image(r, var, s)
-        reduced.append((r, img))
-    for i, (r, img) in enumerate(reduced):
-        for r2, img2 in reduced[i + 1:]:
-            if img is not None and img2 is not None:
-                common = poly_gcd(MultiPoly.from_coeffs(order, var, img),
-                                  MultiPoly.from_coeffs(order, var, img2))
-            else:
-                common = fiber_gcd(r, r2, var, s)
-            if common.degree(var) != 0:
-                raise SeparabilityError("separability violated")
-    sections = []
+        work.append((r, img))
+    basis: dict = {}
+    for f, img_f in work:
+        merged: dict = {}
+        for g, img_g in basis.items():
+            if f.degree(var) < 1 or (
+                    img_f is not None and img_g is not None
+                    and _images_coprime(f.order, var, img_f, img_g)):
+                merged[g] = img_g
+                continue
+            h = fiber_gcd(f, g, var, s)
+            if h.degree(var) < 1:
+                merged[g] = img_g
+                continue
+            # split off the common part; both quotients stay coprime to
+            # it because everything here is squarefree over the fiber
+            for piece in (h, _fiber_quo(g, h, var, s)):
+                if piece.degree(var) >= 1:
+                    merged[piece] = _fiber_image(piece, var, s)
+            f = _fiber_quo(f, h, var, s)
+            img_f = _fiber_image(f, var, s)
+        if f.degree(var) >= 1:
+            merged[f] = img_f
+        basis = merged
+    return basis
+
+
+def roots_over_cell(polys, s: SamplePoint):
+    """All real roots of the given polynomials at the fiber s, strictly
+    ordered, with rational sector samples around them.
+
+    Returns (sections, samples, owners): owners[i] is the element of the
+    separable basis over s (see the module docstring) that sections[i]
+    is a root of.  Polynomials sharing roots at s are split, not
+    rejected.  len(samples) == len(sections) + 1, the first sample below
+    every root and the last above; with no roots the single sample is 0.
+    Polynomials that degenerate to a nonzero constant over the fiber
+    contribute nothing; identically vanishing ones are a contract
+    violation.
+    """
+    ps = sorted(set(polys))
+    if not ps:
+        return [], [Fraction(0)], []
+    var = ps[0].order.name(len(s) + 1)
+    basis = _fiber_basis(ps, var, s)
+    tagged = []
     bound = Fraction(1)
-    for r, img in reduced:
+    for r in sorted(basis):
+        img = basis[r]
         if img is None:
             coords, b = _isolate_symbolic(r, var, s)
         else:
             coords, b = _isolate_image(r, img, s)
-        sections.extend(coords)
+        tagged.extend((c, r) for c in coords)
         bound = max(bound, b)
-    sections.sort(key=cmp_to_key(_compare_coords))
-    if not sections:
-        return [], [Fraction(0)]
+    if not tagged:
+        return [], [Fraction(0)], []
+    tagged.sort(key=cmp_to_key(lambda a, b: _compare_coords(a[0], b[0])))
+    sections = [c for c, _ in tagged]
     samples = [-bound]
     for c1, c2 in zip(sections, sections[1:]):
         samples.append(_gap_sample(c1, c2))
     samples.append(bound)
-    return sections, samples
+    return sections, samples, [r for _, r in tagged]

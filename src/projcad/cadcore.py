@@ -7,8 +7,9 @@ comparisons only, verify_sign_invariance confirms that every input
 polynomial keeps one sign per cell by sampling random rational points
 inside full-dimensional cells, and check_cylindricity validates the
 index structure (stacks are contiguous odd-length runs over a shared
-prefix).  Failures of locate_point raise IntegrityError because a
-partition of R^n must contain every point.
+prefix).  A stack whose roots at a rational fiber do not match its
+section count, and a point no cell contains, raise IntegrityError,
+because a partition of R^n must contain every point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Optional
 from .algnum import (
     RationalCoordinate,
     SamplePoint,
-    SeparabilityError,
     _bisect_once,
     _defining_sign,
     roots_over_cell,
@@ -71,6 +71,25 @@ def _cmp_root_to_rational(coord, q: Fraction) -> int:
     return 1 if q < iv.lo else -1
 
 
+def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
+    """Roots of the stack over an index prefix at the rational fiber
+    `vals`, one per section of that stack, in increasing order."""
+    refs = cad.section_polys(prefix)
+    if not refs:
+        return []
+    fiber = SamplePoint(tuple(RationalCoordinate(v) for v in vals))
+    try:
+        coords = roots_over_cell(refs, fiber)[0]
+    except ValueError as e:
+        raise IntegrityError("stack over %s broke down at %s: %s"
+                             % (prefix, list(vals), e))
+    if len(coords) != len(refs):
+        raise IntegrityError(
+            "stack over %s has %d sections but %d roots at %s"
+            % (prefix, len(refs), len(coords), list(vals)))
+    return coords
+
+
 def locate_point(pt, cad: CAD) -> Cell:
     """The unique cell of the decomposition containing a rational point."""
     n = cad.order.n
@@ -79,22 +98,7 @@ def locate_point(pt, cad: CAD) -> Cell:
         raise ValueError("expected %d coordinates, got %d" % (n, len(vals)))
     prefix: tuple = ()
     for j in range(n):
-        fiber = SamplePoint(
-            tuple(RationalCoordinate(v) for v in vals[:j]))
-        refs = cad.section_polys(prefix)
-        if refs:
-            try:
-                coords, _ = roots_over_cell(refs, fiber)
-            except (SeparabilityError, ValueError) as e:
-                raise IntegrityError(
-                    "stack over %s broke down at %s: %s"
-                    % (prefix, vals[:j], e))
-            if len(coords) != len(refs):
-                raise IntegrityError(
-                    "stack over %s has %d sections but %d roots at %s"
-                    % (prefix, len(refs), len(coords), vals[:j]))
-        else:
-            coords = []
+        coords = _stack_roots(cad, prefix, vals[:j])
         pinned = None
         below = 0
         for i, c in enumerate(coords):
@@ -162,9 +166,7 @@ def _random_interior_point(cad: CAD, cell: Cell, rng):
     vals: list = []
     names = [cad.order.name(i) for i in range(1, cad.order.n + 1)]
     for j, entry in enumerate(cell.index):
-        fiber = SamplePoint(tuple(RationalCoordinate(v) for v in vals))
-        refs = cad.section_polys(cell.index[:j])
-        coords = roots_over_cell(refs, fiber)[0] if refs else []
+        coords = _stack_roots(cad, cell.index[:j], vals)
         vals.append(_random_in_gap(coords, (entry - 1) // 2, rng))
     return dict(zip(names, vals))
 
@@ -173,18 +175,18 @@ def verify_sign_invariance(cad: CAD, polys, samples_per_cell: int = 16,
                            seed: int = 0) -> SignInvarianceReport:
     """Check that every polynomial holds one sign per cell.
 
-    The sign vector at each cell's sample point is the reference; every
-    full-dimensional cell is additionally probed at random rational
-    interior points, found by re-descending the stacks, and compared
-    exactly.  Stops at the first counterexample.
+    Every full-dimensional cell is probed at random rational interior
+    points, found by re-descending the stacks, and the signs there are
+    compared exactly with those at the cell's sample point.  Stops at
+    the first counterexample.
     """
     polys = sorted(set(polys))
     rng = random.Random(seed)
     points = 0
     for cell in cad.cells:
-        reference = [sign_at(p, cell.sample) for p in polys]
         if cell.dimension() != cad.order.n:
             continue
+        reference = [sign_at(p, cell.sample) for p in polys]
         for _ in range(samples_per_cell):
             env = _random_interior_point(cad, cell, rng)
             points += 1

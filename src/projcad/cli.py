@@ -10,7 +10,8 @@ line:
 per-cell text lines, a piecewise condition tree, or a bare cell count.
 `projcad examples` runs the built-in problems and checks their cell
 counts.  Exit codes: 0 success, 1 bad input, 2 a strict run hit a
-not-well-oriented input.
+not-well-oriented input, 3 an internal failure (a separability,
+integrity or arithmetic error).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cadcore import cad_full
+from .algnum import SeparabilityError
+from .cadcore import IntegrityError, cad_full
 from .lifting import CAD, NotWellOrientedError, RootRef
 from .polyring import MultiPoly, VarOrder
 
@@ -376,14 +378,19 @@ def run_compute(cfg: RunConfig, text: str):
     try:
         cad = cad_full(polys, order, cfg.method,
                        final_oi=cfg.final_oi, strict=cfg.strict)
+        out = render_output(cad, cfg.output)
     except NotWellOrientedError as e:
         return "", "error: %s\n" % e, 2
+    except (SeparabilityError, IntegrityError, ArithmeticError) as e:
+        # an internal failure, not bad input: one line, no traceback
+        return "", "error: %s: %s\n" % (
+            type(e).__name__, " ".join(str(e).split())), 3
     for idx, p in cad.warnings:
         diag.append("warning: %s nullified over cell %s"
                     % (p, ",".join(str(k) for k in idx)))
     diag.extend(_info_lines(cad, cfg.info))
     err = "".join(l + "\n" for l in diag)
-    return render_output(cad, cfg.output), err, 0
+    return out, err, 0
 
 
 _EXAMPLES = {

@@ -7,7 +7,9 @@ level-i polynomials over the cell's sample point.  Sections (graphs of
 root functions) alternate with the sectors between them, so a stack
 always has odd length, and a cell's index records its position in each
 stack on the way up: even entries pin a coordinate to a root, odd
-entries leave it ranging in a band.
+entries leave it ranging in a band.  A stack comes from one call of
+roots_over_cell; each section's RootRef is the basis polynomial owning
+its root and that root's rank among the polynomial's roots.
 
 A polynomial that vanishes identically over a base cell contributes no
 sections there and is set aside.  With the smaller projection operator
@@ -29,14 +31,12 @@ from typing import Optional
 from .algnum import (
     RationalCoordinate,
     SamplePoint,
-    _strip,
     fiber_gcd,
-    fiber_reduce,
     fiber_squarefree_part,
     roots_over_cell,
     sign_at,
 )
-from .polyring import MultiPoly, VarOrder, poly_gcd, pquo, squarefree_part
+from .polyring import MultiPoly, VarOrder, poly_gcd, squarefree_part
 from .projection import ProjectionLevels
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "cad_lifting",
     "generate_stack",
     "is_nullified",
-    "make_separable_over_cell",
     "minimal_delineating_polynomial",
 ]
 
@@ -110,72 +109,6 @@ class Stack:
 
 
 # ---------------------------------------------------------------------------
-# separability over one cell
-
-
-def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
-    # exact over the fiber: the pseudo-remainder vanishes there, and the
-    # pseudo-quotient differs from the true quotient by a nonzero constant
-    q = fiber_reduce(pquo(f, g, var), var, s)
-    return _strip(q)
-
-
-def make_separable_over_cell(polys, s: SamplePoint):
-    """Replace a set of polynomials by one with the same zero set over
-    the fiber at s whose elements are squarefree and pairwise coprime
-    there.
-
-    Polynomials degenerating to a nonzero constant over the fiber are
-    dropped; one vanishing identically is a contract violation (callers
-    must filter those out first).
-    """
-    ps = sorted(set(polys))
-    if not ps:
-        return []
-    order = ps[0].order
-    lvl = len(s) + 1
-    var = order.name(lvl)
-    work = []
-    for p in ps:
-        if p.order != order:
-            raise ValueError("mixed variable orders")
-        if p.level() != lvl:
-            raise ValueError(
-                "expected main variable %r, got %r" % (var, p.mvar()))
-        r = fiber_reduce(p, var, s)
-        if r.is_zero():
-            raise ValueError(
-                "polynomial vanishes identically over the cell: %s" % (p,))
-        if r.degree(var) < 1:
-            continue
-        if fiber_gcd(r, r.derivative(var), var, s).degree(var) != 0:
-            r = fiber_squarefree_part(r, var, s)
-        work.append(r)
-    basis: list = []
-    for f in work:
-        merged = []
-        for g in basis:
-            if f.degree(var) < 1:
-                merged.append(g)
-                continue
-            h = fiber_gcd(f, g, var, s)
-            if h.degree(var) < 1:
-                merged.append(g)
-                continue
-            # split off the common part; both quotients stay coprime to
-            # it because everything here is squarefree over the fiber
-            merged.append(h)
-            gq = _fiber_quo(g, h, var, s)
-            if gq.degree(var) >= 1:
-                merged.append(gq)
-            f = _fiber_quo(f, h, var, s)
-        if f.degree(var) >= 1:
-            merged.append(f)
-        basis = merged
-    return sorted(set(basis))
-
-
-# ---------------------------------------------------------------------------
 # stacks
 
 
@@ -186,15 +119,12 @@ def generate_stack(cell: Cell, polys) -> Stack:
     by its 1-based position and carrying an extended sample point.
     """
     s = cell.sample
-    sep = make_separable_over_cell(polys, s)
-    sections, samples = roots_over_cell(sep, s)
+    sections, samples, owners = roots_over_cell(polys, s)
     refs = []
     seen: dict = {}
-    for c in sections:
-        # pairwise separability makes the owning polynomial unique, and
-        # keeping it (rather than the root's numeric value) lets the
+    for owner in owners:
+        # the owner (rather than the root's numeric value) lets the
         # section be re-evaluated anywhere over the base cell
-        owner = next(p for p in sep if sign_at(p, s.extend(c)) == 0)
         seen[owner] = seen.get(owner, 0) + 1
         refs.append(RootRef(owner, seen[owner]))
     cells = []

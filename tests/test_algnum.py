@@ -15,11 +15,11 @@ from projcad.algnum import (
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
-    SeparabilityError,
     _fiber_image,
     _image_split,
     _image_variations,
     _nonroot_split,
+    _root_bound,
     _shifted_to_unit,
     _sign_variations,
     _simplest_in_open,
@@ -256,16 +256,17 @@ def _rational_fiber(x):
 
 def test_roots_over_cell_circle_mid():
     circle = Y2**2 + X2**2 - 1
-    sections, samples = roots_over_cell([circle], _rational_fiber(0))
+    sections, samples, owners = roots_over_cell([circle], _rational_fiber(0))
     assert [c.point_value() for c in sections] == [F(-1), F(1)]
     assert samples == [F(-2), F(0), F(2)]
+    assert owners == [circle, circle]
 
 
 def test_roots_over_cell_circle_tangent():
     # over x = -1 the circle degenerates to y^2: one double root at 0,
     # flattened internally to a simple one
     circle = Y2**2 + X2**2 - 1
-    sections, samples = roots_over_cell([circle], _rational_fiber(-1))
+    sections, samples, _ = roots_over_cell([circle], _rational_fiber(-1))
     assert len(sections) == 1
     assert isinstance(sections[0], RationalCoordinate)
     assert sections[0].value == 0
@@ -274,17 +275,17 @@ def test_roots_over_cell_circle_tangent():
 
 def test_roots_over_cell_circle_outside():
     circle = Y2**2 + X2**2 - 1
-    sections, samples = roots_over_cell([circle], _rational_fiber(2))
+    sections, samples, _ = roots_over_cell([circle], _rational_fiber(2))
     assert sections == []
     assert samples == [F(0)]
 
 
 def test_roots_over_cell_no_polynomials():
-    assert roots_over_cell([], _rational_fiber(0)) == ([], [F(0)])
+    assert roots_over_cell([], _rational_fiber(0)) == ([], [F(0)], [])
 
 
 def test_roots_over_cell_merges_two_polys():
-    sections, samples = roots_over_cell(
+    sections, samples, _ = roots_over_cell(
         [Y2 - X2, Y2**2 - 2], _rational_fiber(F(1, 2)))
     # -sqrt2 < 1/2 < sqrt2
     assert len(sections) == 3
@@ -302,15 +303,20 @@ def test_roots_over_cell_merges_two_polys():
 
 def test_roots_over_cell_flattens_repeated_roots():
     f = (Y2**2 - 2) ** 2
-    sections, _ = roots_over_cell([f], _rational_fiber(0))
+    sections, _, _ = roots_over_cell([f], _rational_fiber(0))
     assert len(sections) == 2
     for c in sections:
         assert sign_at(Y2**2 - 2, _rational_fiber(0).extend(c)) == 0
 
 
 def test_roots_over_cell_separability_violation():
-    with pytest.raises(SeparabilityError):
-        roots_over_cell([Y2 - X2, Y2**2 - X2**2], _rational_fiber(1))
+    # y - x and y^2 - x^2 share the root y = 1 over x = 1: the quadric
+    # is split along the common factor instead of being rejected
+    sections, samples, owners = roots_over_cell(
+        [Y2 - X2, Y2**2 - X2**2], _rational_fiber(1))
+    assert [c.point_value() for c in sections] == [F(-1), F(1)]
+    assert owners == [Y2 + X2, Y2 - X2]
+    assert samples == [F(-2), F(0), F(2)]
 
 
 def test_roots_over_cell_errors():
@@ -323,7 +329,7 @@ def test_roots_over_cell_errors():
 def test_roots_over_cell_algebraic_fiber():
     # fiber at sqrt(2); sections of y^2 - x are +-2^(1/4)
     s1 = SamplePoint((_sqrt2_coord(O2),))
-    sections, samples = roots_over_cell([Y2**2 - X2], s1)
+    sections, samples, _ = roots_over_cell([Y2**2 - X2], s1)
     assert len(sections) == 2
     assert samples[1] == 0
     beta = sections[1]
@@ -338,7 +344,7 @@ def test_roots_over_cell_algebraic_fiber():
 
 def test_extend_does_not_share_interval_state():
     s1 = SamplePoint((_sqrt2_coord(O2),))
-    sections, _ = roots_over_cell([Y2**2 - X2], s1)
+    sections, _, _ = roots_over_cell([Y2**2 - X2], s1)
     s2 = s1.extend(sections[0])
     refine(s2.coords[0], F(1, 2**16))
     # the original fiber coordinate is untouched
@@ -347,7 +353,7 @@ def test_extend_does_not_share_interval_state():
 
 def test_dense_route_carries_image():
     s = _rational_fiber(F(1, 3))
-    sections, _ = roots_over_cell([Y2**2 - X2 - 1], s)
+    sections, _, _ = roots_over_cell([Y2**2 - X2 - 1], s)
     assert len(sections) == 2
     for c in sections:
         assert c.image == tuple(_fiber_image(c.defining, "y", s))
@@ -369,6 +375,16 @@ def test_split_search_is_bounded():
     assert _image_split([1, -6, 8], F(0), F(1)) == F(3, 4)
 
 
+def test_root_bound_is_bounded():
+    # the leading coefficient x vanishes over x = 0 and no coordinate
+    # there can be refined: the bound search must say so, not loop
+    f = X2 * Y2**2 + Y2 + 1
+    with pytest.raises(ArithmeticError, match="vanishes at the fiber"):
+        _root_bound(f, "y", _rational_fiber(0))
+    # over x = 1 it is 1 + max |c_i| / |lc|
+    assert _root_bound(f, "y", _rational_fiber(1)) == 2
+
+
 def _random_fiber(rng, n):
     vals = []
     for _ in range(n):
@@ -381,7 +397,7 @@ def _random_fiber(rng, n):
 
 def _roots_outcome(polys, s):
     try:
-        sections, samples = roots_over_cell(polys, s)
+        sections, samples, _ = roots_over_cell(polys, s)
     except (ValueError, ArithmeticError) as e:
         return ("error", type(e), str(e))
     return (tuple((type(c), c.box()) for c in sections), tuple(samples))
@@ -392,7 +408,7 @@ def test_dense_route_matches_symbolic(monkeypatch):
     # the dense route and once through the symbolic one
     rng = random.Random(4711)
     same = linear = 0
-    for trial in range(160):
+    for trial in range(240):
         order = O2 if trial % 2 == 0 else O3
         var = order.names[-1]
         polys = []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from projcad import cadcore
 from projcad.algnum import refine
 from projcad.cadcore import (
     IntegrityError,
@@ -15,9 +16,9 @@ from projcad.cadcore import (
     locate_point,
     verify_sign_invariance,
 )
-from projcad.lifting import CAD, Cell, NotWellOrientedError
+from projcad.lifting import CAD, Bound, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
-from projcad.algnum import RationalCoordinate, SamplePoint
+from projcad.algnum import RationalCoordinate, SamplePoint, sign_at
 
 from helpers import random_poly
 
@@ -94,6 +95,23 @@ def test_sign_invariance_circle():
     assert rep.points_checked == 80
 
 
+def test_sign_invariance_signs_only_probed_cells(monkeypatch):
+    polys = [CIRCLE, Y2 - X2]
+    cad = cad_full(polys, O2)
+    calls = []
+
+    def counting_sign_at(p, s):
+        calls.append(p)
+        return sign_at(p, s)
+
+    monkeypatch.setattr(cadcore, "sign_at", counting_sign_at)
+    rep = verify_sign_invariance(cad, polys, samples_per_cell=2)
+    assert rep.ok
+    full = sum(1 for c in cad.cells if c.dimension() == 2)
+    assert 0 < full < len(cad.cells)
+    assert len(calls) == full * len(polys)
+
+
 def test_sign_invariance_catches_missing_polynomial():
     cad = cad_full([X1], O1)
     rep = verify_sign_invariance(cad, [X1 - 1])
@@ -141,6 +159,35 @@ def test_stack_maps():
     assert again.section_polys((3,)) == cad.section_polys((3,))
     for pt in ((0, 0), (-2, 5), (1, 0), (F(1, 2), F(7, 8))):
         assert locate_point(pt, again).index == locate_point(pt, cad).index
+
+
+def _crossing_cad():
+    # hand-built: over the single sector x in R the stack claims y - x
+    # below y + x - 2, which holds at the sample x = 0 but not at x = 1,
+    # where both vanish at y = 1
+    lower, upper = RootRef(Y2 - X2, 1), RootRef(Y2 + X2 - 2, 1)
+    band = Bound("range", None, None)
+    tops = (Bound("range", None, lower), Bound("eq", lower),
+            Bound("range", lower, upper), Bound("eq", upper),
+            Bound("range", upper, None))
+    fiber = SamplePoint((RationalCoordinate(F(0)),
+                         RationalCoordinate(F(0))))
+    cells = tuple(Cell((1, k + 1), fiber, (band, b))
+                  for k, b in enumerate(tops))
+    return CAD(O2, "mccallum", False, cells)
+
+
+def test_broken_stack_raises_integrity_error(monkeypatch):
+    cad = _crossing_cad()
+    assert cad.section_polys((1,)) == (Y2 - X2, Y2 + X2 - 2)
+    assert locate_point((0, 1), cad).index == (1, 3)
+    with pytest.raises(IntegrityError, match="2 sections but 1 roots"):
+        locate_point((1, 5), cad)
+    # the oracle's descent goes through the same check
+    monkeypatch.setattr(cadcore, "_random_in_gap",
+                        lambda coords, i, rng: F(1))
+    with pytest.raises(IntegrityError, match="2 sections but 1 roots"):
+        cadcore._random_interior_point(cad, cad.cells[2], random.Random(0))
 
 
 def test_cylindricity_rejects_duplicates():

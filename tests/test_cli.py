@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from projcad import cli
+from projcad.algnum import SeparabilityError
+from projcad.cadcore import IntegrityError
 from projcad.cli import (_EXAMPLES, ParseError, RunConfig, examples_suite,
                          main, parse_input, run_compute)
 
@@ -310,18 +313,45 @@ GOLDEN_JSON = {
         "5a495944e98868e937fee041f6bc4b760eb4b3945dcb8f7d73edcacce9becf28",
     "sphere-plane":
         "7888330d7f5e8936a6352fe165705aa041bf741a76fd0b02fa2a871b4ee0ac7d",
+    "sphere-saddle":
+        "e22e94c19121b2c8be5f45543880d2162956eed4361406aed20d49a5a0389956",
+}
+
+# problems beyond the built-in examples: (text, cell count)
+GOLDEN_EXTRA = {
+    "sphere-plane": ("vars: x, y, z\nx^2 + y^2 + z^2 - 1\nx + y + z\n", 351),
+    # 76 of its 139 stacks sit over algebraic fibers
+    "sphere-saddle": ("vars: x, y, z\nx^2 + y^2 + z^2 - 4\nx*y + z^2 - 1\n",
+                      575),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_json_golden_digest(name):
-    if name == "sphere-plane":
-        text, cfg = ("vars: x, y, z\nx^2 + y^2 + z^2 - 1\nx + y + z\n",
-                     RunConfig())
+    if name in GOLDEN_EXTRA:
+        (text, cells), cfg = GOLDEN_EXTRA[name], RunConfig()
     else:
-        text, cfg, _ = _EXAMPLES[name]
+        text, cfg, cells = _EXAMPLES[name]
     out, _, code = run_compute(cfg, text)
     assert code == 0
-    if name == "sphere-plane":
-        assert len(json.loads(out)["cells"]) == 351
+    if cells is not None:
+        assert len(json.loads(out)["cells"]) == cells
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[name]
+
+
+@pytest.mark.parametrize("exc", [
+    SeparabilityError("separability violated"),
+    IntegrityError("stack over (1,) has 2 sections\nbut 1 roots"),
+    ArithmeticError("exact zero reached in nonzero sign path"),
+])
+def test_internal_failure_exit_code(monkeypatch, exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "cad_full", failing)
+    out, err, code = run_compute(RunConfig(), CIRCLE)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: %s: " % type(exc).__name__)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert " ".join(str(exc).split()) in err

@@ -11,6 +11,8 @@ from projcad.algnum import (
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
+    fiber_gcd,
+    roots_over_cell,
     sign_at,
 )
 from projcad.lifting import (
@@ -21,7 +23,6 @@ from projcad.lifting import (
     cad_lifting,
     generate_stack,
     is_nullified,
-    make_separable_over_cell,
     minimal_delineating_polynomial,
 )
 from projcad.polyring import MultiPoly, VarOrder
@@ -49,53 +50,52 @@ def _root_cell():
 
 
 # ---------------------------------------------------------------------------
-# separability
+# the separable basis behind a stack (roots_over_cell's owners)
 
 
 def test_make_separable_squarefree():
-    out = make_separable_over_cell([Y2**2], _fiber(0))
-    assert out == [Y2]
+    sections, _, owners = roots_over_cell([Y2**2], _fiber(0))
+    assert [c.point_value() for c in sections] == [0]
+    assert owners == [Y2]
 
 
 def test_make_separable_shared_root():
     # both vanish exactly at y = 0 over x = 0
-    out = make_separable_over_cell([Y2**2 - X2, Y2 - X2], _fiber(0))
-    assert len(out) == 1
-    g = out[0]
+    sections, _, owners = roots_over_cell([Y2**2 - X2, Y2 - X2], _fiber(0))
+    assert len(sections) == 1
+    g = owners[0]
     assert g.degree("y") == 1
     assert sign_at(g, _fiber(0, 0)) == 0
 
 
 def test_make_separable_already_separable():
-    out = make_separable_over_cell([Y2 - 1, Y2 + 1], _fiber(0))
-    assert out == sorted({Y2 - 1, Y2 + 1})
+    _, _, owners = roots_over_cell([Y2 - 1, Y2 + 1], _fiber(0))
+    assert owners == [Y2 + 1, Y2 - 1]
 
 
 def test_make_separable_drops_fiber_constants():
-    assert make_separable_over_cell([X2 * Y2 + 1], _fiber(0)) == []
+    assert roots_over_cell([X2 * Y2 + 1], _fiber(0)) == ([], [F(0)], [])
 
 
 def test_make_separable_splits_partial_overlap():
     # y(y-1) and y(y+1) share only the root y = 0
     f = Y2 * (Y2 - 1)
     g = Y2 * (Y2 + 1)
-    out = make_separable_over_cell([f, g], _fiber(5))
-    roots = set()
-    for p in out:
-        for q in out:
+    sections, _, owners = roots_over_cell([f, g], _fiber(5))
+    assert [c.point_value() for c in sections] == [-1, 0, 1]
+    # three pairwise-coprime pieces, each owning one of the roots
+    assert len(set(owners)) == 3
+    for p in owners:
+        for q in owners:
             if p is not q:
-                from projcad.algnum import fiber_gcd
                 assert fiber_gcd(p, q, "y", _fiber(5)).degree("y") == 0
-        roots.add(p.degree("y"))
-    # three pairwise-coprime pieces carrying roots {0}, {1}, {-1}
-    assert len(out) == 3
-    for v in (0, 1, -1):
-        assert any(sign_at(p, _fiber(5, v)) == 0 for p in out)
+    for c, p in zip(sections, owners):
+        assert sign_at(p, _fiber(5, c.point_value())) == 0
 
 
 def test_make_separable_nullified_rejected():
     with pytest.raises(ValueError):
-        make_separable_over_cell([X2 * Y2], _fiber(0))
+        roots_over_cell([X2 * Y2], _fiber(0))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,23 @@ def test_generate_stack_circle_tangent_fiber():
     assert b.kind == "eq" and isinstance(b.lo, RootRef)
     assert b.lo.ordinal == 1
     assert sign_at(b.lo.poly, mid.sample) == 0
+
+
+def test_generate_stack_split_pieces_own_their_sections():
+    # over x = 0 both polynomials vanish at y = 1; the stack's sections
+    # belong to the split pieces, which stay polynomials in x and y, and
+    # each piece counts its own roots
+    f = (Y2 - X2 - 1) * (Y2**2 - 2)
+    g = (Y2 - X2 - 1) * (Y2 + 3)
+    base = Cell((3,), _fiber(0), (Bound("range", None, None),))
+    stack = generate_stack(base, [f, g])
+    refs = [c.bounds[-1].lo for c in stack.cells if c.index[-1] % 2 == 0]
+    h, q = Y2 - X2 - 1, Y2**2 - 2
+    assert refs == [RootRef(Y2 + 3, 1), RootRef(q, 1), RootRef(h, 1),
+                    RootRef(q, 2)]
+    for c in stack.cells:
+        if c.index[-1] % 2 == 0:
+            assert sign_at(c.bounds[-1].lo.poly, c.sample) == 0
 
 
 def test_generate_stack_no_polynomials():
