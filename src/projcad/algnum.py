@@ -3,8 +3,8 @@
 Coordinates of sample points are either rationals or real roots of
 lower-level polynomials pinned down by an isolating interval.  Every
 decision here reduces to integer polynomial arithmetic plus exact sign
-tests; interval arithmetic only ever separates quantities already known
-to be nonzero, so nothing depends on floating point.
+tests; interval arithmetic is rational and decides a sign only when its
+enclosure excludes 0, so nothing depends on floating point.
 
 roots_over_cell is the one place a fiber basis is built: each
 polynomial is reduced over the fiber, flattened to its squarefree part
@@ -40,11 +40,19 @@ points and bisection signs), so they return identical roots, intervals
 and samples; the dense one only does the arithmetic once, on integers,
 and also returns the root of a linear polynomial as an exact rational.
 
-The zero test for a value at an algebraic coordinate goes through a
-fiber-local gcd with the coordinate's defining polynomial: the defining
-polynomial may well be reducible (bases are only squarefree, not
-irreducible), so a shared root is detected by a sign change of that gcd
-across the isolating interval rather than by divisibility.
+A sign at an algebraic coordinate is first read off the current boxes:
+interval evaluation over the isolating intervals as they stand, with no
+refinement.  Every box contains its coordinate, so an enclosure that
+excludes 0 gives the exact sign (the validated-numerics filter of
+Strzebonski, JSC 41, 2006).  Only an enclosure containing 0 goes to the
+exact zero test, a fiber-local gcd with the coordinate's defining
+polynomial: the defining polynomial may well be reducible (bases are
+only squarefree, not irreducible), so a shared root is detected by a
+sign change of that gcd across the isolating interval rather than by
+divisibility.  A value the gcd shows to be nonzero is signed by interval
+evaluation under refinement.  Refinement shrinks the intervals in place,
+so which boxes later decisions see depends on the signs taken before;
+the signs themselves do not.
 """
 
 from __future__ import annotations
@@ -204,10 +212,12 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     """Exact sign of q at the sample point s.
 
     Rational (and exactly-known root) coordinates are substituted with
-    denominators cleared.  For the top remaining algebraic coordinate
-    the zero decision goes through a fiber gcd with its defining
-    polynomial; a nonzero value is then signed by interval evaluation
-    under refinement.
+    denominators cleared.  The rest is evaluated over the current boxes
+    of the algebraic coordinates; when that enclosure excludes 0 its sign
+    is the answer, and nothing is refined.  Otherwise the zero decision
+    goes through a fiber gcd with the defining polynomial of the top
+    remaining algebraic coordinate, and a nonzero value is signed by
+    interval evaluation under refinement.
     """
     if q.is_constant():
         return _sgn(q.const_value())
@@ -225,6 +235,9 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
             r = r.subs_rational_cleared(name, v)
             if r.is_constant():
                 return _sgn(r.const_value())
+    sg = _box_sign(r, s)
+    if sg is not None:
+        return sg
     j = r.level()
     coord = s.coords[j - 1]
     var = r.mvar()
@@ -239,20 +252,33 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     return _interval_sign(r, s)
 
 
+def _box_sign(r: MultiPoly, s: SamplePoint) -> Optional[int]:
+    """Sign of r from the current boxes of the coordinates of s, or None
+    when the enclosure contains 0.  Refines nothing; sound because every
+    box contains its coordinate."""
+    order = r.order
+    boxes = {}
+    for v in r.variables():
+        lvl = order.level(v)
+        boxes[lvl] = s.coords[lvl - 1].box()
+    lo, hi = _box_eval(r, boxes)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return None
+
+
 def _interval_sign(r: MultiPoly, s: SamplePoint) -> int:
     # value known nonzero: shrink boxes until the evaluation excludes 0
     order = r.order
-    coords = {order.level(v): s.coords[order.level(v) - 1]
-              for v in r.variables()}
+    coords = [s.coords[order.level(v) - 1] for v in r.variables()]
     while True:
-        boxes = {lvl: c.box() for lvl, c in coords.items()}
-        lo, hi = _box_eval(r, boxes)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        sg = _box_sign(r, s)
+        if sg is not None:
+            return sg
         progressed = False
-        for c in coords.values():
+        for c in coords:
             if isinstance(c, RootOfCoordinate) and c.point_value() is None:
                 _bisect_once(c)
                 progressed = True
@@ -286,13 +312,33 @@ def _iadd(a, b):
 
 
 def _imul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
+    # the endpoint signs say which two of the four endpoint products are
+    # the extremes; only two intervals that both straddle 0 need all four
+    a0, a1 = a
+    b0, b1 = b
+    if a0 >= 0:
+        if b0 >= 0:
+            return (a0 * b0, a1 * b1)
+        if b1 <= 0:
+            return (a1 * b0, a0 * b1)
+        return (a1 * b0, a1 * b1)
+    if a1 <= 0:
+        if b0 >= 0:
+            return (a0 * b1, a1 * b0)
+        if b1 <= 0:
+            return (a1 * b1, a0 * b0)
+        return (a0 * b1, a0 * b0)
+    if b0 >= 0:
+        return (a0 * b1, a1 * b1)
+    if b1 <= 0:
+        return (a1 * b0, a0 * b0)
+    return (min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1))
 
 
 def _ipow(x, k: int):
-    acc = (Fraction(1), Fraction(1))
-    for _ in range(k):
+    # k >= 1
+    acc = x
+    for _ in range(k - 1):
         acc = _imul(acc, x)
     return acc
 
@@ -330,11 +376,16 @@ def refine(coord, width):
     """Shrink a coordinate's isolating interval to the requested width.
 
     Rational coordinates pass through unchanged; the same object is
-    returned with its interval narrowed in place.
+    returned with its interval narrowed in place.  The width must be
+    positive: bisection never brings an irrational root's interval to
+    width 0.
     """
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError("refinement width must be positive, got %s"
+                         % (width,))
     if isinstance(coord, RationalCoordinate):
         return coord
-    width = Fraction(width)
     iv = coord.interval
     while iv.hi - iv.lo > width:
         _bisect_once(coord)

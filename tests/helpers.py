@@ -1,9 +1,12 @@
-"""Shared helpers for the test suite: deterministic random polynomials."""
+"""Shared helpers for the test suite: deterministic random polynomials
+and the gcd-first sign route."""
 
 from __future__ import annotations
 
 import random
+import sys
 
+from projcad import algnum
 from projcad.polyring import MultiPoly, VarOrder
 
 
@@ -35,3 +38,21 @@ def random_nonconstant(rng, order, **kw) -> MultiPoly:
         p = random_poly(rng, order, **kw)
         if not p.is_constant():
             return p
+
+
+def force_gcd_first_signs(monkeypatch):
+    """Make sign_at run its fiber-gcd zero test before any box evaluation.
+
+    sign_at's box filter is answered "undecided", so every value at an
+    algebraic coordinate goes through the gcd test and then the
+    refinement loop.  The loop asks the same helper, and keeps its
+    answers: only the filter's own call is overridden.
+    """
+    box_sign = algnum._box_sign
+
+    def undecided_in_sign_at(r, s):
+        if sys._getframe(1).f_code is algnum.sign_at.__code__:
+            return None
+        return box_sign(r, s)
+
+    monkeypatch.setattr(algnum, "_box_sign", undecided_in_sign_at)

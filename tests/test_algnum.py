@@ -35,7 +35,7 @@ from projcad.algnum import (
 )
 from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
-from helpers import random_nonconstant, random_poly
+from helpers import force_gcd_first_signs, random_nonconstant, random_poly
 
 O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
@@ -166,6 +166,15 @@ def test_refine_collapses_on_exact_hit():
     assert c.point_value() == 0
 
 
+def test_refine_rejects_nonpositive_width():
+    # an irrational root's interval never reaches width 0
+    for width in (0, F(-1, 8)):
+        with pytest.raises(ValueError, match="positive"):
+            refine(_sqrt2_coord(), width)
+        with pytest.raises(ValueError, match="positive"):
+            refine(RationalCoordinate(F(1, 3)), width)
+
+
 # ---------------------------------------------------------------------------
 # signs at sample points
 
@@ -215,6 +224,84 @@ def test_sign_consistency_under_refinement():
         before = sign_at(p, s)
         refine(c, F(1, 2**24))
         assert sign_at(p, s) == before
+
+
+def test_sign_at_decided_by_boxes_skips_gcd(monkeypatch):
+    calls = []
+    gcd = algnum.fiber_gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(algnum, "fiber_gcd", counting_gcd)
+    c = _sqrt2_coord()
+    s = SamplePoint((c,))
+    assert sign_at(X**3, s) == 1
+    assert sign_at(X - 3, s) == -1
+    assert sign_at(2 * X**2 + X, s) == 1
+    assert calls == [] and c.box() == (1, 2)
+    # the box of x^2 - 3 excludes 0, the box of x^2 - 2 does not: only
+    # the zero goes through the gcd with the reducible defining polynomial
+    d = (X**2 - 2) * (X**2 - 3)
+    c = RootOfCoordinate(d, IsolatingInterval(F(27, 20), F(29, 20)))
+    s = SamplePoint((c,))
+    assert sign_at(X**2 - 3, s) == -1
+    assert calls == []
+    assert sign_at(X**2 - 2, s) == 0
+    assert len(calls) == 1
+    assert c.box() == (F(27, 20), F(29, 20))
+
+
+def _copy_point(s):
+    return s.prefix(len(s) - 1).extend(s.coords[-1])
+
+
+def _irrational_roots(polys, s):
+    try:
+        sections, _, _ = roots_over_cell(polys, s)
+    except ValueError:
+        return []
+    return [c for c in sections if c.point_value() is None]
+
+
+def test_filtered_sign_matches_gcd_first(monkeypatch):
+    # signs at irrational points of levels 1 and 2, once through the box
+    # filter and once with the gcd zero test first, each on its own copy
+    # of the point; planted zeros are multiples of a defining polynomial
+    rng = random.Random(8086)
+    points = []
+    while len(points) < 16:
+        f = random_nonconstant(rng, O2, vars_used=("x",), max_deg=4,
+                               max_coeff=5, n_terms=4)
+        for alpha in _irrational_roots([f], SamplePoint(()))[:2]:
+            s1 = SamplePoint((alpha,))
+            points.append(s1)
+            g = random_poly(rng, O2, max_deg=2, max_coeff=4, n_terms=4)
+            if g.level() == 2:
+                for beta in _irrational_roots([g], s1)[:2]:
+                    points.append(s1.extend(beta))
+    cases = []
+    for s in points:
+        vars_used = ("x",) if len(s) == 1 else None
+        for _ in range(6):
+            q = random_poly(rng, O2, vars_used=vars_used, max_deg=3,
+                            max_coeff=4, n_terms=4)
+            cases.append((q, s, None))
+        for c in s.coords:
+            h = random_nonconstant(rng, O2, vars_used=vars_used, max_deg=1,
+                                   max_coeff=3, n_terms=2)
+            cases.append((h * c.defining, s, 0))
+    filtered = [sign_at(q, _copy_point(s)) for q, s, _ in cases]
+    with monkeypatch.context() as m:
+        force_gcd_first_signs(m)
+        gcd_first = [sign_at(q, _copy_point(s)) for q, s, _ in cases]
+    assert filtered == gcd_first
+    for (_, _, planted), sg in zip(cases, filtered):
+        if planted is not None:
+            assert sg == planted
+    assert sum(1 for q, s, _ in cases if len(s) == 2) >= 40
+    assert {-1, 0, 1} <= set(filtered)
 
 
 # ---------------------------------------------------------------------------
