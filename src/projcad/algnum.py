@@ -15,6 +15,7 @@ cell.  Each element is isolated once and owns the roots it yields.
 
 Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
 SYMSAC 1976), and roots_over_cell takes one of two routes per polynomial:
+the dense image, or the interval image with an exact fallback.
 
 * Dense route.  When every lower variable the polynomial involves sits
   at a point-valued coordinate (a rational, or a root whose interval has
@@ -30,12 +31,21 @@ SYMSAC 1976), and roots_over_cell takes one of two routes per polynomial:
   fiber, and every transformation is integer arithmetic.  A polynomial
   that first involves an algebraic coordinate but is free of it once
   reduced over the fiber also takes this route.
-* Symbolic route, for the rest.  The transformed polynomials stay
-  integer polynomials in the lower variables, and each coefficient sign
-  at the fiber is decided exactly by sign_at.  Exact because every
-  decision is such a sign.
+* Interval route, for the rest (Collins, Johnson and Krandick, JSC 34,
+  2002).  The polynomial's coefficients in the main variable are
+  enclosed once over the fiber's boxes, when the root bound is taken,
+  and scaled to integer endpoints.  That enclosure is its interval
+  image: each Descartes node runs the dense route's steps on it in
+  interval arithmetic, and split points and bisection signs evaluate it
+  by interval Horner.  A decision is taken only when every enclosure it
+  needs excludes 0 or is exactly [0, 0]; it is then exact, because the
+  boxes contain their coordinates and so the enclosures contain the
+  true values, for good.  Otherwise that one node or sign falls back to
+  the exact symbolic step: the transformed polynomial stays an integer
+  polynomial in the lower variables and each coefficient sign at the
+  fiber is decided by sign_at.
 
-Both routes make the same decisions (the same variation counts, split
+The routes make the same decisions (the same variation counts, split
 points and bisection signs), so they return identical roots, intervals
 and samples; the dense one only does the arithmetic once, on integers,
 and also returns the root of a linear polynomial as an exact rational.
@@ -52,7 +62,9 @@ sign change of that gcd across the isolating interval rather than by
 divisibility.  A value the gcd shows to be nonzero is signed by interval
 evaluation under refinement.  Refinement shrinks the intervals in place,
 so which boxes later decisions see depends on the signs taken before;
-the signs themselves do not.
+the signs themselves do not.  Every refinement loop has a step budget
+and raises ArithmeticError (SeparabilityError when two roots will not
+separate) once it is spent.
 """
 
 from __future__ import annotations
@@ -81,7 +93,9 @@ __all__ = [
     "sign_at",
 ]
 
-# bisection steps allowed while separating two supposedly distinct roots
+# bisection steps allowed in a refinement loop: separating two roots that
+# should be distinct, or shrinking boxes until an enclosure of a value
+# that should be nonzero excludes 0
 _MAX_SEPARATION_STEPS = 512
 
 
@@ -138,20 +152,29 @@ class RootOfCoordinate:
     coefficients are evaluated over.  The interval shrinks in place as
     refinement happens; the defining polynomial, being squarefree over
     the fiber, changes sign exactly once inside the interval, which is
-    what bisection relies on.  `image`, when the prefix fixes every
-    variable of the defining polynomial to a point value, is its dense
-    image there (a tuple of ints, lowest degree first), which bisection
-    evaluates instead of calling sign_at.
+    what bisection relies on.  Bisection signs the defining polynomial
+    from one of two slots before it falls back to sign_at:
+
+    * `image`, when the prefix fixes every variable of the defining
+      polynomial to a point value: its dense image there (a tuple of
+      ints, lowest degree first), evaluated by integer Horner.
+    * `enclosure`, for a root isolated on the interval route: its
+      coefficients in the main variable enclosed over the prefix's boxes
+      (see _coeff_enclosure), evaluated by interval Horner.  It stays
+      valid for good, since the coefficients' values never change.
     """
 
-    __slots__ = ("defining", "interval", "prefix", "image", "_sign_lo")
+    __slots__ = ("defining", "interval", "prefix", "image", "enclosure",
+                 "_sign_lo")
 
     def __init__(self, defining: MultiPoly, interval: IsolatingInterval,
-                 prefix=(), image: Optional[tuple] = None):
+                 prefix=(), image: Optional[tuple] = None,
+                 enclosure: Optional[tuple] = None):
         self.defining = defining
         self.interval = interval
         self.prefix = tuple(prefix)
         self.image = image
+        self.enclosure = enclosure
         self._sign_lo = None
 
     def point_value(self) -> Optional[Fraction]:
@@ -174,6 +197,7 @@ def _copy_coord(coord, new_prefix):
         IsolatingInterval(coord.interval.lo, coord.interval.hi),
         new_prefix,
         coord.image,
+        coord.enclosure,
     )
 
 
@@ -273,17 +297,25 @@ def _interval_sign(r: MultiPoly, s: SamplePoint) -> int:
     # value known nonzero: shrink boxes until the evaluation excludes 0
     order = r.order
     coords = [s.coords[order.level(v) - 1] for v in r.variables()]
-    while True:
+    for _ in range(_MAX_SEPARATION_STEPS):
         sg = _box_sign(r, s)
         if sg is not None:
             return sg
-        progressed = False
-        for c in coords:
-            if isinstance(c, RootOfCoordinate) and c.point_value() is None:
-                _bisect_once(c)
-                progressed = True
-        if not progressed:
+        if not _bisect_all(coords):
             raise ArithmeticError("exact zero reached in nonzero sign path")
+    raise ArithmeticError("sign of %s not decided after %d bisection steps"
+                          % (r, _MAX_SEPARATION_STEPS))
+
+
+def _bisect_all(coords) -> bool:
+    """Bisect every coordinate without a point value once; False when
+    there is none."""
+    progressed = False
+    for c in coords:
+        if isinstance(c, RootOfCoordinate) and c.point_value() is None:
+            _bisect_once(c)
+            progressed = True
+    return progressed
 
 
 def _box_eval(f: MultiPoly, boxes):
@@ -348,8 +380,18 @@ def _defining_sign(coord: RootOfCoordinate, x: Fraction) -> int:
     if coord.image is not None:
         return _image_sign(coord.image, x)
     f = coord.defining
-    return sign_at(f.subs_rational_cleared(f.mvar(), x),
-                   SamplePoint(coord.prefix))
+    return _fiber_sign(f, f.mvar(), SamplePoint(coord.prefix),
+                       coord.enclosure, x)
+
+
+def _fiber_sign(f: MultiPoly, var: str, s: SamplePoint, enc, x) -> int:
+    """Sign of f(x) at the fiber s: read off the coefficient enclosure
+    enc (None for none) when that decides it, else exact by sign_at."""
+    if enc is not None:
+        sg = _enclosure_sign(enc, x)
+        if sg is not None:
+            return sg
+    return sign_at(f.subs_rational_cleared(var, x), s)
 
 
 def _bisect_once(coord: RootOfCoordinate):
@@ -510,15 +552,19 @@ def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
     return [c // g for c in img] if g > 1 else img
 
 
-def _image_sign(img, x: Fraction) -> int:
-    """Sign of the image at a rational x, by integer Horner on
-    den(x)^d * img(x)."""
-    u, v = x.numerator, x.denominator
+def _horner(c, u: int, v: int) -> int:
+    """v^d c(u/v) for integer coefficients c, lowest degree first, by
+    integer Horner."""
     acc, w = 0, 1
-    for c in reversed(img):
-        acc = acc * u + c * w
+    for ci in reversed(c):
+        acc = acc * u + ci * w
         w *= v
-    return _sgn(acc)
+    return acc
+
+
+def _image_sign(img, x: Fraction) -> int:
+    """Sign of the image at a rational x."""
+    return _sgn(_horner(img, x.numerator, x.denominator))
 
 
 def _taylor_shift(c: list, t: int):
@@ -529,22 +575,97 @@ def _taylor_shift(c: list, t: int):
             c[j] += t * c[j + 1]
 
 
-def _image_variations(img, a: Fraction, b: Fraction) -> int:
-    """Sign variations of (v+1)^d h(1/(v+1)), h = q^d img(a + (b-a)v):
-    the dense counterpart of _variations_poly(_shifted_to_unit(...))."""
+def _unit_scale(a: Fraction, b: Fraction):
+    """(q, pa, pw) with a = pa/q and b - a = pw/q, all integers."""
     a, w = Fraction(a), Fraction(b) - Fraction(a)
     q = math.lcm(a.denominator, w.denominator)
-    pa = a.numerator * (q // a.denominator)
-    pw = w.numerator * (q // w.denominator)
-    d = len(img) - 1
-    c = [ci * q ** (d - i) for i, ci in enumerate(img)]
+    return (q, a.numerator * (q // a.denominator),
+            w.numerator * (q // w.denominator))
+
+
+def _to_unit(c, q: int, pa: int, pw: int) -> list:
+    """Coefficients of (v+1)^d h(1/(v+1)), h = q^d c(a + (b-a)v), for
+    a = pa/q and b - a = pw/q; lowest degree first, c left as it is."""
+    d = len(c) - 1
+    c = [ci * q ** (d - i) for i, ci in enumerate(c)]
     if pa:
         _taylor_shift(c, pa)
     c = [ci * pw**i for i, ci in enumerate(c)]
     c.reverse()
     _taylor_shift(c, 1)
-    signs = [ci > 0 for ci in c if ci]
+    return c
+
+
+def _changes(signs) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def _image_variations(img, a: Fraction, b: Fraction) -> int:
+    """Sign variations of (v+1)^d h(1/(v+1)), h = q^d img(a + (b-a)v):
+    the dense counterpart of _variations_poly(_shifted_to_unit(...))."""
+    return _changes([ci > 0 for ci in _to_unit(img, *_unit_scale(a, b))
+                     if ci])
+
+
+# ---------------------------------------------------------------------------
+# interval images over algebraic fibers
+#
+# An enclosure is a pair (mid, rad) of int tuples, lowest degree first:
+# for some fixed rational K > 0 the value of K * c_i at the fiber lies in
+# [mid[i] - rad[i], mid[i] + rad[i]].  A linear map M with integer entries
+# takes it to the enclosure (M mid, |M| rad), both computed on integers.
+# A decision is taken only when every enclosure it needs excludes 0 or is
+# exactly [0, 0]; it is then the exact decision, because the enclosures
+# contain the true values.
+
+
+def _coeff_enclosure(terms, boxes) -> tuple:
+    """Enclosure of the coefficients (e, c) in `terms` over the boxes,
+    scaled to integers."""
+    d = terms[0][0]
+    lo = [Fraction(0)] * (d + 1)
+    hi = [Fraction(0)] * (d + 1)
+    for e, c in terms:
+        lo[e], hi[e] = _box_eval(c, boxes)
+    den = math.lcm(*(v.denominator for v in lo + hi))
+    lo = [v.numerator * (den // v.denominator) for v in lo]
+    hi = [v.numerator * (den // v.denominator) for v in hi]
+    mid = [l + h for l, h in zip(lo, hi)]
+    rad = [h - l for l, h in zip(lo, hi)]
+    g = math.gcd(*mid, *rad) or 1
+    return tuple(v // g for v in mid), tuple(v // g for v in rad)
+
+
+def _enclosure_sign(enc, x: Fraction) -> Optional[int]:
+    """Sign at a rational x of the polynomial enclosed by enc, by interval
+    Horner; None when the enclosure of the value straddles 0."""
+    mid, rad = enc
+    u, v = x.numerator, x.denominator
+    m = _horner(mid, u, v)
+    r = _horner(rad, abs(u), v)
+    if m > r:
+        return 1
+    if m < -r:
+        return -1
+    return None if r else 0
+
+
+def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
+    """_image_variations of the polynomial enclosed by enc, or None when
+    some transformed coefficient's enclosure straddles 0.  The Taylor
+    shift by pa bounds its radii by the shift by |pa|; every other step
+    has nonnegative entries."""
+    mid, rad = enc
+    q, pa, pw = _unit_scale(a, b)
+    signs = []
+    for m, r in zip(_to_unit(mid, q, pa, pw), _to_unit(rad, q, abs(pa), pw)):
+        if m > r:
+            signs.append(True)
+        elif m < -r:
+            signs.append(False)
+        elif r:
+            return None
+    return _changes(signs)
 
 
 def _image_root_bound(img) -> Fraction:
@@ -557,39 +678,36 @@ def _image_root_bound(img) -> Fraction:
 # real root isolation over a fiber
 
 
-def _root_bound(g: MultiPoly, var: str, s: SamplePoint) -> Fraction:
-    """B with every real root of g at the fiber strictly inside (-B, B):
-    1 + max |c_i| / |lc|, coefficients enclosed at the fiber."""
+def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
+    """(B, enclosure): every real root of g at the fiber lies strictly
+    inside (-B, B), B = 1 + max |c_i| / |lc| over the coefficients'
+    enclosure, which comes back too."""
     terms = g.coeff_terms(var)
-    lead = terms[0][1]
-    rest = [c for _, c in terms[1:]]
-    if not rest:
-        return Fraction(1)
     order = g.order
     names = set()
-    for c in [lead] + rest:
+    for _, c in terms:
         names.update(c.variables())
+    coords = {order.level(v): s.coords[order.level(v) - 1] for v in names}
+    if len(terms) == 1:
+        boxes = {lvl: c.box() for lvl, c in coords.items()}
+        return Fraction(1), _coeff_enclosure(terms, boxes)
     # shrink until the leading coefficient's box excludes zero, then
     # bound the others by their current boxes
-    coords = {order.level(v): s.coords[order.level(v) - 1] for v in names}
-    while True:
+    lead = terms[0][1]
+    for _ in range(_MAX_SEPARATION_STEPS):
         boxes = {lvl: c.box() for lvl, c in coords.items()}
         llo, lhi = _box_eval(lead, boxes)
         if llo > 0 or lhi < 0:
-            lv = min(abs(llo), abs(lhi))
-            m = Fraction(0)
-            for c in rest:
-                clo, chi = _box_eval(c, boxes)
-                m = max(m, abs(clo), abs(chi))
-            return 1 + m / lv
-        progressed = False
-        for c in coords.values():
-            if isinstance(c, RootOfCoordinate) and c.point_value() is None:
-                _bisect_once(c)
-                progressed = True
-        if not progressed:
+            enc = _coeff_enclosure(terms, boxes)
+            mid, rad = enc
+            m = max(abs(mi) + ri for mi, ri in zip(mid[:-1], rad))
+            return 1 + Fraction(m, abs(mid[-1]) - rad[-1]), enc
+        if not _bisect_all(coords.values()):
             raise ArithmeticError(
                 "leading coefficient of %s vanishes at the fiber" % (g,))
+    raise ArithmeticError(
+        "leading coefficient of %s not separated from 0 after %d "
+        "bisection steps" % (g, _MAX_SEPARATION_STEPS))
 
 
 def _shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
@@ -624,7 +742,7 @@ def _sign_variations(g: MultiPoly, var: str, s: SamplePoint) -> int:
         sc = sign_at(c, s)
         if sc:
             signs.append(sc)
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    return _changes(signs)
 
 
 def _split_point(nonzero, degree: int, a: Fraction, b: Fraction) -> Fraction:
@@ -654,10 +772,9 @@ def _split_point(nonzero, degree: int, a: Fraction, b: Fraction) -> Fraction:
         t += 1
 
 
-def _nonroot_split(f, var, s, a, b) -> Fraction:
-    return _split_point(
-        lambda m: sign_at(f.subs_rational_cleared(var, m), s) != 0,
-        f.degree(var), a, b)
+def _nonroot_split(f, var, s, a, b, enc=None) -> Fraction:
+    return _split_point(lambda m: _fiber_sign(f, var, s, enc, m) != 0,
+                        f.degree(var), a, b)
 
 
 def _image_split(img, a, b) -> Fraction:
@@ -665,17 +782,19 @@ def _image_split(img, a, b) -> Fraction:
                         len(img) - 1, a, b)
 
 
-def _vca(f, var, s, a, b, out):
-    g = _variations_poly(_shifted_to_unit(f, var, a, b), var)
-    v = _sign_variations(g, var, s)
+def _vca(f, var, s, enc, a, b, out):
+    v = _enclosure_variations(enc, a, b)
+    if v is None:
+        g = _variations_poly(_shifted_to_unit(f, var, a, b), var)
+        v = _sign_variations(g, var, s)
     if v == 0:
         return
     if v == 1:
         out.append(IsolatingInterval(a, b))
         return
-    m = _nonroot_split(f, var, s, a, b)
-    _vca(f, var, s, a, m, out)
-    _vca(f, var, s, m, b, out)
+    m = _nonroot_split(f, var, s, a, b, enc)
+    _vca(f, var, s, enc, a, m, out)
+    _vca(f, var, s, enc, m, b, out)
 
 
 def _image_vca(img, a, b, out):
@@ -698,10 +817,11 @@ def _isolate_symbolic(f: MultiPoly, var: str, s: SamplePoint):
     squarefree at s and of positive degree there.
     """
     g = _strip(f)
-    B = _root_bound(g, var, s)
+    B, enc = _root_bound(g, var, s)
     ivs = []
-    _vca(g, var, s, -B, B, ivs)
-    return [RootOfCoordinate(g, iv, s.coords) for iv in ivs], B
+    _vca(g, var, s, enc, -B, B, ivs)
+    return [RootOfCoordinate(g, iv, s.coords, enclosure=enc)
+            for iv in ivs], B
 
 
 def _isolate_image(f: MultiPoly, img, s: SamplePoint):
@@ -760,9 +880,7 @@ def _compare_coords(c1, c2) -> int:
             if b2 == a1 and _coord_points(c1, c2):
                 raise SeparabilityError("separability violated")
             return 1
-        for c in (c1, c2):
-            if isinstance(c, RootOfCoordinate) and c.point_value() is None:
-                _bisect_once(c)
+        _bisect_all((c1, c2))
     raise SeparabilityError("separability violated")
 
 
@@ -774,9 +892,7 @@ def _gap_sample(c1, c2) -> Fraction:
         a2 = c2.box()[0]
         if b1 < a2:
             return _simplest_in_open(b1, a2)
-        for c in (c1, c2):
-            if isinstance(c, RootOfCoordinate) and c.point_value() is None:
-                _bisect_once(c)
+        _bisect_all((c1, c2))
     raise SeparabilityError("separability violated")
 
 

@@ -20,8 +20,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .algnum import (
+    _MAX_SEPARATION_STEPS,
     RationalCoordinate,
+    RootOfCoordinate,
     SamplePoint,
+    _bisect_all,
     _bisect_once,
     _defining_sign,
     roots_over_cell,
@@ -64,11 +67,22 @@ def _cmp_root_to_rational(coord, q: Fraction) -> int:
         v = coord.value
         return (v > q) - (v < q)
     iv = coord.interval
-    if iv.lo <= q <= iv.hi and _defining_sign(coord, q) == 0:
+    if not iv.lo <= q <= iv.hi:
+        return 1 if q < iv.lo else -1
+    if _defining_sign(coord, q) == 0:
         return 0
-    while iv.lo <= q <= iv.hi:
+    # a root of degree n over Q lies at least c / den(q)^n from a rational
+    # q that is not a root (Liouville), so a longer denominator may need
+    # up to n more bisection steps per bit
+    n = 1
+    for c in coord.prefix + (coord,):
+        if isinstance(c, RootOfCoordinate):
+            n *= c.defining.degree()
+    for _ in range(_MAX_SEPARATION_STEPS + n * q.denominator.bit_length()):
         _bisect_once(coord)
-    return 1 if q < iv.lo else -1
+        if not iv.lo <= q <= iv.hi:
+            return 1 if q < iv.lo else -1
+    raise ArithmeticError("root %r not separated from %s" % (coord, q))
 
 
 def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
@@ -138,12 +152,15 @@ def _separate_gap(coords, i):
     hi = None
     if i > 0:
         c = coords[i - 1]
-        while i < len(coords) and c.box()[1] >= coords[i].box()[0] \
-                and not (c.point_value() is not None
-                         and coords[i].point_value() is not None):
-            for cc in (c, coords[i]):
-                if cc.point_value() is None:
-                    _bisect_once(cc)
+        if i < len(coords):
+            for _ in range(_MAX_SEPARATION_STEPS):
+                if c.box()[1] < coords[i].box()[0] or not _bisect_all(
+                        (c, coords[i])):
+                    break
+            else:
+                raise IntegrityError(
+                    "roots %r and %r of a stack do not separate"
+                    % (c, coords[i]))
         lo = c.box()[1]
     if i < len(coords):
         hi = coords[i].box()[0]

@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: deterministic random polynomials
-and the gcd-first sign route."""
+"""Shared helpers for the test suite: deterministic random polynomials,
+the gcd-first sign route and the exact route over algebraic fibers."""
 
 from __future__ import annotations
 
@@ -56,3 +56,16 @@ def force_gcd_first_signs(monkeypatch):
         return box_sign(r, s)
 
     monkeypatch.setattr(algnum, "_box_sign", undecided_in_sign_at)
+
+
+def force_exact_fiber_decisions(monkeypatch):
+    """Make every decision on an interval image answer "undecided".
+
+    Descartes nodes, split points and bisection signs over algebraic
+    fibers then all take the exact symbolic step, as they did before
+    interval images existed.  The enclosures are still taken, because
+    the root bound is read from them.
+    """
+    monkeypatch.setattr(algnum, "_enclosure_variations",
+                        lambda enc, a, b: None)
+    monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, x: None)

@@ -15,14 +15,19 @@ from projcad.algnum import (
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
+    _enclosure_sign,
+    _enclosure_variations,
     _fiber_image,
+    _image_sign,
     _image_split,
     _image_variations,
+    _interval_sign,
     _nonroot_split,
     _root_bound,
     _shifted_to_unit,
     _sign_variations,
     _simplest_in_open,
+    _strip,
     _variations_poly,
     fiber_degree,
     fiber_gcd,
@@ -468,8 +473,107 @@ def test_root_bound_is_bounded():
     f = X2 * Y2**2 + Y2 + 1
     with pytest.raises(ArithmeticError, match="vanishes at the fiber"):
         _root_bound(f, "y", _rational_fiber(0))
-    # over x = 1 it is 1 + max |c_i| / |lc|
-    assert _root_bound(f, "y", _rational_fiber(1)) == 2
+    # over x = 1 it is 1 + max |c_i| / |lc|, and the enclosure of the
+    # coefficients 1, 1, 1 is a point there
+    assert _root_bound(f, "y", _rational_fiber(1)) == (
+        2, ((1, 1, 1), (0, 0, 0)))
+    # over x = sqrt(2) the leading coefficient x^2 - 2 vanishes, but the
+    # box of x can be bisected forever: the search must give up
+    s = SamplePoint((_sqrt2_coord(O2),))
+    with pytest.raises(ArithmeticError, match="not separated from 0"):
+        _root_bound((X2**2 - 2) * Y2**2 + Y2 + 1, "y", s)
+
+
+def test_interval_sign_is_bounded():
+    # x^2 - 2 is 0 at sqrt(2), so no box ever excludes 0; the refinement
+    # loop behind sign_at must give up instead of bisecting forever
+    s = SamplePoint((_sqrt2_coord(),))
+    with pytest.raises(ArithmeticError, match="not decided after 512"):
+        _interval_sign(X**2 - 2, s)
+    assert s.coords[0].interval.width() == F(1, 2**512)
+
+
+def test_interval_route_carries_enclosure(monkeypatch):
+    # over x = sqrt(2) the roots of y^2 - x take the interval route; every
+    # Descartes node is decided on the interval image, and each root
+    # keeps the enclosure, as do its copies
+    def no_exact_variations(*args):
+        raise AssertionError("exact Descartes node")
+
+    monkeypatch.setattr(algnum, "_sign_variations", no_exact_variations)
+    s = SamplePoint((_sqrt2_coord(O2),))
+    sections, _, _ = roots_over_cell([Y2**2 - X2], s)
+    assert len(sections) == 2
+    for c in sections:
+        assert c.image is None
+        mid, rad = c.enclosure
+        assert len(mid) == len(rad) == 3 and rad[0] > 0
+        assert s.extend(c).coords[-1].enclosure == c.enclosure
+        # the enclosure signs the defining polynomial at the endpoints
+        for x in c.box():
+            assert _enclosure_sign(c.enclosure, x) == sign_at(
+                c.defining.subs_rational_cleared("y", x), s)
+
+
+def test_interval_images_match_exact():
+    # polynomials of levels 2 and 3 over irrational fibers: every variation
+    # count and Horner sign the enclosure decides is the exact one, and
+    # on a point enclosure (a rational fiber) both equal the dense ones
+    rng = random.Random(1729)
+    fibers = []
+    while len(fibers) < 12:
+        f = random_nonconstant(rng, O3, vars_used=("x",), max_deg=4,
+                               max_coeff=5, n_terms=4)
+        for alpha in _irrational_roots([f], SamplePoint(()))[:1]:
+            s1 = SamplePoint((alpha,))
+            fibers.append(s1)
+            g = random_poly(rng, O3, vars_used=("x", "y"), max_deg=2,
+                            max_coeff=4, n_terms=4)
+            if g.level() == 2:
+                fibers.extend(s1.extend(beta)
+                              for beta in _irrational_roots([g], s1)[:1])
+    fibers += [_random_fiber(rng, n) for n in (1, 2) for _ in range(6)]
+    counts = {"nodes": 0, "signs": 0, "algebraic": 0, "undecided": 0}
+    for s in fibers:
+        var = O3.name(len(s) + 1)
+        used = O3.names[:len(s) + 1]
+        for _ in range(5):
+            p = random_nonconstant(rng, O3, vars_used=used, max_deg=3,
+                                   max_coeff=5, n_terms=5)
+            if p.mvar() != var:
+                continue
+            f = _strip(fiber_reduce(p, var, s))
+            if f.degree(var) < 1:
+                continue
+            B, enc = _root_bound(f, var, s)
+            img = _fiber_image(f, var, s)
+            for _ in range(3):
+                a = B * F(rng.randint(-16, 15), 16)
+                b = a + B * F(rng.randint(1, 8), 16)
+                v = _enclosure_variations(enc, a, b)
+                if img is not None:
+                    assert v == _image_variations(img, a, b)
+                if v is None:
+                    counts["undecided"] += 1
+                    continue
+                assert v == _sign_variations(
+                    _variations_poly(_shifted_to_unit(f, var, a, b), var),
+                    var, s)
+                counts["nodes"] += 1
+                counts["algebraic"] += img is None
+            for x in [a, b] + [F(rng.randint(-40, 40), rng.randint(1, 9))
+                               for _ in range(3)]:
+                sg = _enclosure_sign(enc, x)
+                if img is not None:
+                    assert sg == _image_sign(img, x)
+                if sg is None:
+                    counts["undecided"] += 1
+                    continue
+                assert sg == sign_at(f.subs_rational_cleared(var, x), s)
+                counts["signs"] += 1
+                counts["algebraic"] += img is None
+    assert counts["nodes"] >= 150 and counts["signs"] >= 300
+    assert counts["algebraic"] >= 150 and counts["undecided"] >= 20
 
 
 def _random_fiber(rng, n):

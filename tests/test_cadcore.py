@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from projcad.cadcore import (
 )
 from projcad.lifting import CAD, Bound, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
-from projcad.algnum import RationalCoordinate, SamplePoint, sign_at
+from projcad.algnum import (IsolatingInterval, RationalCoordinate,
+                            RootOfCoordinate, SamplePoint, sign_at)
 
 from helpers import random_poly
 
@@ -84,6 +87,37 @@ def test_locate_point_near_algebraic_section():
     found = locate_point((0, approx), cad)
     assert found.index[0] == 1
     assert abs(found.index[1] - 4) <= 1
+
+
+def _sqrt2():
+    return RootOfCoordinate(X1**2 - 2, IsolatingInterval(1, 2))
+
+
+def test_cmp_root_to_rational_is_bounded():
+    # x^2 + 1 has no root in (0, 1), so bisection moves lo towards 1 and
+    # never past it: the comparison must give up instead of looping
+    bogus = RootOfCoordinate(X1**2 + 1, IsolatingInterval(0, 1))
+    with pytest.raises(ArithmeticError, match="not separated from 1"):
+        cadcore._cmp_root_to_rational(bogus, F(1))
+    # a rational within 2^-600 of sqrt(2) needs more steps than the fixed
+    # budget; its long denominator buys them
+    k = 600
+    below = F(math.isqrt(2 * 4**k), 2**k)
+    assert cadcore._cmp_root_to_rational(_sqrt2(), below) == 1
+    assert cadcore._cmp_root_to_rational(_sqrt2(), below + F(1, 2**k)) == -1
+
+
+def test_separate_gap_is_bounded():
+    # two coordinate objects for the same irrational root never separate
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrityError, match="do not separate"):
+        cadcore._separate_gap([_sqrt2(), _sqrt2()], 1)
+    assert time.perf_counter() - t0 < 1
+    # distinct roots do, and the gap lies between their boxes
+    lo, hi = cadcore._separate_gap(
+        [RootOfCoordinate(X1**2 - 2, IsolatingInterval(0, 3)),
+         RootOfCoordinate(X1**2 - 3, IsolatingInterval(0, 3))], 1)
+    assert F(141, 100) < lo < hi < F(174, 100)
 
 
 def test_sign_invariance_circle():

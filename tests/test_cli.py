@@ -10,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from projcad import cli
+from projcad import algnum, cli
 from projcad.algnum import SeparabilityError
 from projcad.cadcore import IntegrityError
 from projcad.cli import (_EXAMPLES, ParseError, RunConfig, examples_suite,
                          main, parse_input, run_compute)
 from projcad.polyring import VarOrder
 
-from helpers import force_gcd_first_signs, random_poly
+from helpers import (force_exact_fiber_decisions, force_gcd_first_signs,
+                     random_poly)
 
 CIRCLE = "vars: x, y\nx^2 + y^2 - 1\n"
 SADDLE = "vars: x, y, z\nz*y - x^2\n"
@@ -398,3 +399,45 @@ def test_filtered_signs_match_gcd_first_end_to_end(monkeypatch, seed):
                 lo, hi = map(Fraction, e["interval"])
                 ref_lo, ref_hi = map(Fraction, ref_e["interval"])
                 assert max(lo, ref_lo) <= min(hi, ref_hi)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_json_golden_digest_on_exact_fiber_route(monkeypatch, name):
+    # every interval-image decision over an algebraic fiber replaced by
+    # the exact symbolic step: the output must not move by one byte
+    force_exact_fiber_decisions(monkeypatch)
+    if name in GOLDEN_EXTRA:
+        text, cfg = GOLDEN_EXTRA[name][0], RunConfig()
+    else:
+        text, cfg, _ = _EXAMPLES[name]
+    out, _, code = run_compute(cfg, text)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[name]
+
+
+def test_interval_images_match_exact_route_end_to_end(monkeypatch):
+    # seeds 0-45 without 17, which does not finish in seconds
+    decided = []
+    encl_vars = algnum._enclosure_variations
+
+    def counting(enc, a, b):
+        v = encl_vars(enc, a, b)
+        decided.append(v is not None)
+        return v
+
+    runs = []
+    for seed in range(46):
+        if seed == 17:
+            continue
+        for method in ("mccallum", "collins"):
+            cfg, text = RunConfig(method=method), _random_problem(seed)
+            with monkeypatch.context() as m:
+                m.setattr(algnum, "_enclosure_variations", counting)
+                got = run_compute(cfg, text)
+            with monkeypatch.context() as m:
+                force_exact_fiber_decisions(m)
+                want = run_compute(cfg, text)
+            assert got == want, (seed, method)
+            runs.append(got[2])
+    assert len(runs) >= 80 and set(runs) == {0}
+    assert sum(decided) >= 100
