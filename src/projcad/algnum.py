@@ -14,41 +14,32 @@ variables, so a section can be re-evaluated anywhere over the base
 cell.  Each element is isolated once and owns the roots it yields.
 
 Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
-SYMSAC 1976), and roots_over_cell takes one of two routes per polynomial:
-the dense image, or the interval image with an exact fallback.
+SYMSAC 1976) on the polynomial's interval image (Collins, Johnson and
+Krandick, JSC 34, 2002): its coefficients in the main variable enclosed
+over the fiber's boxes, scaled to integer endpoints.  Each Descartes
+node runs an integer scale, a Taylor shift, a reversal, a shift by 1
+and a sign count on it in interval arithmetic (Rouillier and
+Zimmermann, JCAM 162, 2004), and split points and bisection signs
+evaluate it by interval Horner.  A decision is taken only when every
+enclosure it needs excludes 0 or is exactly [0, 0]; it is then exact,
+because the boxes contain their coordinates and so the enclosures
+contain the true values, for good.  Otherwise that one node or sign
+falls back to the exact symbolic step: the transformed polynomial stays
+an integer polynomial in the lower variables and each coefficient sign
+at the fiber is decided by sign_at.
 
-* Dense route.  When every lower variable the polynomial involves sits
-  at a point-valued coordinate (a rational, or a root whose interval has
-  collapsed to a point), the point values are substituted once.  That
-  gives the polynomial's image: a list of integers, a positive multiple
-  of the polynomial on the fiber.  Squarefreeness and coprimality are
-  exact gcds of images (the fiber gcd that splits two polynomials runs
-  only when their images share a factor); isolation runs on the list,
-  each step an integer scale, a Taylor shift, a reversal, a shift by 1
-  and a sign count (Rouillier and Zimmermann, JCAM 162, 2004);
-  bisection evaluates the image by integer Horner.  Exact because a
-  positive multiple has the same roots and signs everywhere on the
-  fiber, and every transformation is integer arithmetic.  A polynomial
-  that first involves an algebraic coordinate but is free of it once
-  reduced over the fiber also takes this route.
-* Interval route, for the rest (Collins, Johnson and Krandick, JSC 34,
-  2002).  The polynomial's coefficients in the main variable are
-  enclosed once over the fiber's boxes, when the root bound is taken,
-  and scaled to integer endpoints.  That enclosure is its interval
-  image: each Descartes node runs the dense route's steps on it in
-  interval arithmetic, and split points and bisection signs evaluate it
-  by interval Horner.  A decision is taken only when every enclosure it
-  needs excludes 0 or is exactly [0, 0]; it is then exact, because the
-  boxes contain their coordinates and so the enclosures contain the
-  true values, for good.  Otherwise that one node or sign falls back to
-  the exact symbolic step: the transformed polynomial stays an integer
-  polynomial in the lower variables and each coefficient sign at the
-  fiber is decided by sign_at.
-
-The routes make the same decisions (the same variation counts, split
-points and bisection signs), so they return identical roots, intervals
-and samples; the dense one only does the arithmetic once, on integers,
-and also returns the root of a linear polynomial as an exact rational.
+When every lower variable the polynomial involves sits at a
+point-valued coordinate (a rational, or a root whose interval has
+collapsed to a point), the point values are substituted once.  That
+gives the polynomial's dense image: a list of integers, a positive
+multiple of the polynomial on the fiber.  Its enclosure is the point
+enclosure (the image with every radius 0), on which every decision is
+taken, on integers.  Squarefreeness and coprimality there are exact
+gcds of images (the fiber gcd that splits two polynomials runs only
+when their images share a factor), and the root of a linear polynomial
+comes back as an exact rational.  A polynomial that first involves an
+algebraic coordinate but is free of it once reduced over the fiber has
+a dense image too.
 
 A sign at an algebraic coordinate is first read off the current boxes:
 interval evaluation over the isolating intervals as they stand, with no
@@ -83,7 +74,6 @@ __all__ = [
     "RootOfCoordinate",
     "SamplePoint",
     "SeparabilityError",
-    "fiber_degree",
     "fiber_gcd",
     "fiber_reduce",
     "fiber_squarefree_part",
@@ -152,28 +142,24 @@ class RootOfCoordinate:
     coefficients are evaluated over.  The interval shrinks in place as
     refinement happens; the defining polynomial, being squarefree over
     the fiber, changes sign exactly once inside the interval, which is
-    what bisection relies on.  Bisection signs the defining polynomial
-    from one of two slots before it falls back to sign_at:
+    what bisection relies on.
 
-    * `image`, when the prefix fixes every variable of the defining
-      polynomial to a point value: its dense image there (a tuple of
-      ints, lowest degree first), evaluated by integer Horner.
-    * `enclosure`, for a root isolated on the interval route: its
-      coefficients in the main variable enclosed over the prefix's boxes
-      (see _coeff_enclosure), evaluated by interval Horner.  It stays
-      valid for good, since the coefficients' values never change.
+    `enclosure` is the defining polynomial's interval image over the
+    prefix (see _coeff_enclosure), or None.  Bisection signs the defining
+    polynomial on it by interval Horner, and falls back to sign_at only
+    when that does not decide.  It stays valid for good, since the
+    coefficients' values never change.  When the prefix fixes every
+    variable of the defining polynomial to a point value it is the point
+    enclosure of the dense image, which always decides.
     """
 
-    __slots__ = ("defining", "interval", "prefix", "image", "enclosure",
-                 "_sign_lo")
+    __slots__ = ("defining", "interval", "prefix", "enclosure", "_sign_lo")
 
     def __init__(self, defining: MultiPoly, interval: IsolatingInterval,
-                 prefix=(), image: Optional[tuple] = None,
-                 enclosure: Optional[tuple] = None):
+                 prefix=(), enclosure: Optional[tuple] = None):
         self.defining = defining
         self.interval = interval
         self.prefix = tuple(prefix)
-        self.image = image
         self.enclosure = enclosure
         self._sign_lo = None
 
@@ -196,7 +182,6 @@ def _copy_coord(coord, new_prefix):
         coord.defining,
         IsolatingInterval(coord.interval.lo, coord.interval.hi),
         new_prefix,
-        coord.image,
         coord.enclosure,
     )
 
@@ -377,21 +362,18 @@ def _ipow(x, k: int):
 
 def _defining_sign(coord: RootOfCoordinate, x: Fraction) -> int:
     """Sign of the coordinate's defining polynomial at x over its prefix."""
-    if coord.image is not None:
-        return _image_sign(coord.image, x)
-    f = coord.defining
-    return _fiber_sign(f, f.mvar(), SamplePoint(coord.prefix),
-                       coord.enclosure, x)
+    return _fiber_sign(coord.defining, coord.prefix, coord.enclosure, x)
 
 
-def _fiber_sign(f: MultiPoly, var: str, s: SamplePoint, enc, x) -> int:
-    """Sign of f(x) at the fiber s: read off the coefficient enclosure
-    enc (None for none) when that decides it, else exact by sign_at."""
+def _fiber_sign(f: MultiPoly, prefix: tuple, enc, x) -> int:
+    """Sign of f(x), x in f's main variable, at the fiber of the
+    coordinates `prefix`: read off the coefficient enclosure enc (None
+    for none) when that decides it, else exact by sign_at."""
     if enc is not None:
         sg = _enclosure_sign(enc, x)
         if sg is not None:
             return sg
-    return sign_at(f.subs_rational_cleared(var, x), s)
+    return sign_at(f.subs_rational_cleared(f.mvar(), x), SamplePoint(prefix))
 
 
 def _bisect_once(coord: RootOfCoordinate):
@@ -468,14 +450,6 @@ def _truncated(f: MultiPoly, var: str, top: int) -> MultiPoly:
     return acc
 
 
-def fiber_degree(f: MultiPoly, var: str, s: SamplePoint) -> int:
-    """Degree of f in var once evaluated at s; -1 if identically zero."""
-    for e, c in f.coeff_terms(var):
-        if sign_at(c, s) != 0:
-            return e
-    return -1
-
-
 def fiber_gcd(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
     """Polynomial whose evaluation at s is a gcd of f and g evaluated at s.
 
@@ -528,7 +502,8 @@ def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
     Every lower variable of p is substituted by its point value and the
     denominators are cleared, so the image is a positive multiple of p on
     the fiber.  None when some lower variable of p sits at a coordinate
-    without a point value: this is the route selector of roots_over_cell.
+    without a point value; p's interval image is then taken over the
+    boxes (see _root_bound).
     """
     order = p.order
     lvl = order.level(var)
@@ -560,11 +535,6 @@ def _horner(c, u: int, v: int) -> int:
         acc = acc * u + ci * w
         w *= v
     return acc
-
-
-def _image_sign(img, x: Fraction) -> int:
-    """Sign of the image at a rational x."""
-    return _sgn(_horner(img, x.numerator, x.denominator))
 
 
 def _taylor_shift(c: list, t: int):
@@ -600,15 +570,8 @@ def _changes(signs) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def _image_variations(img, a: Fraction, b: Fraction) -> int:
-    """Sign variations of (v+1)^d h(1/(v+1)), h = q^d img(a + (b-a)v):
-    the dense counterpart of _variations_poly(_shifted_to_unit(...))."""
-    return _changes([ci > 0 for ci in _to_unit(img, *_unit_scale(a, b))
-                     if ci])
-
-
 # ---------------------------------------------------------------------------
-# interval images over algebraic fibers
+# interval images
 #
 # An enclosure is a pair (mid, rad) of int tuples, lowest degree first:
 # for some fixed rational K > 0 the value of K * c_i at the fiber lies in
@@ -616,7 +579,9 @@ def _image_variations(img, a: Fraction, b: Fraction) -> int:
 # takes it to the enclosure (M mid, |M| rad), both computed on integers.
 # A decision is taken only when every enclosure it needs excludes 0 or is
 # exactly [0, 0]; it is then the exact decision, because the enclosures
-# contain the true values.
+# contain the true values.  A dense image img has the point enclosure
+# (img, (0, ...)), on which every decision is taken; the radius
+# arithmetic is skipped when every radius is 0.
 
 
 def _coeff_enclosure(terms, boxes) -> tuple:
@@ -642,6 +607,8 @@ def _enclosure_sign(enc, x: Fraction) -> Optional[int]:
     mid, rad = enc
     u, v = x.numerator, x.denominator
     m = _horner(mid, u, v)
+    if not any(rad):
+        return _sgn(m)
     r = _horner(rad, abs(u), v)
     if m > r:
         return 1
@@ -651,12 +618,16 @@ def _enclosure_sign(enc, x: Fraction) -> Optional[int]:
 
 
 def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
-    """_image_variations of the polynomial enclosed by enc, or None when
-    some transformed coefficient's enclosure straddles 0.  The Taylor
-    shift by pa bounds its radii by the shift by |pa|; every other step
-    has nonnegative entries."""
+    """Sign variations of (v+1)^d h(1/(v+1)), h = q^d c(a + (b-a)v), for
+    the polynomial c enclosed by enc (the counterpart of
+    _variations_poly(_shifted_to_unit(...))), or None when some
+    transformed coefficient's enclosure straddles 0.  The Taylor shift by
+    pa bounds its radii by the shift by |pa|; every other step has
+    nonnegative entries."""
     mid, rad = enc
     q, pa, pw = _unit_scale(a, b)
+    if not any(rad):
+        return _changes([m > 0 for m in _to_unit(mid, q, pa, pw) if m])
     signs = []
     for m, r in zip(_to_unit(mid, q, pa, pw), _to_unit(rad, q, abs(pa), pw)):
         if m > r:
@@ -668,10 +639,14 @@ def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
     return _changes(signs)
 
 
-def _image_root_bound(img) -> Fraction:
-    """B with every real root of the image strictly inside (-B, B):
-    1 + max |c_i| / |lc|; the image has positive degree."""
-    return 1 + Fraction(max(abs(c) for c in img[:-1]), abs(img[-1]))
+def _enclosure_bound(enc) -> Fraction:
+    """B with every real root of the polynomial enclosed by enc strictly
+    inside (-B, B): 1 + max |c_i| / |lc| over the enclosure.  The
+    polynomial has positive degree and its leading coefficient's
+    enclosure excludes 0."""
+    mid, rad = enc
+    m = max(abs(mi) + ri for mi, ri in zip(mid[:-1], rad))
+    return 1 + Fraction(m, abs(mid[-1]) - rad[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +674,7 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
         llo, lhi = _box_eval(lead, boxes)
         if llo > 0 or lhi < 0:
             enc = _coeff_enclosure(terms, boxes)
-            mid, rad = enc
-            m = max(abs(mi) + ri for mi, ri in zip(mid[:-1], rad))
-            return 1 + Fraction(m, abs(mid[-1]) - rad[-1]), enc
+            return _enclosure_bound(enc), enc
         if not _bisect_all(coords.values()):
             raise ArithmeticError(
                 "leading coefficient of %s vanishes at the fiber" % (g,))
@@ -713,10 +686,7 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
 def _shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
     """Integer polynomial equal to f(a + (b-a)v) up to a positive factor:
     roots of f in (a,b) become roots in (0,1)."""
-    a, w = Fraction(a), Fraction(b) - Fraction(a)
-    q = math.lcm(a.denominator, w.denominator)
-    pa = a.numerator * (q // a.denominator)
-    pw = w.numerator * (q // w.denominator)
+    q, pa, pw = _unit_scale(a, b)
     xv = MultiPoly.var(f.order, var)
     d = f.degree(var)
     acc = MultiPoly.zero(f.order)
@@ -773,13 +743,8 @@ def _split_point(nonzero, degree: int, a: Fraction, b: Fraction) -> Fraction:
 
 
 def _nonroot_split(f, var, s, a, b, enc=None) -> Fraction:
-    return _split_point(lambda m: _fiber_sign(f, var, s, enc, m) != 0,
+    return _split_point(lambda m: _fiber_sign(f, s.coords, enc, m) != 0,
                         f.degree(var), a, b)
-
-
-def _image_split(img, a, b) -> Fraction:
-    return _split_point(lambda m: _image_sign(img, m) != 0,
-                        len(img) - 1, a, b)
 
 
 def _vca(f, var, s, enc, a, b, out):
@@ -797,47 +762,35 @@ def _vca(f, var, s, enc, a, b, out):
     _vca(f, var, s, enc, m, b, out)
 
 
-def _image_vca(img, a, b, out):
-    v = _image_variations(img, a, b)
-    if v == 0:
-        return
-    if v == 1:
-        out.append(IsolatingInterval(a, b))
-        return
-    m = _image_split(img, a, b)
-    _image_vca(img, a, m, out)
-    _image_vca(img, m, b, out)
+def _point_enclosure(img) -> tuple:
+    return tuple(img), (0,) * len(img)
 
 
-def _isolate_symbolic(f: MultiPoly, var: str, s: SamplePoint):
+def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
     """Isolate the real roots of f at the fiber s.
 
     Returns (coordinates in increasing order, root bound B).  f must be
     reduced over the fiber (its leading coefficient nonzero at s),
-    squarefree at s and of positive degree there.
+    squarefree at s and of positive degree there.  img is f's dense
+    image at s, or None off point-valued fibers; with it a linear f
+    gives its exact rational root.
     """
-    g = _strip(f)
-    B, enc = _root_bound(g, var, s)
+    if img is None:
+        g = _strip(f)
+        B, enc = _root_bound(g, var, s)
+    else:
+        # the image of _strip(f), up to a positive factor: _strip
+        # divides by the content and may flip the sign
+        if f.lead_base_coeff() < 0:
+            img = [-c for c in img]
+        enc = _point_enclosure(img)
+        B = _enclosure_bound(enc)
+        if len(img) == 2:
+            return [RationalCoordinate(Fraction(-img[0], img[1]))], B
+        g = _strip(f)
     ivs = []
     _vca(g, var, s, enc, -B, B, ivs)
-    return [RootOfCoordinate(g, iv, s.coords, enclosure=enc)
-            for iv in ivs], B
-
-
-def _isolate_image(f: MultiPoly, img, s: SamplePoint):
-    """_isolate_symbolic for an f whose dense image at s is img; a linear
-    f gives its exact rational root."""
-    B = _image_root_bound(img)
-    if len(img) == 2:
-        return [RationalCoordinate(Fraction(-img[0], img[1]))], B
-    ivs = []
-    _image_vca(img, -B, B, ivs)
-    # the image of the defining polynomial _strip(f), up to a positive
-    # factor: _strip divides by the content and may flip the sign
-    if f.lead_base_coeff() < 0:
-        img = [-c for c in img]
-    g, img = _strip(f), tuple(img)
-    return [RootOfCoordinate(g, iv, s.coords, img) for iv in ivs], B
+    return [RootOfCoordinate(g, iv, s.coords, enc) for iv in ivs], B
 
 
 def isolate_real_roots(f: MultiPoly):
@@ -852,11 +805,13 @@ def isolate_real_roots(f: MultiPoly):
     var = f.mvar()
     if not poly_gcd(f, f.derivative(var)).is_constant():
         raise ValueError("squarefree polynomial required")
-    img = _fiber_image(f, var, SamplePoint(()))
-    B = _image_root_bound(img)
+    s = SamplePoint(())
+    enc = _point_enclosure(_fiber_image(f, var, s))
+    B = _enclosure_bound(enc)
     ivs = []
-    _image_vca(img, -B, B, ivs)
+    _vca(f, var, s, enc, -B, B, ivs)
     return ivs
+
 
 # ---------------------------------------------------------------------------
 # merged roots of several polynomials over one cell
@@ -942,7 +897,7 @@ def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
 def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
     """Separable basis of the polynomials over the fiber s: reduced
     there, squarefree and pairwise coprime there, with the same zero set.
-    Maps each element to its dense image (None off the dense route)."""
+    Maps each element to its dense image (None when it has none)."""
     order = polys[0].order
     work = []
     for p in polys:
@@ -1017,11 +972,7 @@ def roots_over_cell(polys, s: SamplePoint):
     tagged = []
     bound = Fraction(1)
     for r in sorted(basis):
-        img = basis[r]
-        if img is None:
-            coords, b = _isolate_symbolic(r, var, s)
-        else:
-            coords, b = _isolate_image(r, img, s)
+        coords, b = _isolate(r, var, basis[r], s)
         tagged.extend((c, r) for c in coords)
         bound = max(bound, b)
     if not tagged:

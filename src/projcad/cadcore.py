@@ -171,10 +171,13 @@ def _random_in_gap(coords, i, rng) -> Fraction:
     lo, hi = _separate_gap(coords, i)
     if lo is None and hi is None:
         return Fraction(rng.randint(-2048, 2048), 256)
-    if lo is None:
-        return hi - 1 - Fraction(rng.randint(0, 1024), 256)
-    if hi is None:
-        return lo + 1 + Fraction(rng.randint(0, 1024), 256)
+    if lo is None or hi is None:
+        # beyond the outermost root, at a distance spread over a log
+        # scale from 2^-16 to 16, so sign changes close to the root's box
+        # are probed as well as far ones
+        t = Fraction(rng.randint(1, 256), 256)
+        d = t * Fraction(2) ** rng.randint(-8, 4)
+        return hi - d if lo is None else lo + d
     t = Fraction(rng.randint(1, 255), 256)
     return lo + t * (hi - lo)
 

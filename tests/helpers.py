@@ -61,10 +61,11 @@ def force_gcd_first_signs(monkeypatch):
 def force_exact_fiber_decisions(monkeypatch):
     """Make every decision on an interval image answer "undecided".
 
-    Descartes nodes, split points and bisection signs over algebraic
-    fibers then all take the exact symbolic step, as they did before
-    interval images existed.  The enclosures are still taken, because
-    the root bound is read from them.
+    Descartes nodes, split points and bisection signs then all take the
+    exact symbolic step, as they did before interval images existed.
+    That holds for the point enclosures of dense images over point-valued
+    fibers too, which otherwise decide everything.  The enclosures are
+    still taken, because the root bound is read from them.
     """
     monkeypatch.setattr(algnum, "_enclosure_variations",
                         lambda enc, a, b: None)

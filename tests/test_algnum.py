@@ -18,18 +18,15 @@ from projcad.algnum import (
     _enclosure_sign,
     _enclosure_variations,
     _fiber_image,
-    _image_sign,
-    _image_split,
-    _image_variations,
     _interval_sign,
     _nonroot_split,
+    _point_enclosure,
     _root_bound,
     _shifted_to_unit,
     _sign_variations,
     _simplest_in_open,
     _strip,
     _variations_poly,
-    fiber_degree,
     fiber_gcd,
     fiber_reduce,
     fiber_squarefree_part,
@@ -40,7 +37,12 @@ from projcad.algnum import (
 )
 from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
-from helpers import force_gcd_first_signs, random_nonconstant, random_poly
+from helpers import (
+    force_exact_fiber_decisions,
+    force_gcd_first_signs,
+    random_nonconstant,
+    random_poly,
+)
 
 O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
@@ -318,8 +320,6 @@ def test_fiber_reduce_and_degree():
     f = X2 * Y2**2 + Y2 + 1
     r = fiber_reduce(f, "y", s0)
     assert r == Y2 + 1
-    assert fiber_degree(f, "y", s0) == 1
-    assert fiber_degree(X2 * Y2, "y", s0) == -1
 
 
 def test_fiber_gcd_over_algebraic_fiber():
@@ -448,11 +448,12 @@ def test_dense_route_carries_image():
     sections, _, _ = roots_over_cell([Y2**2 - X2 - 1], s)
     assert len(sections) == 2
     for c in sections:
-        assert c.image == tuple(_fiber_image(c.defining, "y", s))
-        assert s.extend(c).coords[-1].image == c.image
+        img = tuple(_fiber_image(c.defining, "y", s))
+        assert c.enclosure == (img, (0, 0, 0))
+        assert s.extend(c).coords[-1].enclosure == c.enclosure
     # the image is a positive multiple of the defining polynomial
     c = sections[1]
-    assert c.image == (-4, 0, 3)
+    assert c.enclosure == ((-4, 0, 3), (0, 0, 0))
 
 
 def test_split_search_is_bounded():
@@ -460,11 +461,17 @@ def test_split_search_is_bounded():
     # non-root, and the search must say so instead of looping
     with pytest.raises(ArithmeticError, match=r"\(0, 1\)"):
         _nonroot_split(X2 * Y2, "y", _rational_fiber(0), F(0), F(1))
+    # the same when every candidate is signed on a point enclosure,
+    # with no exact step: here the zero polynomial's
+    s0 = _rational_fiber(0)
     with pytest.raises(ArithmeticError, match="vanishes"):
-        _image_split([0, 0, 0], F(-2), F(2))
+        _nonroot_split(X2 * Y2**2, "y", s0, F(-2), F(2),
+                       _point_enclosure([0, 0, 0]))
     # a nonzero image finds a split among its first deg + 1 candidates
     # even when the early ones are roots: (y - 1/2)(y - 1/4) on (0, 1)
-    assert _image_split([1, -6, 8], F(0), F(1)) == F(3, 4)
+    f = 8 * Y2**2 - 6 * Y2 + 1
+    assert _nonroot_split(f, "y", s0, F(0), F(1),
+                          _point_enclosure([1, -6, 8])) == F(3, 4)
 
 
 def test_root_bound_is_bounded():
@@ -505,7 +512,6 @@ def test_interval_route_carries_enclosure(monkeypatch):
     sections, _, _ = roots_over_cell([Y2**2 - X2], s)
     assert len(sections) == 2
     for c in sections:
-        assert c.image is None
         mid, rad = c.enclosure
         assert len(mid) == len(rad) == 3 and rad[0] > 0
         assert s.extend(c).coords[-1].enclosure == c.enclosure
@@ -518,7 +524,7 @@ def test_interval_route_carries_enclosure(monkeypatch):
 def test_interval_images_match_exact():
     # polynomials of levels 2 and 3 over irrational fibers: every variation
     # count and Horner sign the enclosure decides is the exact one, and
-    # on a point enclosure (a rational fiber) both equal the dense ones
+    # a point enclosure (a rational fiber) decides every one
     rng = random.Random(1729)
     fibers = []
     while len(fibers) < 12:
@@ -552,7 +558,7 @@ def test_interval_images_match_exact():
                 b = a + B * F(rng.randint(1, 8), 16)
                 v = _enclosure_variations(enc, a, b)
                 if img is not None:
-                    assert v == _image_variations(img, a, b)
+                    assert v is not None
                 if v is None:
                     counts["undecided"] += 1
                     continue
@@ -565,7 +571,7 @@ def test_interval_images_match_exact():
                                for _ in range(3)]:
                 sg = _enclosure_sign(enc, x)
                 if img is not None:
-                    assert sg == _image_sign(img, x)
+                    assert sg is not None
                 if sg is None:
                     counts["undecided"] += 1
                     continue
@@ -596,7 +602,9 @@ def _roots_outcome(polys, s):
 
 def test_dense_route_matches_symbolic(monkeypatch):
     # the same polynomials over the same rational fibers, once through
-    # the dense route and once through the symbolic one
+    # the dense image and once through the symbolic route: without an
+    # image, and with every decision on an enclosure (point enclosures
+    # over rational fibers included) left to the exact step
     rng = random.Random(4711)
     same = linear = 0
     for trial in range(240):
@@ -614,6 +622,7 @@ def test_dense_route_matches_symbolic(monkeypatch):
         dense = _roots_outcome(polys, s)
         with monkeypatch.context() as m:
             m.setattr(algnum, "_fiber_image", lambda p, var, s: None)
+            force_exact_fiber_decisions(m)
             symbolic = _roots_outcome(polys, s)
         if dense[0] != "error" and any(
                 t is RationalCoordinate for t, _ in dense[0]):
@@ -650,7 +659,7 @@ def test_dense_variations_match_symbolic():
         b = a + F(rng.randint(1, 40), rng.randint(1, 8))
         want = _sign_variations(
             _variations_poly(_shifted_to_unit(f, var, a, b), var), var, s)
-        assert _image_variations(img, a, b) == want
+        assert _enclosure_variations(_point_enclosure(img), a, b) == want
         checked += 1
 
 

@@ -156,6 +156,18 @@ def test_sign_invariance_catches_missing_polynomial():
     assert point[0] > 0
 
 
+def test_sign_invariance_probes_near_outermost_root():
+    # 2x - 1 and 2x + 1 change sign within 1 of the root x = 0, in the
+    # unbounded cells above and below it; probes must reach that close
+    cad = cad_full([X1], O1)
+    for poly, cell, side in ((2 * X1 - 1, (3,), 1), (2 * X1 + 1, (1,), -1)):
+        rep = verify_sign_invariance(cad, [poly], samples_per_cell=64)
+        assert not rep.ok
+        idx, point, got = rep.counterexample
+        assert idx == cell and got == poly
+        assert 0 < side * point[0] <= F(1, 2)
+
+
 def test_sign_invariance_vacuous():
     cad = cad_full([CIRCLE], O2)
     assert verify_sign_invariance(cad, []).ok

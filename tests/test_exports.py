@@ -10,13 +10,14 @@ MODULES = ("projcad", "projcad.polyring", "projcad.subresultants",
 
 
 def test_all_names_resolve():
-    checked = 0
+    exporting = set()
     for name in MODULES:
         mod = importlib.import_module(name)
         names = getattr(mod, "__all__", ())
         assert len(set(names)) == len(names), name
         for attr in names:
             assert hasattr(mod, attr), "%s.%s" % (name, attr)
-            checked += 1
+            exporting.add(name)
     # the package and the modules that declare __all__ all took part
-    assert checked > 100
+    assert exporting == {"projcad", "projcad.projection", "projcad.algnum",
+                         "projcad.lifting", "projcad.cadcore", "projcad.cli"}
