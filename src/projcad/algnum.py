@@ -487,8 +487,7 @@ def fiber_squarefree_part(f: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
     g = fiber_gcd(f, f.derivative(var), var, s)
     if g.degree(var) == 0:
         return _strip(f)
-    q = fiber_reduce(pquo(f, g, var), var, s)
-    return _strip(q)
+    return _fiber_quo(f, g, var, s)
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +879,18 @@ def _images_coprime(order, var: str, img_f, img_g) -> bool:
                     MultiPoly.from_coeffs(order, var, img_g)).is_constant()
 
 
-def _fiber_squarefree(r: MultiPoly, img, var: str, s: SamplePoint) -> bool:
-    """Whether r, reduced over the fiber, is squarefree there."""
-    if img is None:
-        return fiber_gcd(r, r.derivative(var), var, s).degree(var) == 0
-    return _images_coprime(r.order, var, img,
-                           [i * c for i, c in enumerate(img)][1:])
+def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
+    """Squarefree part of r, reduced over the fiber, there (r itself when
+    it is squarefree), and its dense image.  The gcd of r and r' that
+    tests squarefreeness is the divisor."""
+    if img is not None and _images_coprime(
+            r.order, var, img, [i * c for i, c in enumerate(img)][1:]):
+        return r, img
+    h = fiber_gcd(r, r.derivative(var), var, s)
+    if h.degree(var) == 0:
+        return r, img
+    r = _fiber_quo(r, h, var, s)
+    return r, _fiber_image(r, var, s)
 
 
 def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
@@ -921,10 +926,7 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
             img = _fiber_image(r, var, s)
         # repeated roots over this fiber are harmless for the root set,
         # so flatten them here rather than reject the input
-        if not _fiber_squarefree(r, img, var, s):
-            r = fiber_squarefree_part(r, var, s)
-            img = _fiber_image(r, var, s)
-        work.append((r, img))
+        work.append(_squarefree_with_image(r, img, var, s))
     basis: dict = {}
     for f, img_f in work:
         merged: dict = {}

@@ -7,9 +7,27 @@ comparisons only, verify_sign_invariance confirms that every input
 polynomial keeps one sign per cell by sampling random rational points
 inside full-dimensional cells, and check_cylindricity validates the
 index structure (stacks are contiguous odd-length runs over a shared
-prefix).  A stack whose roots at a rational fiber do not match its
-section count, and a point no cell contains, raise IntegrityError,
-because a partition of R^n must contain every point.
+prefix).
+
+Both descents take a stack's roots at a rational fiber in the order the
+CAD lists its sections: each section polynomial appears once per section
+it owns and is isolated once, on its dense image at the fiber.  That is
+sound when the section polynomials are squarefree and pairwise coprime
+there, which resultants prove (Collins 1975; McCallum 1988): when f and
+g keep their degrees at the fiber, res(f, f') nonzero there makes f
+squarefree and res(f, g) nonzero makes f and g coprime.  The resultants are computed
+once per CAD, on the first query that needs them, and evaluated exactly
+at the fiber, on integers.  A stack where a resultant vanishes, a
+section polynomial drops degree or a root count differs from the CAD's
+falls back to roots_over_cell, which builds the separable basis at the
+fiber and sorts its roots; a resultant also vanishes at a shared complex
+root, which only that route can split off.
+
+locate_point requires its comparisons against a stack's roots to read
+below, then at most one equal, then above; a stack out of order, a
+stack whose roots at a rational fiber do not match its section count,
+and a point no cell contains raise IntegrityError, because a partition
+of R^n must contain every point.
 """
 
 from __future__ import annotations
@@ -27,12 +45,15 @@ from .algnum import (
     _bisect_all,
     _bisect_once,
     _defining_sign,
+    _fiber_image,
+    _isolate,
     roots_over_cell,
     sign_at,
 )
 from .lifting import CAD, Cell, NotWellOrientedError, cad_lifting
 from .polyring import MultiPoly, VarOrder
 from .projection import cad_projection
+from .subresultants import resultant
 
 __all__ = [
     "CylindricityReport",
@@ -85,13 +106,64 @@ def _cmp_root_to_rational(coord, q: Fraction) -> int:
     raise ArithmeticError("root %r not separated from %s" % (coord, q))
 
 
+def _certificate(cad: CAD, f: MultiPoly, g: Optional[MultiPoly],
+                 var: str, vals) -> bool:
+    """Whether res(f, g) in var (res(f, f') when g is None) is nonzero at
+    the rational fiber vals.  Each resultant is computed once per CAD."""
+    key = (f, None) if g is None else frozenset((f, g))
+    r = cad._resultants.get(key)
+    if r is None:
+        r = cad._resultants[key] = resultant(
+            f, f.derivative(var) if g is None else g, var)
+    return r.cleared_value(vals) != 0
+
+
+def _certified_roots(cad: CAD, refs: tuple, fiber: SamplePoint):
+    """Roots of the section polynomials refs at a rational fiber, in the
+    CAD's section order.  None when resultants do not prove each of them
+    squarefree and coprime to the others there, or when one of them has
+    a different number of roots there than of sections."""
+    var = cad.order.name(len(fiber) + 1)
+    vals = [c.value for c in fiber.coords]
+    owners = list(dict.fromkeys(refs))
+    imgs = []
+    for f in owners:
+        img = _fiber_image(f, var, fiber)
+        # a certificate speaks for the fiber only when f keeps its degree
+        if len(img) - 1 != f.degree(var):
+            return None
+        if len(img) > 2 and not _certificate(cad, f, None, var, vals):
+            return None
+        imgs.append(img)
+    for i, f in enumerate(owners):
+        for g in owners[i + 1:]:
+            if not _certificate(cad, f, g, var, vals):
+                return None
+    roots = {}
+    for f, img in zip(owners, imgs):
+        coords = _isolate(f, var, img, fiber)[0]
+        if len(coords) != refs.count(f):
+            return None
+        roots[f] = iter(coords)
+    return [next(roots[f]) for f in refs]
+
+
 def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     """Roots of the stack over an index prefix at the rational fiber
-    `vals`, one per section of that stack, in increasing order."""
+    `vals`, one per section of that stack, in the CAD's section order.
+
+    Each section polynomial is isolated once at the fiber and its roots
+    fill its sections in turn, once cached resultants prove the section
+    polynomials squarefree and pairwise coprime there.  Any other stack
+    takes roots_over_cell, whose roots come sorted.
+    """
     refs = cad.section_polys(prefix)
     if not refs:
         return []
     fiber = SamplePoint(tuple(RationalCoordinate(v) for v in vals))
+    coords = _certified_roots(cad, refs, fiber)
+    if coords is not None:
+        return coords
     try:
         coords = roots_over_cell(refs, fiber)[0]
     except ValueError as e:
@@ -113,17 +185,13 @@ def locate_point(pt, cad: CAD) -> Cell:
     prefix: tuple = ()
     for j in range(n):
         coords = _stack_roots(cad, prefix, vals[:j])
-        pinned = None
-        below = 0
-        for i, c in enumerate(coords):
-            cmp = _cmp_root_to_rational(c, vals[j])
-            if cmp == 0:
-                pinned = i
-                break
-            if cmp < 0:
-                below += 1
-        prefix += (2 * (pinned + 1),) if pinned is not None \
-            else (2 * below + 1,)
+        cmps = [_cmp_root_to_rational(c, vals[j]) for c in coords]
+        hits = cmps.count(0)
+        if hits > 1 or cmps != sorted(cmps):
+            raise IntegrityError(
+                "roots of the stack over %s are out of order at %s"
+                % (prefix, vals[:j + 1]))
+        prefix += (2 * cmps.count(-1) + 1 + hits,)
     cell = cad.cell_at(prefix)
     if cell is None:
         raise IntegrityError("no cell carries index %s" % (prefix,))
@@ -153,14 +221,16 @@ def _separate_gap(coords, i):
     if i > 0:
         c = coords[i - 1]
         if i < len(coords):
-            for _ in range(_MAX_SEPARATION_STEPS):
-                if c.box()[1] < coords[i].box()[0] or not _bisect_all(
+            # two point values that are not apart are equal or out of
+            # order: nothing separates them
+            steps = 0
+            while not c.box()[1] < coords[i].box()[0]:
+                steps += 1
+                if steps > _MAX_SEPARATION_STEPS or not _bisect_all(
                         (c, coords[i])):
-                    break
-            else:
-                raise IntegrityError(
-                    "roots %r and %r of a stack do not separate"
-                    % (c, coords[i]))
+                    raise IntegrityError(
+                        "roots %r and %r of a stack do not separate"
+                        % (c, coords[i]))
         lo = c.box()[1]
     if i < len(coords):
         hi = coords[i].box()[0]

@@ -31,8 +31,9 @@ from typing import Optional
 from .algnum import (
     RationalCoordinate,
     SamplePoint,
+    _fiber_quo,
     fiber_gcd,
-    fiber_squarefree_part,
+    fiber_reduce,
     roots_over_cell,
     sign_at,
 )
@@ -220,8 +221,9 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
         g = fiber_gcd(g, q, var, s)
         if g.degree(var) == 0:
             return None
-    if fiber_gcd(g, g.derivative(var), var, s).degree(var) != 0:
-        g = fiber_squarefree_part(g, var, s)
+    h = fiber_gcd(g, g.derivative(var), var, s)
+    if h.degree(var) != 0:
+        g = _fiber_quo(fiber_reduce(g, var, s), h, var, s)
     return g
 
 
@@ -236,7 +238,9 @@ class CAD:
 
     The stack tree is kept as two maps built once, on first use, from
     the cells: index prefix -> section polynomials of the stack over it,
-    and index -> cell.
+    and index -> cell.  A third map, empty until the first point query,
+    keeps the resultants of section polynomials that queries evaluate
+    (see cadcore._stack_roots).
     """
 
     order: VarOrder
@@ -271,6 +275,10 @@ class CAD:
                 polys.append(owner[prefix, 2 * len(polys) + 2])
             out[prefix] = tuple(polys)
         return out
+
+    @cached_property
+    def _resultants(self) -> dict:
+        return {}
 
     def section_polys(self, prefix) -> tuple:
         """Section polynomials of the stack over an index prefix, in

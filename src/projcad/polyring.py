@@ -476,6 +476,47 @@ class MultiPoly:
 
         return go(self.node)
 
+    def cleared_value(self, values) -> int:
+        """The value at a rational point times a positive integer, so with
+        the same sign and zero set; values[l - 1] is the value of the
+        variable at level l, for each level the polynomial involves.
+
+        Each denominator is cleared to the polynomial's degree in its
+        variable, so the evaluation is integer Horner.
+        """
+        degs: dict = {}
+
+        def degrees(node):
+            if not isinstance(node, int):
+                lvl, terms = node
+                degs[lvl] = max(degs.get(lvl, 0), terms[0][0])
+                for _, c in terms:
+                    degrees(c)
+
+        degrees(self.node)
+        # scale[l]: the product of den(values[i])^degs[i + 1] for i < l
+        scale = [1]
+        for lvl, x in enumerate(values[:max(degs, default=0)], 1):
+            scale.append(scale[-1] * x.denominator ** degs.get(lvl, 0))
+
+        def cleared(node):
+            # the node's value times scale[its level]
+            if isinstance(node, int):
+                return node
+            lvl, terms = node
+            x = values[lvl - 1]
+            u, v = x.numerator, x.denominator
+            top = prev = terms[0][0]
+            acc = 0
+            for e, c in terms:
+                low = 0 if isinstance(c, int) else c[0]
+                acc = (acc * u ** (prev - e) + cleared(c)
+                       * (scale[lvl - 1] // scale[low]) * v ** (top - e))
+                prev = e
+            return acc * u**prev * v ** (degs[lvl] - top)
+
+        return cleared(self.node)
+
     def subs_rational_cleared(self, var: str, value: Fraction) -> "MultiPoly":
         """Substitute var=value and clear denominators.
 

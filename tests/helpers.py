@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: deterministic random polynomials,
-the gcd-first sign route and the exact route over algebraic fibers."""
+the gcd-first sign route, the exact route over algebraic fibers and the
+sorted route for stack roots at query fibers."""
 
 from __future__ import annotations
 
 import random
 import sys
 
-from projcad import algnum
+from projcad import algnum, cadcore
 from projcad.polyring import MultiPoly, VarOrder
 
 
@@ -70,3 +71,16 @@ def force_exact_fiber_decisions(monkeypatch):
     monkeypatch.setattr(algnum, "_enclosure_variations",
                         lambda enc, a, b: None)
     monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, x: None)
+
+
+def force_sorted_stack_roots(monkeypatch):
+    """Make the certified route for a stack's roots at a query fiber
+    answer "undecided" everywhere.
+
+    Every stack that locate_point and the sign-invariance oracle descend
+    through then takes roots_over_cell, which builds the separable basis
+    at the fiber and sorts its roots, with no resultant certificate and
+    no reading of the CAD's section order.
+    """
+    monkeypatch.setattr(cadcore, "_certified_roots",
+                        lambda cad, refs, fiber: None)

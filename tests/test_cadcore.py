@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 import time
@@ -21,9 +22,12 @@ from projcad.cadcore import (
 from projcad.lifting import CAD, Bound, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
 from projcad.algnum import (IsolatingInterval, RationalCoordinate,
-                            RootOfCoordinate, SamplePoint, sign_at)
+                            RootOfCoordinate, SamplePoint, roots_over_cell,
+                            sign_at)
+from projcad.cli import parse_input
 
-from helpers import random_poly
+from helpers import force_sorted_stack_roots, random_poly
+from test_cli import _random_problem
 
 O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
@@ -211,7 +215,13 @@ def _crossing_cad():
     # hand-built: over the single sector x in R the stack claims y - x
     # below y + x - 2, which holds at the sample x = 0 but not at x = 1,
     # where both vanish at y = 1
-    lower, upper = RootRef(Y2 - X2, 1), RootRef(Y2 + X2 - 2, 1)
+    return _two_section_cad(Y2 - X2, Y2 + X2 - 2)
+
+
+def _two_section_cad(below, above):
+    # hand-built: over the single sector x in R the stack claims one root
+    # of `below` under one root of `above`
+    lower, upper = RootRef(below, 1), RootRef(above, 1)
     band = Bound("range", None, None)
     tops = (Bound("range", None, lower), Bound("eq", lower),
             Bound("range", lower, upper), Bound("eq", upper),
@@ -234,6 +244,127 @@ def test_broken_stack_raises_integrity_error(monkeypatch):
                         lambda coords, i, rng: F(1))
     with pytest.raises(IntegrityError, match="2 sections but 1 roots"):
         cadcore._random_interior_point(cad, cad.cells[2], random.Random(0))
+
+
+def test_out_of_order_stack_raises_integrity_error():
+    # the lines y = 1 and y = -1 never meet, so the resultant certificate
+    # holds and the roots come in the order the CAD lists them: a point
+    # between them reads above the first and below the second
+    cad = _two_section_cad(Y2 - 1, Y2 + 1)
+    with pytest.raises(IntegrityError, match="out of order"):
+        locate_point((0, 0), cad)
+    assert locate_point((0, 5), cad).index == (1, 5)
+    # the oracle's descent finds no gap between the two roots either
+    with pytest.raises(IntegrityError, match="do not separate"):
+        cadcore._random_interior_point(cad, cad.cells[2], random.Random(0))
+
+
+def test_stack_root_counts_are_checked_per_section_polynomial():
+    # one root listed for two sections, and two roots for one section:
+    # neither stack is read in the CAD's order, and the sorted route
+    # reports the mismatch
+    for below, above, roots in ((Y2 + 2, Y2 + 2, 1),
+                                (Y2**2 - 1, Y2 + 2, 3)):
+        cad = _two_section_cad(below, above)
+        with pytest.raises(IntegrityError,
+                           match="2 sections but %d roots" % roots):
+            locate_point((0, 0), cad)
+
+
+def test_zero_certificate_falls_back_to_sorted_roots(monkeypatch):
+    # the upper section polynomial keeps one simple real root, y = 1, but
+    # at x = 0, on the zero set of its discriminant, the complex roots
+    # +-i become double: res(f, f') vanishes there, so that stack takes
+    # roots_over_cell, which flattens them
+    f = (Y2 - 1) * ((Y2**2 + 1)**2 + X2**2)
+    cad = _two_section_cad(Y2 + 2, f)
+    assert not cadcore._certificate(cad, f, None, "y", [F(0)])
+    assert cadcore._certificate(cad, f, None, "y", [F(1)])
+    calls = []
+
+    def counting(polys, s):
+        calls.append([c.value for c in s.coords])
+        return roots_over_cell(polys, s)
+
+    monkeypatch.setattr(cadcore, "roots_over_cell", counting)
+    assert locate_point((0, 0), cad).index == (1, 3)
+    assert locate_point((0, 1), cad).index == (1, 4)
+    assert locate_point((1, 1), cad).index == (1, 4)
+    assert locate_point((-1, 3), cad).index == (1, 5)
+    assert calls == [[0], [0]]
+
+
+def _query_points(rng, count, radius):
+    # rational points in [-6, 6]^3; every fourth lies exactly on the
+    # sphere of the given radius (rational stereographic parametrisation)
+    pts = []
+    for i in range(count):
+        if i % 4 == 3:
+            u = F(rng.randint(-12, 12), rng.randint(1, 6))
+            v = F(rng.randint(-12, 12), rng.randint(1, 6))
+            d = 1 + u * u + v * v
+            pts.append((2 * radius * u / d, 2 * radius * v / d,
+                        radius * (u * u + v * v - 1) / d))
+        else:
+            pts.append(tuple(F(rng.randint(-6 * q, 6 * q), q)
+                             for q in (rng.randint(1, 16) for _ in "xyz")))
+    return pts
+
+
+def _descents(cad, polys, pts):
+    # located indices and one oracle sweep, on a fresh copy of the CAD
+    # (the oracle refines sample intervals in place)
+    cad = copy.deepcopy(cad)
+    located = [locate_point(pt, cad).index for pt in pts]
+    rep = verify_sign_invariance(cad, polys, samples_per_cell=1, seed=7)
+    return located, rep.ok, rep.points_checked
+
+
+@pytest.mark.parametrize("polys, method, radius", [
+    ([X3**2 + Y3**2 + Z3**2 - 4, X3 * Y3 + Z3**2 - 1], "mccallum", 2),
+    ([X3**2 + Y3**2 + Z3**2 - 1, X3 + Y3 + Z3], "mccallum", 1),
+    ([X3**2 + Y3**2 + Z3**2 - 1, X3 + Y3 + Z3], "collins", 1),
+], ids=["sphere-saddle", "sphere-plane", "sphere-plane-collins"])
+def test_certified_stack_roots_match_sorted_route(monkeypatch, polys,
+                                                  method, radius):
+    cad = cad_full(polys, O3, method)
+    pts = _query_points(random.Random(radius), 48, radius)
+    calls = []
+
+    def counting(polys, s):
+        calls.append(len(s))
+        return roots_over_cell(polys, s)
+
+    with monkeypatch.context() as m:
+        m.setattr(cadcore, "roots_over_cell", counting)
+        got = _descents(cad, polys, pts)
+        certified_fallbacks = len(calls)
+        force_sorted_stack_roots(m)
+        want = _descents(cad, polys, pts)
+    assert got == want
+    assert got[1] and got[2] > 0
+    assert certified_fallbacks < len(calls) - certified_fallbacks
+
+
+@pytest.mark.parametrize("seed", [0, 5, 6, 9, 11, 12])
+def test_certified_stack_roots_match_sorted_route_random(monkeypatch, seed):
+    rng = random.Random(seed)
+    for method in ("mccallum", "collins"):
+        order, polys = parse_input(_random_problem(seed))
+        cad = cad_full(polys, order, method)
+        # every all-rational sample point hits its own cell exactly
+        pts = [tuple(co.point_value() for co in c.sample.coords)
+               for c in cad.cells]
+        pts = [pt for pt in pts if None not in pt]
+        pts += [tuple(F(rng.randint(-4 * q, 4 * q), q)
+                      for q in (rng.randint(1, 8) for _ in "xyz"))
+                for _ in range(24)]
+        got = _descents(cad, polys, pts)
+        with monkeypatch.context() as m:
+            force_sorted_stack_roots(m)
+            want = _descents(cad, polys, pts)
+        assert got == want
+        assert got[1]
 
 
 def test_cylindricity_rejects_duplicates():

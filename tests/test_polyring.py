@@ -366,6 +366,23 @@ def test_evaluate_and_substitute():
     assert f.subs_rational_cleared("y", Fraction(0)) == x**2 - 1
 
 
+def test_cleared_value_is_evaluate_times_cleared_denominators():
+    rng = random.Random(11)
+    for _ in range(200):
+        f = random_poly(rng, O3, max_deg=4, max_coeff=9, n_terms=5)
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(3)]
+        den = 1
+        for name, v in zip(O3.names, vals):
+            den *= v.denominator ** f.degree(name)
+        want = f.evaluate(dict(zip(O3.names, vals))) * den
+        assert f.cleared_value(vals) == want
+        # values beyond the levels f involves are not read
+        assert f.cleared_value(vals[:f.level()]) == want
+    x, y = xy()
+    assert (y**2 + x**2 - 1).cleared_value([Fraction(3, 5), Fraction(4, 5)]) == 0
+
+
 def test_rendering_round_trip_shape():
     x, y = xy()
     z3 = MultiPoly.var(O3, "z")
