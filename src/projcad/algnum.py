@@ -30,8 +30,9 @@ at the fiber is decided by sign_at.
 
 When every lower variable the polynomial involves sits at a
 point-valued coordinate (a rational, or a root whose interval has
-collapsed to a point), the point values are substituted once.  That
-gives the polynomial's dense image: a list of integers, a positive
+collapsed to a point), the point values are substituted once, by
+integer Horner with every denominator cleared to one common scale.
+That gives the polynomial's dense image: a list of integers, a positive
 multiple of the polynomial on the fiber.  Its enclosure is the point
 enclosure (the image with every radius 0), on which every decision is
 taken, on integers.  Squarefreeness and coprimality there are exact
@@ -498,30 +499,26 @@ def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
     """Dense image of p in var at the fiber s, lowest degree first, with
     no zero leading entries ([] when p vanishes there).
 
-    Every lower variable of p is substituted by its point value and the
-    denominators are cleared, so the image is a positive multiple of p on
-    the fiber.  None when some lower variable of p sits at a coordinate
-    without a point value; p's interval image is then taken over the
-    boxes (see _root_bound).
+    Every lower variable of p is substituted by its point value, at one
+    common positive scale (each denominator raised to p's degree in its
+    variable), so the coefficients come out of integer Horner
+    (MultiPoly.cleared_coeffs) and the image is a positive multiple of p
+    on the fiber; it is divided by its content.  None when some lower
+    variable of p sits at a coordinate without a point value; p's
+    interval image is then taken over the boxes (see _root_bound).
     """
     order = p.order
     lvl = order.level(var)
-    vals = {}
-    for name in p.variables():
-        j = order.level(name)
-        if j < lvl:
-            v = s.coords[j - 1].point_value()
-            if v is None:
+    vals = [c.point_value() for c in s.coords[:lvl - 1]]
+    if None in vals:
+        # only the levels p involves need a point value
+        for name in p.variables():
+            j = order.level(name)
+            if j < lvl and vals[j - 1] is None:
                 return None
-            vals[name] = v
-    terms = p.coeff_terms(var)
-    vs = [Fraction(0)] * (terms[0][0] + 1 if terms else 0)
-    for e, c in terms:
-        vs[e] = c.evaluate(vals)
-    while vs and vs[-1] == 0:
-        vs.pop()
-    den = math.lcm(*(v.denominator for v in vs)) if vs else 1
-    img = [v.numerator * (den // v.denominator) for v in vs]
+    img = p.cleared_coeffs(var, vals)
+    while img and img[-1] == 0:
+        img.pop()
     g = math.gcd(*img)
     return [c // g for c in img] if g > 1 else img
 

@@ -21,7 +21,11 @@ at the fiber, on integers.  A stack where a resultant vanishes, a
 section polynomial drops degree or a root count differs from the CAD's
 falls back to roots_over_cell, which builds the separable basis at the
 fiber and sorts its roots; a resultant also vanishes at a shared complex
-root, which only that route can split off.
+root, which only that route can split off.  The base stack's fiber is
+empty, so its roots are the same on every descent: they are isolated
+once per CAD, on the first query, kept on it, and every descent gets
+fresh copies, because comparisons bisect the roots they are handed in
+place.
 
 locate_point requires its comparisons against a stack's roots to read
 below, then at most one equal, then above; a stack out of order, a
@@ -44,6 +48,7 @@ from .algnum import (
     SamplePoint,
     _bisect_all,
     _bisect_once,
+    _copy_coord,
     _defining_sign,
     _fiber_image,
     _isolate,
@@ -156,7 +161,21 @@ def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     fill its sections in turn, once cached resultants prove the section
     polynomials squarefree and pairwise coprime there.  Any other stack
     takes roots_over_cell, whose roots come sorted.
+
+    The base stack (prefix ()) has the same empty fiber on every
+    descent, so it is isolated once per CAD and kept on it.  Callers
+    bisect the roots they get in place, so every call gets fresh copies
+    of the isolation as it first came out, never the kept objects.
     """
+    if prefix:
+        return _isolated_stack_roots(cad, prefix, vals)
+    base = cad._base_roots
+    if not base:
+        base.extend(_isolated_stack_roots(cad, (), ()))
+    return [_copy_coord(c, ()) for c in base]
+
+
+def _isolated_stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     refs = cad.section_polys(prefix)
     if not refs:
         return []

@@ -54,6 +54,11 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
 
+# parentheses nested deeper than this are rejected: each level costs four
+# frames of the recursive descent, which must stay well under Python's
+# recursion limit
+_MAX_NESTING = 100
+
 
 def _tokenize(text, lineno):
     pos = 0
@@ -79,6 +84,7 @@ class _ExprParser:
         self.i = 0
         self.order = order
         self.lineno = lineno
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -87,6 +93,14 @@ class _ExprParser:
         tok = self._peek()
         col = tok[2] if tok else (self.toks[-1][2] + 1 if self.toks else 1)
         raise ParseError(msg, self.lineno, col)
+
+    def _int(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:
+            # longer than the interpreter converts from decimal
+            raise ParseError("integer literal of %d digits is too long"
+                             % len(tok[1]), self.lineno, tok[2]) from None
 
     def _eat_op(self, ops):
         tok = self._peek()
@@ -126,7 +140,7 @@ class _ExprParser:
             if tok is None or tok[0] != 1:
                 self._fail("exponent must be a nonnegative integer")
             self.i += 1
-            e = e ** int(tok[1])
+            e = e ** self._int(tok)
         return e
 
     def _atom(self):
@@ -136,7 +150,7 @@ class _ExprParser:
         kind, text, col = tok
         if kind == 1:
             self.i += 1
-            return MultiPoly.const(self.order, int(text))
+            return MultiPoly.const(self.order, self._int(tok))
         if kind == 2:
             if text not in self.order.names:
                 raise ParseError("undeclared variable %r" % text,
@@ -144,10 +158,15 @@ class _ExprParser:
             self.i += 1
             return MultiPoly.var(self.order, text)
         if text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d"
+                                 % _MAX_NESTING, self.lineno, col)
             self.i += 1
+            self.depth += 1
             e = self._expr()
             if not self._eat_op(")"):
                 self._fail("expected ')'")
+            self.depth -= 1
             return e
         self._fail("unexpected %r" % text)
 

@@ -238,9 +238,10 @@ class CAD:
 
     The stack tree is kept as two maps built once, on first use, from
     the cells: index prefix -> section polynomials of the stack over it,
-    and index -> cell.  A third map, empty until the first point query,
-    keeps the resultants of section polynomials that queries evaluate
-    (see cadcore._stack_roots).
+    and index -> cell.  Two caches stay empty until the first point
+    query: the resultants of section polynomials that queries evaluate,
+    and the roots of the base stack, isolated once and handed out as
+    copies (see cadcore._stack_roots).
     """
 
     order: VarOrder
@@ -279,6 +280,10 @@ class CAD:
     @cached_property
     def _resultants(self) -> dict:
         return {}
+
+    @cached_property
+    def _base_roots(self) -> list:
+        return []
 
     def section_polys(self, prefix) -> tuple:
         """Section polynomials of the stack over an index prefix, in

@@ -205,6 +205,49 @@ def _nint_div(node, k: int):
     return (node[0], tuple((e, _nint_div(c, k)) for e, c in node[1]))
 
 
+def _ndegrees(node, degs=None) -> dict:
+    """{level: the node's degree in the variable at that level}, for every
+    level the node involves."""
+    if degs is None:
+        degs = {}
+    if not isinstance(node, int):
+        lvl, terms = node
+        if degs.get(lvl, 0) < terms[0][0]:
+            degs[lvl] = terms[0][0]
+        for _, c in terms:
+            _ndegrees(c, degs)
+    return degs
+
+
+def _nscales(degs: dict, values, top: int) -> list:
+    """scale[l] for l = 0..top: the product of den(values[i - 1])^degs[i]
+    over the levels i <= l."""
+    scale = [1]
+    for lvl in range(1, top + 1):
+        d = degs.get(lvl, 0)
+        scale.append(scale[-1] * values[lvl - 1].denominator ** d
+                     if d else scale[-1])
+    return scale
+
+
+def _ncleared(node, values, degs: dict, scale: list) -> int:
+    """The node's value at the rational point values times scale[its
+    level], by integer Horner."""
+    if isinstance(node, int):
+        return node
+    lvl, terms = node
+    x = values[lvl - 1]
+    u, v = x.numerator, x.denominator
+    top = prev = terms[0][0]
+    acc = 0
+    for e, c in terms:
+        low = 0 if isinstance(c, int) else c[0]
+        acc = (acc * u ** (prev - e) + _ncleared(c, values, degs, scale)
+               * (scale[lvl - 1] // scale[low]) * v ** (top - e))
+        prev = e
+    return acc * u**prev * v ** (degs[lvl] - top)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -484,38 +527,33 @@ class MultiPoly:
         Each denominator is cleared to the polynomial's degree in its
         variable, so the evaluation is integer Horner.
         """
-        degs: dict = {}
+        degs = _ndegrees(self.node)
+        scale = _nscales(degs, values, max(degs, default=0))
+        return _ncleared(self.node, values, degs, scale)
 
-        def degrees(node):
-            if not isinstance(node, int):
-                lvl, terms = node
-                degs[lvl] = max(degs.get(lvl, 0), terms[0][0])
-                for _, c in terms:
-                    degrees(c)
+    def cleared_coeffs(self, var: str, values) -> list[int]:
+        """Coefficients in var, lowest degree first, at a rational point
+        of the lower variables, all times one positive integer: the
+        product of each lower variable's denominator raised to the
+        polynomial's degree in it.  values[l - 1] is the value of the
+        variable at level l, for each lower level the polynomial
+        involves; entries for other levels are never read.
 
-        degrees(self.node)
-        # scale[l]: the product of den(values[i])^degs[i + 1] for i < l
-        scale = [1]
-        for lvl, x in enumerate(values[:max(degs, default=0)], 1):
-            scale.append(scale[-1] * x.denominator ** degs.get(lvl, 0))
-
-        def cleared(node):
-            # the node's value times scale[its level]
-            if isinstance(node, int):
-                return node
-            lvl, terms = node
-            x = values[lvl - 1]
-            u, v = x.numerator, x.denominator
-            top = prev = terms[0][0]
-            acc = 0
-            for e, c in terms:
-                low = 0 if isinstance(c, int) else c[0]
-                acc = (acc * u ** (prev - e) + cleared(c)
-                       * (scale[lvl - 1] // scale[low]) * v ** (top - e))
-                prev = e
-            return acc * u**prev * v ** (degs[lvl] - top)
-
-        return cleared(self.node)
+        The polynomial must not involve variables above var.  Zero
+        coefficients are kept, so the list has deg + 1 entries.
+        """
+        lvl = self.order.level(var)
+        node = self.node
+        if _nlevel(node) > lvl:
+            raise ValueError("polynomial involves variables above %r" % var)
+        terms = node[1] if _nlevel(node) == lvl else ((0, node),)
+        degs = _ndegrees(node)
+        scale = _nscales(degs, values, lvl - 1)
+        out = [0] * (terms[0][0] + 1)
+        for e, c in terms:
+            out[e] = (_ncleared(c, values, degs, scale)
+                      * (scale[-1] // scale[_nlevel(c)]))
+        return out
 
     def subs_rational_cleared(self, var: str, value: Fraction) -> "MultiPoly":
         """Substitute var=value and clear denominators.

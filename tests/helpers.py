@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: deterministic random polynomials,
-the gcd-first sign route, the exact route over algebraic fibers and the
-sorted route for stack roots at query fibers."""
+the gcd-first sign route, the exact route over algebraic fibers, the
+sorted route for stack roots at query fibers and a base stack isolated
+afresh on every descent."""
 
 from __future__ import annotations
 
@@ -84,3 +85,14 @@ def force_sorted_stack_roots(monkeypatch):
     """
     monkeypatch.setattr(cadcore, "_certified_roots",
                         lambda cad, refs, fiber: None)
+
+
+def uncached_base_stack(monkeypatch):
+    """Make every descent isolate the base stack again.
+
+    locate_point and the sign-invariance oracle then take the stack over
+    prefix () from a fresh isolation at each call, as they did before
+    the CAD kept it, instead of from copies of the kept roots.
+    """
+    monkeypatch.setattr(cadcore, "_stack_roots",
+                        cadcore._isolated_stack_roots)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -454,6 +455,54 @@ def test_dense_route_carries_image():
     # the image is a positive multiple of the defining polynomial
     c = sections[1]
     assert c.enclosure == ((-4, 0, 3), (0, 0, 0))
+
+
+def _fraction_image(p, var, values):
+    # the reference: coefficients evaluated on Fractions, then cleared by
+    # the lcm of their denominators and divided by the gcd
+    terms = p.coeff_terms(var)
+    vs = [F(0)] * (terms[0][0] + 1 if terms else 0)
+    for e, c in terms:
+        vs[e] = c.evaluate(values)
+    while vs and vs[-1] == 0:
+        vs.pop()
+    den = math.lcm(*(v.denominator for v in vs)) if vs else 1
+    img = [v.numerator * (den // v.denominator) for v in vs]
+    g = math.gcd(*img)
+    return [c // g for c in img] if g > 1 else img
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["plain", "vanishing-lead", "all-zero", "untouched"]))
+def test_fiber_image_matches_fraction_reference(seed, case):
+    rng = random.Random(seed)
+    var = rng.choice(["y", "z"])
+    lvl = O3.level(var)
+    vals = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(lvl - 1)]
+    lower = O3.names[:lvl - 1]
+    # a lower variable minus its value: zero on the fiber
+    zero = MultiPoly.const(O3, vals[-1].denominator) * MultiPoly.var(
+        O3, lower[-1]) - vals[-1].numerator
+    used = lower[1:] if case == "untouched" else lower
+    p = MultiPoly.zero(O3)
+    for e in range(rng.randint(0, 4), -1, -1):
+        c = random_poly(rng, O3, vars_used=used, max_deg=3, max_coeff=9,
+                        n_terms=3)
+        if case == "vanishing-lead" and e >= 1 and rng.random() < 0.7:
+            c = c * zero
+        p = p + c * MultiPoly.var(O3, var)**e
+    if case == "all-zero":
+        p = p * zero
+    coords = [RationalCoordinate(v) for v in vals]
+    if case == "untouched":
+        # the level p does not involve sits at an irrational coordinate
+        coords[0] = _sqrt2_coord(O3)
+    want = _fraction_image(p, var, {
+        nm: v for nm, v in zip(lower, vals) if nm in used})
+    assert _fiber_image(p, var, SamplePoint(coords)) == want
+    if case == "all-zero":
+        assert want == []
 
 
 def test_split_search_is_bounded():

@@ -26,7 +26,7 @@ from projcad.algnum import (IsolatingInterval, RationalCoordinate,
                             sign_at)
 from projcad.cli import parse_input
 
-from helpers import force_sorted_stack_roots, random_poly
+from helpers import force_sorted_stack_roots, random_poly, uncached_base_stack
 from test_cli import _random_problem
 
 O1 = VarOrder(["x"])
@@ -320,11 +320,15 @@ def _descents(cad, polys, pts):
     return located, rep.ok, rep.points_checked
 
 
-@pytest.mark.parametrize("polys, method, radius", [
+# the three CADs the bench builds, with the radius of their sphere
+_BENCH_CADS = pytest.mark.parametrize("polys, method, radius", [
     ([X3**2 + Y3**2 + Z3**2 - 4, X3 * Y3 + Z3**2 - 1], "mccallum", 2),
     ([X3**2 + Y3**2 + Z3**2 - 1, X3 + Y3 + Z3], "mccallum", 1),
     ([X3**2 + Y3**2 + Z3**2 - 1, X3 + Y3 + Z3], "collins", 1),
 ], ids=["sphere-saddle", "sphere-plane", "sphere-plane-collins"])
+
+
+@_BENCH_CADS
 def test_certified_stack_roots_match_sorted_route(monkeypatch, polys,
                                                   method, radius):
     cad = cad_full(polys, O3, method)
@@ -362,6 +366,64 @@ def test_certified_stack_roots_match_sorted_route_random(monkeypatch, seed):
         got = _descents(cad, polys, pts)
         with monkeypatch.context() as m:
             force_sorted_stack_roots(m)
+            want = _descents(cad, polys, pts)
+        assert got == want
+        assert got[1]
+
+
+def test_base_stack_is_isolated_once_and_copied(monkeypatch):
+    cad = cad_full([X2**2 + Y2**2 - 2], O2)
+    isolated = cadcore._isolated_stack_roots
+    calls = []
+
+    def counting(cad, prefix, vals):
+        calls.append(prefix)
+        return isolated(cad, prefix, vals)
+
+    monkeypatch.setattr(cadcore, "_isolated_stack_roots", counting)
+    first = cadcore._stack_roots(cad, (), [])
+    boxes = [c.box() for c in first]
+    assert len(first) == 2 and all(c.point_value() is None for c in first)
+    # callers bisect the roots they get in place
+    for c in first:
+        refine(c, F(1, 2**20))
+    assert [c.box() for c in first] != boxes
+    again = cadcore._stack_roots(cad, (), [])
+    assert [c.box() for c in again] == boxes
+    assert not any(a is b for a, b in zip(first, again))
+    for pt in ((0, 0), (2, 1), (F(-7, 5), F(1, 3))):
+        locate_point(pt, cad)
+    assert calls.count(()) == 1
+    # a deep copy of a CAD no query has read starts cold
+    fresh = cad_full([X2**2 + Y2**2 - 2], O2)
+    assert copy.deepcopy(fresh)._base_roots == []
+
+
+@_BENCH_CADS
+def test_cached_base_stack_matches_fresh_isolation(monkeypatch, polys,
+                                                   method, radius):
+    cad = cad_full(polys, O3, method)
+    pts = _query_points(random.Random(radius + 10), 48, radius)
+    got = _descents(cad, polys, pts)
+    with monkeypatch.context() as m:
+        uncached_base_stack(m)
+        want = _descents(cad, polys, pts)
+    assert got == want
+    assert got[1] and got[2] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 6, 11])
+def test_cached_base_stack_matches_fresh_isolation_random(monkeypatch, seed):
+    rng = random.Random(seed)
+    for method in ("mccallum", "collins"):
+        order, polys = parse_input(_random_problem(seed))
+        cad = cad_full(polys, order, method)
+        pts = [tuple(F(rng.randint(-4 * q, 4 * q), q)
+                     for q in (rng.randint(1, 8) for _ in "xyz"))
+               for _ in range(24)]
+        got = _descents(cad, polys, pts)
+        with monkeypatch.context() as m:
+            uncached_base_stack(m)
             want = _descents(cad, polys, pts)
         assert got == want
         assert got[1]

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projcad import algnum, cli
 from projcad.algnum import SeparabilityError
@@ -66,6 +68,14 @@ def test_parse_input_reparses_rendered_strings():
     ("vars: x, y\n7\n", 2, 1, "constant"),
     ("vars: x, y\nx + (y\n", 2, 7, "expected ')'"),
     ("vars: x, y\nx y\n", 2, 3, "unexpected"),
+    # past the interpreter's limit on decimal integer conversion
+    pytest.param("vars: x\n" + "9" * 5000 + "*x\n", 2, 1, "too long",
+                 id="long-literal"),
+    pytest.param("vars: x\nx^" + "9" * 5000 + "\n", 2, 3, "too long",
+                 id="long-exponent"),
+    # the 101st parenthesis is past the nesting bound, 100
+    pytest.param("vars: x\n" + "(" * 3000 + "x" + ")" * 3000 + "\n",
+                 2, 101, "nested deeper", id="deep-nesting"),
 ])
 def test_parse_errors(text, line, col, needle):
     with pytest.raises(ParseError) as ei:
@@ -73,6 +83,56 @@ def test_parse_errors(text, line, col, needle):
     assert ei.value.line == line
     assert ei.value.col == col
     assert needle in str(ei.value)
+
+
+def test_parse_nesting_up_to_the_bound():
+    depth = cli._MAX_NESTING
+    _, polys = parse_input("vars: x\n" + "(" * depth + "x - 1"
+                           + ")" * depth + "^2\n")
+    assert str(polys[0]) == "x^2 - 2*x + 1"
+
+
+def test_main_rejects_oversized_input(tmp_path, capsys):
+    # one error line and exit 1, no traceback
+    for body in ("9" * 5000 + "*x", "(" * 3000 + "x" + ")" * 3000):
+        prob = tmp_path / "big.prob"
+        prob.write_text("vars: x\n" + body + "\n")
+        assert main(["compute", "--input", str(prob)]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: line 2, column ")
+        assert cap.err.count("\n") == 1
+
+
+def _parsed_or_rejected(text):
+    try:
+        order, polys = parse_input(text)
+    except ParseError as e:
+        assert e.line >= 1 and e.col >= 1
+        return
+    assert polys and not any(p.is_constant() for p in polys)
+    assert all(set(p.variables()) <= set(order.names) for p in polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=80))
+def test_parse_input_fuzz_arbitrary_text(text):
+    _parsed_or_rejected(text)
+    _parsed_or_rejected("vars: x, y\n" + text)
+
+
+# small exponents only: a nested power of a sum grows its degree
+# geometrically, which is a question of budgets, not of parsing
+_GRAMMAR_TOKENS = ["vars", ":", ",", "x", "y", "z", "vars: x, y", "+", "-",
+                   "*", "^", "(", ")", "0", "1", "2", "3", "10", " ", "\n",
+                   "#", "\t"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=30))
+def test_parse_input_fuzz_grammar_tokens(tokens):
+    _parsed_or_rejected("".join(tokens))
+    _parsed_or_rejected("vars: x, y\n" + "".join(tokens))
 
 
 def test_count_output():

@@ -383,6 +383,29 @@ def test_cleared_value_is_evaluate_times_cleared_denominators():
     assert (y**2 + x**2 - 1).cleared_value([Fraction(3, 5), Fraction(4, 5)]) == 0
 
 
+def test_cleared_coeffs_share_one_scale():
+    rng = random.Random(13)
+    z = MultiPoly.var(O3, "z")
+    for _ in range(200):
+        f = random_poly(rng, O3, max_deg=4, max_coeff=9, n_terms=5)
+        f = f + random_poly(rng, O3, vars_used=("x", "y"), max_deg=2) * z
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(2)]
+        den = 1
+        for name, v in zip(("x", "y"), vals):
+            den *= v.denominator ** f.degree(name)
+        env = dict(zip(("x", "y"), vals))
+        want = [f.coefficient("z", e).evaluate(env) * den
+                for e in range(f.degree("z") + 1)]
+        assert f.cleared_coeffs("z", vals) == want
+    x, y = xy()
+    # a polynomial below var is its own constant coefficient
+    assert (x**2 - 1).cleared_coeffs("y", [Fraction(1, 2)]) == [-3]
+    assert MultiPoly.zero(O2).cleared_coeffs("y", [Fraction(1, 2)]) == [0]
+    with pytest.raises(ValueError):
+        (y - x).cleared_coeffs("x", [])
+
+
 def test_rendering_round_trip_shape():
     x, y = xy()
     z3 = MultiPoly.var(O3, "z")
