@@ -817,10 +817,40 @@ def _coord_points(c1, c2):
     return (c1.point_value() is not None) and (c2.point_value() is not None)
 
 
+def _separation_budget(c1, c2):
+    """One item per look at the boxes of two coordinates: the first at
+    the boxes as they stand, then one per bisection step allowed.
+
+    Distinct roots of an integer polynomial of degree d whose
+    coefficients have b bits lie about 2^-(d b) apart or more (Mahler,
+    Michigan Math. J. 11, 1964), so d * b steps are allowed on top of
+    the fixed floor: d sums the degrees over Q the coordinates can have
+    (the product of the defining degrees down their prefixes) and b the
+    largest coefficient bit lengths among those defining polynomials.
+    The budget is only worked out once a bisection is needed.
+    """
+    yield
+    d = b = 0
+    for c in (c1, c2):
+        if isinstance(c, RationalCoordinate):
+            v = c.value
+            d += 1
+            b += max(v.numerator.bit_length(), v.denominator.bit_length())
+            continue
+        n, bits = 1, 0
+        for r in c.prefix + (c,):
+            if isinstance(r, RootOfCoordinate):
+                n *= r.defining.degree()
+                bits = max(bits, r.defining.height_bits())
+        d += n
+        b += bits
+    yield from range(_MAX_SEPARATION_STEPS + d * b)
+
+
 def _compare_coords(c1, c2) -> int:
     if c1 is c2:
         return 0
-    for _ in range(_MAX_SEPARATION_STEPS):
+    for _ in _separation_budget(c1, c2):
         a1, b1 = c1.box()
         a2, b2 = c2.box()
         if b1 <= a2:
@@ -838,7 +868,7 @@ def _compare_coords(c1, c2) -> int:
 def _gap_sample(c1, c2) -> Fraction:
     """Rational strictly between two ordered roots, with the smallest
     denominator the gap allows."""
-    for _ in range(_MAX_SEPARATION_STEPS):
+    for _ in _separation_budget(c1, c2):
         b1 = c1.box()[1]
         a2 = c2.box()[0]
         if b1 < a2:

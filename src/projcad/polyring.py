@@ -19,7 +19,18 @@ modular gcd, with a leading coefficient that survives the map, proves
 that the gcd has degree 0 in x; the result is then the gcd of the
 contents.  Every other outcome falls back to the exact primitive PRS, so
 results are unchanged (see poly_gcd for the argument).
-finest_squarefree_basis refines incrementally and gcds each pair once.
+finest_squarefree_basis refines incrementally and settles each pair
+once.  It takes each element's modular image once and runs the F_p
+Euclid on copies of the cached images; its elements are primitive, so a
+proof of x-degree 0 there means the gcd is exactly 1 and no contents are
+computed.  squarefree_decomposition does the same for a primitive p
+against p'.  Every modular shortcut goes through _fp_coprime.
+
+Exact and pseudo-division run on nodes, in the main variable of the
+divisor: the leading coefficient is read off the first term, x^k shifts
+exponents, the leading terms, which cancel, are dropped instead of
+computed, and the pseudo-quotient is only built when it is asked for
+(prem does not ask).
 """
 
 from __future__ import annotations
@@ -365,6 +376,15 @@ class MultiPoly:
     def lead_base_coeff(self) -> int:
         return _nlead_base(self.node)
 
+    def height_bits(self) -> int:
+        """Bit length of the largest absolute base coefficient."""
+        def go(node):
+            if isinstance(node, int):
+                return abs(node).bit_length()
+            return max(go(c) for _, c in node[1])
+
+        return go(self.node)
+
     def reductum(self, var: str | None = None) -> "MultiPoly":
         """Strip the leading term in `var` (default: the main variable)."""
         if self.is_constant():
@@ -636,44 +656,50 @@ def poly_to_str(p: MultiPoly) -> str:
 # division
 
 
+def _nexact_div(f, g):
+    """f / g for nodes, g nonzero; raises InexactDivisionError when g
+    does not divide f."""
+    if isinstance(g, int):
+        if g == 1:
+            return f
+        return _nneg(f) if g == -1 else _nint_div(f, g)
+    if _nis_zero(f):
+        return 0
+    lf, lvl = _nlevel(f), g[0]
+    if lf < lvl:
+        raise InexactDivisionError("divisor involves a variable the "
+                                   "dividend does not")
+    if lf > lvl:
+        # divide every coefficient of f (in its main variable) by g
+        return (lf, tuple((e, _nexact_div(c, g)) for e, c in f[1]))
+    # same level: long division in the main variable, each leading
+    # coefficient divided exactly by lc(g)
+    dg, lcg = g[1][0]
+    rest = [(e - dg, _nneg(c)) for e, c in g[1][1:]]
+    r = [0] * (f[1][0][0] + 1)
+    for e, c in f[1]:
+        r[e] = c
+    quo = {}
+    for d in range(len(r) - 1, dg - 1, -1):
+        t = r[d]
+        if _nis_zero(t):
+            continue
+        t = quo[d - dg] = _nexact_div(t, lcg)
+        for e, c in rest:
+            k = e + d
+            r[k] = _nadd(r[k], _nmul(t, c))
+    if any(not _nis_zero(c) for c in r[:dg]):
+        raise InexactDivisionError("division leaves a remainder")
+    return _nmake(lvl, quo)
+
+
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact division f/g; raises InexactDivisionError if g does not divide f."""
+    if f.order != g.order:
+        raise ValueError("mixed variable orders")
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if f.is_zero():
-        return f
-    if g.is_constant():
-        c = g.const_value()
-        if c in (1, -1):
-            return f if c == 1 else -f
-        return MultiPoly(f.order, _nint_div(f.node, c)) if c > 0 else -MultiPoly(
-            f.order, _nint_div(f.node, -c)
-        )
-    lf, lg = f.level(), g.level()
-    if lf < lg:
-        raise InexactDivisionError(f"{g} does not divide {f}")
-    if lf > lg:
-        # divide every coefficient of f (in its main variable) by g
-        lvl, terms = f.node
-        out = {}
-        for e, c in terms:
-            out[e] = exact_div(MultiPoly(f.order, c), g).node
-        return MultiPoly(f.order, _nmake(lvl, out))
-    # same level: univariate long division with recursive coefficient division
-    var = f.mvar()
-    rem = f
-    quo = MultiPoly.zero(f.order)
-    dg = g.degree()
-    lcg = g.lc()
-    xv = MultiPoly.var(f.order, var)
-    while not rem.is_zero() and rem.level() == lf and rem.degree() >= dg:
-        t = exact_div(rem.lc(var), lcg)
-        shift = t * xv ** (rem.degree(var) - dg)
-        quo = quo + shift
-        rem = rem - shift * g
-    if not rem.is_zero():
-        raise InexactDivisionError(f"{g} does not divide {f}")
-    return quo
+    return MultiPoly(f.order, _nexact_div(f.node, g.node))
 
 
 def divides(g: MultiPoly, f: MultiPoly) -> bool:
@@ -684,39 +710,86 @@ def divides(g: MultiPoly, f: MultiPoly) -> bool:
         return False
 
 
+def _npdiv(f, g, want_quo: bool):
+    """(quotient, remainder) of the pseudo-division of node f by node g
+    in g's main variable x; f must not involve variables above x.  The
+    quotient is only built when want_quo (it is None otherwise, unless
+    deg f < deg g, where it is 0).
+
+    Each step drops the leading term of the remainder, which cancels,
+    multiplies the rest by lc(g) and subtracts t * x^k * g without its
+    leading term, by shifting exponents.  Steps whose leading term is
+    already 0 are skipped, and their powers of lc(g) are applied once at
+    the end.
+    """
+    lvl, gterms = g
+    if _nlevel(f) < lvl or f[1][0][0] < gterms[0][0]:
+        return 0, f
+    dg, lcg = gterms[0]
+    rest = [(e - dg, _nneg(c)) for e, c in gterms[1:]]
+    unit = lcg == 1
+    df = f[1][0][0]
+    r = [0] * (df + 1)
+    for e, c in f[1]:
+        r[e] = c
+    quo = [0] * (df - dg + 1) if want_quo else None
+    lazy = df - dg + 1
+    for d in range(df, dg - 1, -1):
+        t = r[d]
+        if _nis_zero(t):
+            continue
+        lazy -= 1
+        if not unit:
+            for i in range(d):
+                if not _nis_zero(r[i]):
+                    r[i] = _nmul(r[i], lcg)
+            if want_quo:
+                for i in range(d - dg + 1, len(quo)):
+                    if not _nis_zero(quo[i]):
+                        quo[i] = _nmul(quo[i], lcg)
+        if want_quo:
+            quo[d - dg] = t
+        for e, c in rest:
+            k = e + d
+            r[k] = _nadd(r[k], _nmul(t, c))
+    if lazy and not unit:
+        m = _npow(lcg, lazy)
+        r = [_nmul(c, m) for c in r[:dg]]
+        if want_quo:
+            quo = [_nmul(c, m) for c in quo]
+    rem = _nmake(lvl, dict(enumerate(r[:dg])))
+    return (_nmake(lvl, dict(enumerate(quo))) if want_quo else None), rem
+
+
+def _pdiv_args(f: MultiPoly, g: MultiPoly, var: str):
+    if f.order != g.order:
+        raise ValueError("mixed variable orders")
+    if g.is_zero():
+        raise ZeroDivisionError("pseudo-division by zero")
+    lvl = f.order.level(var)
+    if g.level() != lvl or f.level() > lvl:
+        raise ValueError("pseudo-division in %r needs a divisor with main "
+                         "variable %r and a dividend free of higher "
+                         "variables" % (var, var))
+    return f.node, g.node
+
+
 def pseudo_division(
     f: MultiPoly, g: MultiPoly, var: str
 ) -> tuple[MultiPoly, MultiPoly]:
     """Pseudo quotient and remainder of f by g in `var`.
 
     lc(g)^(deg f - deg g + 1) * f == quo*g + rem with deg_var(rem) < deg_var(g).
-    If deg f < deg g the result is (0, f).
+    If deg f < deg g the result is (0, f).  var must be g's main
+    variable and f must not involve a higher one (ValueError otherwise).
+    The loop runs on nodes (_npdiv); prem skips the quotient.
     """
-    if g.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero")
-    df, dg = f.degree(var), g.degree(var)
-    if f.is_zero() or df < dg:
-        return MultiPoly.zero(f.order), f
-    lcg = g.lc(var)
-    xv = MultiPoly.var(f.order, var)
-    quo = MultiPoly.zero(f.order)
-    rem = f
-    steps = df - dg + 1
-    dr = df
-    while not rem.is_zero() and (dr := rem.degree(var)) >= dg:
-        t = rem.lc(var) * xv ** (dr - dg)
-        quo = quo * lcg + t
-        rem = rem * lcg - t * g
-        steps -= 1
-    if steps > 0:
-        m = lcg**steps
-        quo = quo * m
-        rem = rem * m
-    return quo, rem
+    quo, rem = _npdiv(*_pdiv_args(f, g, var), True)
+    return MultiPoly(f.order, quo), MultiPoly(f.order, rem)
 
 
 def prem(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    return pseudo_division(f, g, var)[1]
+    return MultiPoly(f.order, _npdiv(*_pdiv_args(f, g, var), False)[1])
 
 
 def pquo(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
@@ -765,13 +838,14 @@ def _nmod_image(node) -> list[int]:
     return out
 
 
-def _coprime_mod_p(f, g) -> bool:
-    """True when the images mod p prove deg_x gcd(f, g) == 0.
+def _fp_coprime(a: list, b: list) -> bool:
+    """True when the dense F_p[x] images a and b (leading coefficient
+    first) prove deg_x gcd == 0 for the polynomials they came from.
 
-    f and g are nodes with the same main variable x.  False means
-    "not proven", never "not coprime"; see poly_gcd for the argument.
+    False means "not proven", never "not coprime"; see poly_gcd for the
+    argument.  Every modular shortcut goes through here.  The lists are
+    used as scratch space, so callers pass copies of images they keep.
     """
-    a, b = _nmod_image(f), _nmod_image(g)
     if a[0] == 0:
         a, b = b, a
         if a[0] == 0:
@@ -794,6 +868,12 @@ def _coprime_mod_p(f, g) -> bool:
                 for j in range(1, nb):
                     a[i + j] = (a[i + j] - q * b[j]) % _MOD_P
         a, b = b, a[len(a) - nb + 1:]
+
+
+def _coprime_mod_p(f, g) -> bool:
+    """True when the images mod p prove deg_x gcd(f, g) == 0, for nodes
+    f and g with the same main variable x."""
+    return _fp_coprime(_nmod_image(f), _nmod_image(g))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -840,6 +920,10 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if pf.degree(var) < pg.degree(var):
         pf, pg = pg, pf
     while not pg.is_zero():
+        if pg.level() < lf:
+            # a primitive remainder free of x is a unit: it divides pf
+            pf = pg
+            break
         r = prem(pf, pg, var)
         pf, pg = pg, r if r.is_zero() else _primitive_of(r, var)
     return (c * pf.sign_normalized()).sign_normalized()
@@ -900,6 +984,10 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     p = primitive_part(f).sign_normalized()
     var = p.mvar()
     dp = p.derivative(var)
+    # p is primitive, so gcd(p, p') is 1 when p' is free of x (deg p is
+    # 1) or the images prove deg_x gcd(p, p') == 0; no contents needed
+    if dp.level() < p.level() or _coprime_mod_p(p.node, dp.node):
+        return [(p, 1)]
     g = poly_gcd(p, dp)
     if g.is_constant():
         return [(p, 1)]
@@ -923,6 +1011,11 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     Output elements are primitive, squarefree, sign-normalized and pairwise
     coprime; every input is an integer constant times a product of powers of
     output elements.  Returned sorted by the canonical key.
+
+    Each element's image mod p (_nmod_image) is taken once, when it
+    enters the basis or, for the item being split, after each division.
+    A pair at one level whose images prove deg_x gcd == 0 is coprime
+    with no gcd; every other pair runs poly_gcd.
     """
     items: list[MultiPoly] = []
     seen = set()
@@ -940,19 +1033,32 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     # b/g and the rest of p are pairwise coprime and b/g, like g, is
     # coprime to every other element.  The coarsest coprime refinement
     # is unique, so the sorted result does not depend on item order.
-    basis: list[MultiPoly] = []
+    # Every element and every p is primitive (Gauss's lemma keeps the
+    # quotients primitive), so when the cached images prove that a pair
+    # at one level has a gcd of x-degree 0, that gcd is exactly 1.
+    basis: list[tuple[MultiPoly, list]] = []
     for p in items:
+        pimg = _nmod_image(p.node)
         refined = []
-        for b in basis:
-            g = p if p.is_constant() else poly_gcd(p, b)
+        for b, bimg in basis:
+            if p.is_constant() or (p.level() == b.level()
+                                   and _fp_coprime(pimg[:], bimg[:])):
+                refined.append((b, bimg))
+                continue
+            g = poly_gcd(p, b)
             if g.is_constant():
-                refined.append(b)
+                refined.append((b, bimg))
                 continue
             g = g.assoc_normalized()
             p = exact_div(p, g)
+            if not p.is_constant():
+                pimg = _nmod_image(p.node)
             qb = exact_div(b, g).assoc_normalized()
-            refined += [g] if qb.is_constant() else [g, qb]
+            refined.append((g, _nmod_image(g.node)))
+            if not qb.is_constant():
+                refined.append((qb, _nmod_image(qb.node)))
         if not p.is_constant():
-            refined.append(p.assoc_normalized())
+            # pimg is the image of p up to sign, which coprimality ignores
+            refined.append((p.assoc_normalized(), pimg))
         basis = refined
-    return sorted(basis)
+    return sorted(b for b, _ in basis)

@@ -1,15 +1,21 @@
 """Shared helpers for the test suite: deterministic random polynomials,
-the gcd-first sign route, the exact route over algebraic fibers, the
-sorted route for stack roots at query fibers and a base stack isolated
-afresh on every descent."""
+reference division on MultiPoly, the PRS route for every gcd, the
+gcd-first sign route, the exact route over algebraic fibers, the sorted
+route for stack roots at query fibers and a base stack isolated afresh
+on every descent."""
 
 from __future__ import annotations
 
 import random
 import sys
 
-from projcad import algnum, cadcore
-from projcad.polyring import MultiPoly, VarOrder
+from projcad import algnum, cadcore, polyring
+from projcad.polyring import (
+    InexactDivisionError,
+    MultiPoly,
+    VarOrder,
+    _nint_div,
+)
 
 
 def random_poly(
@@ -40,6 +46,87 @@ def random_nonconstant(rng, order, **kw) -> MultiPoly:
         p = random_poly(rng, order, **kw)
         if not p.is_constant():
             return p
+
+
+def reference_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Exact division f/g by long division on MultiPoly arithmetic (the
+    route the node-level kernel replaced); raises InexactDivisionError
+    if g does not divide f."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if f.is_zero():
+        return f
+    if g.is_constant():
+        c = g.const_value()
+        if c in (1, -1):
+            return f if c == 1 else -f
+        return MultiPoly(f.order, _nint_div(f.node, c)) if c > 0 else -MultiPoly(
+            f.order, _nint_div(f.node, -c)
+        )
+    lf, lg = f.level(), g.level()
+    if lf < lg:
+        raise InexactDivisionError(f"{g} does not divide {f}")
+    if lf > lg:
+        # divide every coefficient of f (in its main variable) by g
+        lvl, terms = f.node
+        out = {}
+        for e, c in terms:
+            out[e] = reference_exact_div(MultiPoly(f.order, c), g).node
+        return MultiPoly(f.order, polyring._nmake(lvl, out))
+    # same level: univariate long division with recursive coefficient division
+    var = f.mvar()
+    rem = f
+    quo = MultiPoly.zero(f.order)
+    dg = g.degree()
+    lcg = g.lc()
+    xv = MultiPoly.var(f.order, var)
+    while not rem.is_zero() and rem.level() == lf and rem.degree() >= dg:
+        t = reference_exact_div(rem.lc(var), lcg)
+        shift = t * xv ** (rem.degree(var) - dg)
+        quo = quo + shift
+        rem = rem - shift * g
+    if not rem.is_zero():
+        raise InexactDivisionError(f"{g} does not divide {f}")
+    return quo
+
+
+def reference_pseudo_division(
+    f: MultiPoly, g: MultiPoly, var: str
+) -> tuple[MultiPoly, MultiPoly]:
+    """Pseudo quotient and remainder of f by g in var on MultiPoly
+    arithmetic (the route the node-level kernel replaced), in any
+    variable: lc(g)^(deg f - deg g + 1) * f == quo*g + rem."""
+    if g.is_zero():
+        raise ZeroDivisionError("pseudo-division by zero")
+    df, dg = f.degree(var), g.degree(var)
+    if f.is_zero() or df < dg:
+        return MultiPoly.zero(f.order), f
+    lcg = g.lc(var)
+    xv = MultiPoly.var(f.order, var)
+    quo = MultiPoly.zero(f.order)
+    rem = f
+    steps = df - dg + 1
+    while not rem.is_zero() and (dr := rem.degree(var)) >= dg:
+        t = rem.lc(var) * xv ** (dr - dg)
+        quo = quo * lcg + t
+        rem = rem * lcg - t * g
+        steps -= 1
+    if steps > 0:
+        m = lcg**steps
+        quo = quo * m
+        rem = rem * m
+    return quo, rem
+
+
+def force_prs_gcds(monkeypatch):
+    """Switch off every modular shortcut in polyring.
+
+    poly_gcd then runs the primitive PRS on every pair that shares its
+    main variable, and finest_squarefree_basis and
+    squarefree_decomposition no longer prove coprimality from images:
+    each pair their shortcut would have settled goes to poly_gcd.
+    """
+    monkeypatch.setattr(polyring, "_fp_coprime", lambda a, b: False)
 
 
 def force_gcd_first_signs(monkeypatch):

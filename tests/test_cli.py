@@ -140,6 +140,15 @@ def test_count_output():
     assert (out, err, code) == ("13\n", "", 0)
 
 
+@pytest.mark.parametrize("nines", [160, 400])
+def test_count_long_coefficients(nines):
+    # the roots +-sqrt(2)/(10^nines - 1) lie closer together than a
+    # fixed bisection budget can separate
+    text = "vars: x\n(" + "9" * nines + "*x)^2 - 2\n"
+    out, err, code = run_compute(RunConfig(output="count"), text)
+    assert (out, err, code) == ("5\n", "", 0)
+
+
 def test_count_final_oi():
     out, _, code = run_compute(RunConfig(final_oi=True, output="count"),
                                SADDLE)

@@ -17,6 +17,7 @@ from projcad.polyring import (
     exact_div,
     finest_squarefree_basis,
     poly_gcd,
+    pquo,
     prem,
     primitive_part,
     pseudo_division,
@@ -24,7 +25,13 @@ from projcad.polyring import (
     squarefree_part,
 )
 
-from helpers import random_nonconstant, random_poly
+from helpers import (
+    force_prs_gcds,
+    random_nonconstant,
+    random_poly,
+    reference_exact_div,
+    reference_pseudo_division,
+)
 
 O2 = VarOrder(["x", "y"])
 O3 = VarOrder(["x", "y", "z"])
@@ -145,6 +152,70 @@ def test_pseudo_division_identity():
         assert r.degree("y") < g.degree("y") or r.is_zero()
 
 
+def _division_outcome(fn, *args):
+    """fn(*args), or InexactDivisionError when fn raises it."""
+    try:
+        return fn(*args)
+    except InexactDivisionError:
+        return InexactDivisionError
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+def test_division_kernels_match_reference(names):
+    rng = random.Random(2013 + len(names))
+    var = names[-1]
+    counts = {"exact": 0, "inexact": 0, "zero_rem": 0, "short": 0}
+    for _ in range(120):
+        g = random_nonconstant(rng, O3, vars_used=names, max_deg=2,
+                               n_terms=3)
+        if g.mvar() != var:
+            continue
+        a = random_nonconstant(rng, O3, vars_used=names, max_deg=2,
+                               n_terms=3)
+        lower = random_poly(rng, O3, vars_used=names[:-1], max_deg=2,
+                            n_terms=3)
+        fs = [
+            random_poly(rng, O3, vars_used=names, max_deg=4, n_terms=4),
+            lower,  # f below g's level, or a constant
+            MultiPoly.const(O3, rng.randint(-5, 5)),
+            a * g,  # zero remainder, exact quotient a
+            a * g + lower,
+        ]
+        for f in fs:
+            q, r = pseudo_division(f, g, var)
+            assert (q, r) == reference_pseudo_division(f, g, var)
+            assert prem(f, g, var) == r and pquo(f, g, var) == q
+            counts["zero_rem"] += r.is_zero() and not f.is_zero()
+            counts["short"] += f.degree(var) < g.degree(var)
+            got = _division_outcome(exact_div, f, g)
+            assert got == _division_outcome(reference_exact_div, f, g)
+            counts["inexact" if got is InexactDivisionError else "exact"] += 1
+        assert exact_div(a * g, g) == a
+        # divisors below f's level and integer divisors
+        if not lower.is_zero():
+            assert exact_div(a * lower, lower) == a
+            assert (_division_outcome(exact_div, a, lower)
+                    == _division_outcome(reference_exact_div, a, lower))
+        k = rng.choice([-6, -2, -1, 1, 3])
+        c = MultiPoly.const(O3, k)
+        assert exact_div(a * k, c) == a
+        assert (_division_outcome(exact_div, a, c)
+                == _division_outcome(reference_exact_div, a, c))
+    assert min(counts.values()) >= 10, counts
+
+
+def test_pseudo_division_outside_main_variable_raises():
+    x, y = xy()
+    # var is not g's main variable, or f involves a higher variable
+    for f, g, var in [(y**2 + x, x + 1, "y"), (x * y + 1, x - 2, "x"),
+                      (x**2, MultiPoly.const(O2, 3), "x")]:
+        for fn in (pseudo_division, prem, pquo):
+            with pytest.raises(ValueError):
+                fn(f, g, var)
+    with pytest.raises(ZeroDivisionError):
+        prem(x, MultiPoly.zero(O2), "x")
+
+
 def test_gcd_frozen_and_properties():
     x, y = xy()
     assert poly_gcd((x - 1) ** 2 * (x + 2), (x - 1) * (x + 3)) == x - 1
@@ -177,9 +248,9 @@ P = polyring._MOD_P
 
 
 def prs_gcd(f, g):
-    """poly_gcd with the modular coprimality filter switched off."""
+    """poly_gcd with every modular shortcut switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyring, "_coprime_mod_p", lambda f, g: False)
+        force_prs_gcds(mp)
         return poly_gcd(f, g)
 
 
@@ -355,6 +426,48 @@ def test_finest_squarefree_basis_properties():
                         break
                     rem = cand
             assert rem.is_constant()
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+def test_basis_shortcuts_match_prs_route(monkeypatch, names):
+    rng = random.Random(1993 + len(names))
+    calls = []
+    real_gcd = polyring.poly_gcd
+
+    def counting_gcd(f, g):
+        calls.append(1)
+        return real_gcd(f, g)
+
+    monkeypatch.setattr(polyring, "poly_gcd", counting_gcd)
+    fast_calls = prs_calls = 0
+    for _ in range(20):
+        polys = [random_nonconstant(rng, O3, vars_used=names, max_deg=2,
+                                    n_terms=3) for _ in range(3)]
+        polys += [polys[0] * polys[1], polys[2] ** 2 * polys[0]]
+        del calls[:]
+        basis = finest_squarefree_basis(polys)
+        parts = [squarefree_decomposition(p) for p in polys]
+        fast_calls += len(calls)
+        with monkeypatch.context() as m:
+            force_prs_gcds(m)
+            del calls[:]
+            assert finest_squarefree_basis(polys) == basis
+            assert [squarefree_decomposition(p) for p in polys] == parts
+            prs_calls += len(calls)
+    # the shortcuts settle pairs without a gcd
+    assert fast_calls < prs_calls
+
+
+def test_basis_elements_are_primitive():
+    # the image shortcut in finest_squarefree_basis reads a proof of
+    # deg_x gcd == 0 as gcd == 1, which needs every element primitive
+    rng = random.Random(4099)
+    for _ in range(40):
+        polys = [random_nonconstant(rng, O3, max_deg=2, n_terms=3)
+                 for _ in range(3)]
+        polys.append(2 * polys[0] * polys[1])
+        for b in finest_squarefree_basis(polys):
+            assert content(b) == MultiPoly.one(O3)
 
 
 def test_evaluate_and_substitute():

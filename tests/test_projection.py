@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
+from projcad.cli import parse_input
 from projcad.polyring import (
     MultiPoly,
     VarOrder,
+    content,
     content_primitive_part,
     divides,
     exact_div,
@@ -22,6 +25,8 @@ from projcad.projection import (
     reducta_chain,
     truncated_coefficients,
 )
+
+from helpers import force_prs_gcds
 
 O2 = VarOrder(["x", "y"])
 O3 = VarOrder(["x", "y", "z"])
@@ -254,3 +259,53 @@ def test_mccallum_level1_roots_within_collins():
         roots_m = isolate_real_roots(prod_m)
         roots_g = [] if g.is_constant() else isolate_real_roots(g)
         assert len(roots_m) == len(roots_g)
+
+
+# The four dense quadric triples of the benchmark's project workload,
+# with the digest of every basis and the basis sizes per level of their
+# McCallum and Collins projections.
+QUADRIC_TRIPLES = [
+    "-3 +5*z -4*y -1*y^2 -4*x +3*x*y +3*x^2\n"
+    "3 +2*z -2*z^2 -4*y*z +3*y^2 -5*x^2\n"
+    "2*z +2*y +5*y*z -5*y^2 +3*x -1*x*y\n",
+    "-2*z +5*y -4*y*z +1*y^2 -5*x*z -5*x*y\n"
+    "-5 +4*z -5*y*z +2*x^2\n"
+    "-2*z +2*z^2 -5*y*z +4*y^2 -2*x\n",
+    "3*z +3*y^2 +4*x*y\n"
+    "-2 +1*y^2 -2*x -2*x*y +3*x^2 -1*z^2\n"
+    "-5 +2*z +4*z^2 -4*y*z -3*y^2 -1*x -4*x*y +1*x^2\n",
+    "4*y*z +2*y^2 +4*x -2*x^2\n"
+    "-1 -1*z +5*z^2 +3*y +4*y^2 +2*x +5*x*z -5*x*y\n"
+    "3*y^2 -2*z^2\n",
+]
+QUADRIC_PINNED = ("d4f7f6c9b9e497d8",
+                  [[17, 6, 3], [36, 6, 3], [22, 7, 3], [40, 7, 3],
+                   [16, 5, 3], [42, 6, 3], [17, 6, 3], [33, 6, 3]])
+
+
+def _quadric_projections():
+    """(digest, basis sizes, every basis element) of the eight
+    projections of the quadric triples."""
+    digest = hashlib.sha256()
+    sizes, elements = [], []
+    for text in QUADRIC_TRIPLES:
+        order, polys = parse_input("vars: x, y, z\n" + text)
+        for method in ("mccallum", "collins"):
+            P = cad_projection(polys, order, method)
+            sizes.append([len(b) for b in P.by_level])
+            for lvl, basis in enumerate(P.by_level, 1):
+                for p in basis:
+                    digest.update(("%s %d %s\n" % (method, lvl, p)).encode())
+                    elements.append(p)
+    return digest.hexdigest()[:16], sizes, elements
+
+
+def test_quadric_projections_match_prs_route(monkeypatch):
+    digest, sizes, elements = _quadric_projections()
+    assert (digest, sizes) == QUADRIC_PINNED
+    # every basis element is primitive, as the image shortcut needs
+    for p in elements:
+        assert content(p).is_constant()
+        assert content(p).const_value() == 1
+    force_prs_gcds(monkeypatch)
+    assert _quadric_projections()[:2] == QUADRIC_PINNED
