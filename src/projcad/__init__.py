@@ -50,7 +50,6 @@ from .algnum import (
     SeparabilityError,
     fiber_gcd,
     fiber_reduce,
-    fiber_squarefree_part,
     isolate_real_roots,
     refine,
     roots_over_cell,
@@ -110,7 +109,6 @@ __all__ = [
     "exact_div",
     "fiber_gcd",
     "fiber_reduce",
-    "fiber_squarefree_part",
     "finest_squarefree_basis",
     "generate_stack",
     "is_nullified",

@@ -3,8 +3,10 @@
 Coordinates of sample points are either rationals or real roots of
 lower-level polynomials pinned down by an isolating interval.  Every
 decision here reduces to integer polynomial arithmetic plus exact sign
-tests; interval arithmetic is rational and decides a sign only when its
-enclosure excludes 0, so nothing depends on floating point.
+tests; interval arithmetic runs on integers (each box [lo, hi] as
+(lo q, hi q, q), every enclosure at one common positive scale) and
+decides a sign only when its enclosure excludes 0, so nothing depends
+on floating point.
 
 roots_over_cell is the one place a fiber basis is built: each
 polynomial is reduced over the fiber, flattened to its squarefree part
@@ -42,11 +44,13 @@ comes back as an exact rational.  A polynomial that first involves an
 algebraic coordinate but is free of it once reduced over the fiber has
 a dense image too.
 
-A sign at an algebraic coordinate is first read off the current boxes:
-interval evaluation over the isolating intervals as they stand, with no
-refinement.  Every box contains its coordinate, so an enclosure that
-excludes 0 gives the exact sign (the validated-numerics filter of
-Strzebonski, JSC 41, 2006).  Only an enclosure containing 0 goes to the
+A sign at a sample point first substitutes every point-valued
+coordinate in one pass of integer Horner on the polynomial's nodes.
+What is left is read off the current boxes: interval Horner on integers
+over the isolating intervals as they stand, with no refinement.  Every
+box contains its coordinate, so an enclosure that excludes 0 gives the
+exact sign (the validated-numerics filter of Strzebonski, JSC 41,
+2006).  Only an enclosure containing 0 goes to the
 exact zero test, a fiber-local gcd with the coordinate's defining
 polynomial: the defining polynomial may well be reducible (bases are
 only squarefree, not irreducible), so a shared root is detected by a
@@ -67,7 +71,17 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
-from .polyring import MultiPoly, poly_gcd, pquo, prem
+from .polyring import (
+    MultiPoly,
+    _nbox_cleared,
+    _nbox_scales,
+    _ndegrees,
+    _nlevel,
+    _npoint_subs,
+    poly_gcd,
+    pquo,
+    prem,
+)
 
 __all__ = [
     "IsolatingInterval",
@@ -77,7 +91,6 @@ __all__ = [
     "SeparabilityError",
     "fiber_gcd",
     "fiber_reduce",
-    "fiber_squarefree_part",
     "isolate_real_roots",
     "refine",
     "roots_over_cell",
@@ -221,34 +234,32 @@ class SamplePoint:
 def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     """Exact sign of q at the sample point s.
 
-    Rational (and exactly-known root) coordinates are substituted with
-    denominators cleared.  The rest is evaluated over the current boxes
-    of the algebraic coordinates; when that enclosure excludes 0 its sign
-    is the answer, and nothing is refined.  Otherwise the zero decision
-    goes through a fiber gcd with the defining polynomial of the top
-    remaining algebraic coordinate, and a nonzero value is signed by
+    Every coordinate with a point value (a rational, or a root whose
+    interval has collapsed) is substituted in one pass of integer Horner
+    at one common scale, which leaves a positive multiple of q with the
+    other coordinates symbolic.  That is evaluated over their current
+    boxes by integer interval Horner; when the enclosure excludes 0 its
+    sign is the answer, and nothing is refined.  Otherwise the zero
+    decision goes through a fiber gcd with the defining polynomial of the
+    top remaining algebraic coordinate, and a nonzero value is signed by
     interval evaluation under refinement.
     """
-    if q.is_constant():
-        return _sgn(q.const_value())
+    node = q.node
+    if isinstance(node, int):
+        return _sgn(node)
     k = len(s)
-    order = q.order
-    for name in q.variables():
-        if order.level(name) > k:
-            raise ValueError("variable %r is not fixed by the sample point"
-                             % (name,))
-    r = q
-    for name in sorted(r.variables(), key=order.level):
-        coord = s.coords[order.level(name) - 1]
-        v = coord.point_value()
-        if v is not None:
-            r = r.subs_rational_cleared(name, v)
-            if r.is_constant():
-                return _sgn(r.const_value())
+    if node[0] > k:
+        name = next(v for v in q.variables() if q.order.level(v) > k)
+        raise ValueError("variable %r is not fixed by the sample point"
+                         % (name,))
+    node = _npoint_subs(node, [c.point_value() for c in s.coords[:node[0]]])
+    if isinstance(node, int):
+        return _sgn(node)
+    r = MultiPoly(q.order, node)
     sg = _box_sign(r, s)
     if sg is not None:
         return sg
-    j = r.level()
+    j = node[0]
     coord = s.coords[j - 1]
     var = r.mvar()
     pref = s.prefix(j - 1)
@@ -262,16 +273,32 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     return _interval_sign(r, s)
 
 
+def _int_box(coord) -> tuple:
+    """The coordinate's current box [lo, hi] as (lo*q, hi*q, q), q the
+    lcm of the endpoint denominators."""
+    lo, hi = coord.box()
+    q = math.lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (q // lo.denominator),
+            hi.numerator * (q // hi.denominator), q)
+
+
+def _box_enclosure(node, coords) -> tuple:
+    """(lo, hi, K): K > 0, and [lo/K, hi/K] encloses the node's values
+    over the current boxes of coords (coords[l - 1] for level l)."""
+    if isinstance(node, int):
+        return node, node, 1
+    degs = _ndegrees(node)
+    boxes, scale = _nbox_scales(degs, lambda l: _int_box(coords[l - 1]),
+                                node[0])
+    lo, hi = _nbox_cleared(node, boxes, degs, scale)
+    return lo, hi, scale[-1]
+
+
 def _box_sign(r: MultiPoly, s: SamplePoint) -> Optional[int]:
     """Sign of r from the current boxes of the coordinates of s, or None
     when the enclosure contains 0.  Refines nothing; sound because every
     box contains its coordinate."""
-    order = r.order
-    boxes = {}
-    for v in r.variables():
-        lvl = order.level(v)
-        boxes[lvl] = s.coords[lvl - 1].box()
-    lo, hi = _box_eval(r, boxes)
+    lo, hi, _ = _box_enclosure(r.node, s.coords)
     if lo > 0:
         return 1
     if hi < 0:
@@ -302,63 +329,6 @@ def _bisect_all(coords) -> bool:
             _bisect_once(c)
             progressed = True
     return progressed
-
-
-def _box_eval(f: MultiPoly, boxes):
-    """Interval evaluation of f over rational boxes keyed by level."""
-    if f.is_constant():
-        v = Fraction(f.const_value())
-        return (v, v)
-    x = boxes[f.level()]
-    var = f.mvar()
-    acc = None
-    prev_e = None
-    for e, c in f.coeff_terms(var):
-        cv = _box_eval(c, boxes)
-        if acc is None:
-            acc = cv
-        else:
-            acc = _iadd(_imul(acc, _ipow(x, prev_e - e)), cv)
-        prev_e = e
-    if prev_e:
-        acc = _imul(acc, _ipow(x, prev_e))
-    return acc
-
-
-def _iadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _imul(a, b):
-    # the endpoint signs say which two of the four endpoint products are
-    # the extremes; only two intervals that both straddle 0 need all four
-    a0, a1 = a
-    b0, b1 = b
-    if a0 >= 0:
-        if b0 >= 0:
-            return (a0 * b0, a1 * b1)
-        if b1 <= 0:
-            return (a1 * b0, a0 * b1)
-        return (a1 * b0, a1 * b1)
-    if a1 <= 0:
-        if b0 >= 0:
-            return (a0 * b1, a1 * b0)
-        if b1 <= 0:
-            return (a1 * b1, a0 * b0)
-        return (a0 * b1, a0 * b0)
-    if b0 >= 0:
-        return (a0 * b1, a1 * b1)
-    if b1 <= 0:
-        return (a1 * b0, a0 * b0)
-    return (min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1))
-
-
-def _ipow(x, k: int):
-    # k >= 1
-    acc = x
-    for _ in range(k - 1):
-        acc = _imul(acc, x)
-    return acc
 
 
 def _defining_sign(coord: RootOfCoordinate, x: Fraction) -> int:
@@ -431,24 +401,32 @@ def _strip(p: MultiPoly) -> MultiPoly:
 
 
 def fiber_reduce(f: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
-    """Drop leading coefficients of f (in var) that vanish at s."""
-    for e, c in f.coeff_terms(var):
-        if sign_at(c, s) != 0:
-            return _truncated(f, var, e)
+    """Drop leading coefficients of f (in var) that vanish at s.  f must
+    not involve variables above var."""
+    lvl = f.order.level(var)
+    node = f.node
+    if _nlevel(node) < lvl:
+        if f.is_zero() or sign_at(f, s) != 0:
+            return f
+        return MultiPoly.zero(f.order)
+    if node[0] > lvl:
+        raise ValueError("%s involves variables above %r" % (f, var))
+    for e, c in node[1]:
+        if sign_at(MultiPoly(f.order, c), s) != 0:
+            return _truncated(f, e)
     return MultiPoly.zero(f.order)
 
 
-def _truncated(f: MultiPoly, var: str, top: int) -> MultiPoly:
-    """f without its terms of degree above `top` in var (0 for top < 0)."""
-    terms = f.coeff_terms(var)
+def _truncated(f: MultiPoly, top: int) -> MultiPoly:
+    """f without its terms of degree above `top` in its main variable (0
+    for top < 0)."""
+    lvl, terms = f.node
     if terms[0][0] <= top:
         return f
-    xv = MultiPoly.var(f.order, var)
-    acc = MultiPoly.zero(f.order)
-    for e, c in terms:
-        if e <= top:
-            acc = acc + c * xv**e
-    return acc
+    rest = tuple(t for t in terms if t[0] <= top)
+    if not rest:
+        return MultiPoly.zero(f.order)
+    return MultiPoly(f.order, (lvl, rest) if rest[0][0] else rest[0][1])
 
 
 def fiber_gcd(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
@@ -475,20 +453,6 @@ def fiber_gcd(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint) -> MultiPoly
             return _strip(b)
         r = _strip(r)
         a, b = b, r
-
-
-def fiber_squarefree_part(f: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:
-    """Squarefree part of f over the fiber, via the pseudo-quotient by
-    gcd(f, f'); exact up to a fiber-nonzero constant factor."""
-    f = fiber_reduce(f, var, s)
-    if f.is_zero():
-        raise ValueError("polynomial vanishes identically over the fiber")
-    if f.degree(var) == 0:
-        return _strip(f)
-    g = fiber_gcd(f, f.derivative(var), var, s)
-    if g.degree(var) == 0:
-        return _strip(f)
-    return _fiber_quo(f, g, var, s)
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +544,21 @@ def _changes(signs) -> int:
 # arithmetic is skipped when every radius is 0.
 
 
-def _coeff_enclosure(terms, boxes) -> tuple:
-    """Enclosure of the coefficients (e, c) in `terms` over the boxes,
-    scaled to integers."""
-    d = terms[0][0]
-    lo = [Fraction(0)] * (d + 1)
-    hi = [Fraction(0)] * (d + 1)
+def _coeff_enclosure(node, coords) -> tuple:
+    """Enclosure of the coefficients of the node in its main variable
+    over the current boxes of coords, all at one integer scale."""
+    lvl, terms = node
+    degs = _ndegrees(node)
+    boxes, scale = _nbox_scales(degs, lambda l: _int_box(coords[l - 1]),
+                                lvl - 1)
+    base = scale[-1]
+    mid = [0] * (terms[0][0] + 1)
+    rad = [0] * (terms[0][0] + 1)
     for e, c in terms:
-        lo[e], hi[e] = _box_eval(c, boxes)
-    den = math.lcm(*(v.denominator for v in lo + hi))
-    lo = [v.numerator * (den // v.denominator) for v in lo]
-    hi = [v.numerator * (den // v.denominator) for v in hi]
-    mid = [l + h for l, h in zip(lo, hi)]
-    rad = [h - l for l, h in zip(lo, hi)]
+        lo, hi = _nbox_cleared(c, boxes, degs, scale)
+        k = base // scale[_nlevel(c)]
+        mid[e] = (lo + hi) * k
+        rad[e] = (hi - lo) * k
     g = math.gcd(*mid, *rad) or 1
     return tuple(v // g for v in mid), tuple(v // g for v in rad)
 
@@ -652,26 +618,21 @@ def _enclosure_bound(enc) -> Fraction:
 def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
     """(B, enclosure): every real root of g at the fiber lies strictly
     inside (-B, B), B = 1 + max |c_i| / |lc| over the coefficients'
-    enclosure, which comes back too."""
-    terms = g.coeff_terms(var)
-    order = g.order
-    names = set()
-    for _, c in terms:
-        names.update(c.variables())
-    coords = {order.level(v): s.coords[order.level(v) - 1] for v in names}
+    enclosure, which comes back too.  var is g's main variable."""
+    node = g.node
+    lvl, terms = node
     if len(terms) == 1:
-        boxes = {lvl: c.box() for lvl, c in coords.items()}
-        return Fraction(1), _coeff_enclosure(terms, boxes)
+        return Fraction(1), _coeff_enclosure(node, s.coords)
     # shrink until the leading coefficient's box excludes zero, then
     # bound the others by their current boxes
     lead = terms[0][1]
+    coords = [s.coords[l - 1] for l in sorted(_ndegrees(node)) if l < lvl]
     for _ in range(_MAX_SEPARATION_STEPS):
-        boxes = {lvl: c.box() for lvl, c in coords.items()}
-        llo, lhi = _box_eval(lead, boxes)
+        llo, lhi, _ = _box_enclosure(lead, s.coords)
         if llo > 0 or lhi < 0:
-            enc = _coeff_enclosure(terms, boxes)
+            enc = _coeff_enclosure(node, s.coords)
             return _enclosure_bound(enc), enc
-        if not _bisect_all(coords.values()):
+        if not _bisect_all(coords):
             raise ArithmeticError(
                 "leading coefficient of %s vanishes at the fiber" % (g,))
     raise ArithmeticError(
@@ -942,7 +903,7 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
         if img is None:
             r = fiber_reduce(p, var, s)
         else:
-            r = _truncated(p, var, len(img) - 1)
+            r = _truncated(p, len(img) - 1)
         if r.is_zero():
             raise ValueError(
                 "polynomial vanishes identically over the cell: %s" % (p,))

@@ -208,29 +208,38 @@ def parse_input(text):
 # rendering
 
 
-def _coord_json(coord):
+def _poly_str(p, strs: dict) -> str:
+    """str(p), rendered once per dict: many samples share a polynomial."""
+    out = strs.get(p)
+    if out is None:
+        out = strs[p] = str(p)
+    return out
+
+
+def _coord_json(coord, strs: dict):
     v = coord.point_value()
     if v is not None:
         return {"rational": str(v)}
     lo, hi = coord.box()
-    return {"rootOf": str(coord.defining),
+    return {"rootOf": _poly_str(coord.defining, strs),
             "interval": [str(lo), str(hi)]}
 
 
-def _cell_json(cell):
+def _cell_json(cell, strs: dict):
     return {
         "index": list(cell.index),
         "dimension": cell.dimension(),
-        "sample": [_coord_json(c) for c in cell.sample.coords],
+        "sample": [_coord_json(c, strs) for c in cell.sample.coords],
     }
 
 
-def _coord_text(coord):
+def _coord_text(coord, strs: dict):
     v = coord.point_value()
     if v is not None:
         return str(v)
     lo, hi = coord.box()
-    return "root of %s in (%s, %s)" % (coord.defining, lo, hi)
+    return "root of %s in (%s, %s)" % (_poly_str(coord.defining, strs),
+                                      lo, hi)
 
 
 def _square_factor(k: int) -> int:
@@ -325,6 +334,7 @@ def render_output(cad: CAD, fmt: str) -> str:
     count."""
     if fmt == "count":
         return "%d\n" % len(cad.cells)
+    strs: dict = {}
     if fmt == "json":
         doc = {
             "variables": list(cad.order.names),
@@ -335,14 +345,15 @@ def render_output(cad: CAD, fmt: str) -> str:
                 {"cell": list(idx), "polynomial": str(p)}
                 for idx, p in cad.warnings
             ],
-            "cells": [_cell_json(c) for c in cad.cells],
+            "cells": [_cell_json(c, strs) for c in cad.cells],
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "text":
         lines = []
         for c in cad.cells:
             idx = ",".join(str(k) for k in c.index)
-            sample = ", ".join(_coord_text(co) for co in c.sample.coords)
+            sample = ", ".join(_coord_text(co, strs)
+                               for co in c.sample.coords)
             lines.append("%s | %d | %s" % (idx, c.dimension(), sample))
         return "\n".join(lines) + "\n"
     if fmt == "piecewise":

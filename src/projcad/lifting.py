@@ -159,8 +159,8 @@ def is_nullified(p: MultiPoly, cell) -> bool:
         return True
     if p.is_constant():
         return False
-    for _, c in p.coeff_terms(p.mvar()):
-        if sign_at(c, s) != 0:
+    for _, c in p.node[1]:
+        if sign_at(MultiPoly(p.order, c), s) != 0:
             return False
     return True
 

@@ -31,6 +31,16 @@ divisor: the leading coefficient is read off the first term, x^k shifts
 exponents, the leading terms, which cancel, are dropped instead of
 computed, and the pseudo-quotient is only built when it is asked for
 (prem does not ask).
+
+Evaluation at rational points is integer Horner on nodes at one common
+scale: each level's denominator raised to the polynomial's degree in
+that level (_nscales).  _ncleared evaluates at a point, and
+_npoint_subs substitutes the levels that have a value in one pass and
+leaves the others symbolic (subs_rational_cleared is its one-variable
+case).  _nbox_cleared encloses a node's values over boxes the same way:
+each box [lo, hi] comes as (lo q, hi q, q), q the lcm of the endpoint
+denominators, and the enclosure comes out times the product of q^deg
+over the levels (_nbox_scales), with _imul on integer endpoints.
 """
 
 from __future__ import annotations
@@ -232,12 +242,13 @@ def _ndegrees(node, degs=None) -> dict:
 
 def _nscales(degs: dict, values, top: int) -> list:
     """scale[l] for l = 0..top: the product of den(values[i - 1])^degs[i]
-    over the levels i <= l."""
+    over the levels i <= l whose value is not None."""
     scale = [1]
     for lvl in range(1, top + 1):
         d = degs.get(lvl, 0)
-        scale.append(scale[-1] * values[lvl - 1].denominator ** d
-                     if d else scale[-1])
+        x = values[lvl - 1] if d else None
+        scale.append(scale[-1] * x.denominator ** d
+                     if x is not None else scale[-1])
     return scale
 
 
@@ -257,6 +268,138 @@ def _ncleared(node, values, degs: dict, scale: list) -> int:
                * (scale[lvl - 1] // scale[low]) * v ** (top - e))
         prev = e
     return acc * u**prev * v ** (degs[lvl] - top)
+
+
+def _nscale(node, k: int):
+    """The node times a nonzero integer k."""
+    if isinstance(node, int):
+        return node * k
+    return (node[0], tuple((e, _nscale(c, k)) for e, c in node[1]))
+
+
+def _nsubs_cleared(node, values, degs: dict, scale: list, pt: int,
+                   sym: int):
+    """The node with the variable at each level l that has a value
+    values[l - 1] (not None) substituted, times scale[its level]; the
+    other levels stay symbolic.  The node involves no point-valued level
+    below pt and no symbolic level below sym, so a node below pt comes
+    back as it is and one below sym is a value, by _ncleared.  Point
+    levels are summed as c_e u^e v^(deg - e) on nodes."""
+    if isinstance(node, int):
+        return node
+    lvl, terms = node
+    if lvl < pt:
+        return node
+    if lvl < sym:
+        return _ncleared(node, values, degs, scale)
+    x = values[lvl - 1]
+    base = scale[lvl - 1]
+    if x is None:
+        out = {}
+        for e, c in terms:
+            r = _nsubs_cleared(c, values, degs, scale, pt, sym)
+            k = base // scale[_nlevel(c)]
+            out[e] = _nscale(r, k) if k != 1 else r
+        return _nmake(lvl, out)
+    u, v = x.numerator, x.denominator
+    d = degs[lvl]
+    acc = 0
+    for e, c in terms:
+        k = base // scale[_nlevel(c)] * u**e * v ** (d - e)
+        if k:
+            r = _nsubs_cleared(c, values, degs, scale, pt, sym)
+            acc = _nadd(acc, _nscale(r, k))
+    return acc
+
+
+def _npoint_subs(node, values):
+    """The node with every level l whose value values[l - 1] is not None
+    substituted, times the positive integer product of den(values[l - 1])
+    raised to the node's degree at l over those levels: one pass of
+    integer Horner for the point levels, with the others left symbolic.
+    values covers every level up to the node's own."""
+    if isinstance(node, int):
+        return node
+    degs = _ndegrees(node)
+    pt = sym = node[0] + 1
+    for lvl in degs:
+        if values[lvl - 1] is None:
+            sym = min(sym, lvl)
+        else:
+            pt = min(pt, lvl)
+    scale = _nscales(degs, values, node[0])
+    return _nsubs_cleared(node, values, degs, scale, pt, sym)
+
+
+def _imul(a, b):
+    """Product of the intervals a = (a0, a1) and b = (b0, b1)."""
+    # the endpoint signs say which two of the four endpoint products are
+    # the extremes; only two intervals that both straddle 0 need all four
+    a0, a1 = a
+    b0, b1 = b
+    if a0 >= 0:
+        if b0 >= 0:
+            return (a0 * b0, a1 * b1)
+        if b1 <= 0:
+            return (a1 * b0, a0 * b1)
+        return (a1 * b0, a1 * b1)
+    if a1 <= 0:
+        if b0 >= 0:
+            return (a0 * b1, a1 * b0)
+        if b1 <= 0:
+            return (a1 * b1, a0 * b0)
+        return (a0 * b1, a0 * b0)
+    if b0 >= 0:
+        return (a0 * b1, a1 * b1)
+    if b1 <= 0:
+        return (a1 * b0, a0 * b0)
+    return (min(a0 * b1, a1 * b0), max(a0 * b0, a1 * b1))
+
+
+def _nbox_cleared(node, boxes, degs: dict, scale: list) -> tuple:
+    """Enclosure (lo, hi) of the node's values over integer boxes, times
+    scale[its level], by interval Horner on integers.
+
+    boxes[l - 1] = (a, b, q) stands for the box [a/q, b/q] of the
+    variable at level l, and scale[l] is the product of q^degs[i] over
+    the levels i <= l (see _nbox_scales).  Interval products are exact
+    set products, so x^k is folded in one factor of x at a time.
+    """
+    if isinstance(node, int):
+        return node, node
+    lvl, terms = node
+    a, b, q = boxes[lvl - 1]
+    x = (a, b)
+    base = scale[lvl - 1]
+    d = prev = terms[0][0]
+    acc = (0, 0)
+    for e, c in terms:
+        for _ in range(prev - e):
+            acc = _imul(acc, x)
+        lo, hi = _nbox_cleared(c, boxes, degs, scale)
+        k = base // scale[_nlevel(c)] * q ** (d - e)
+        acc = (acc[0] + lo * k, acc[1] + hi * k)
+        prev = e
+    for _ in range(prev):
+        acc = _imul(acc, x)
+    k = q ** (degs[lvl] - d)
+    return acc[0] * k, acc[1] * k
+
+
+def _nbox_scales(degs: dict, box, top: int):
+    """(boxes, scale) for _nbox_cleared up to level top: box(l) gives the
+    integer box (a, b, q) of the level-l variable, asked once for each
+    level the node involves."""
+    boxes = [None] * top
+    scale = [1]
+    for lvl in range(1, top + 1):
+        d = degs.get(lvl, 0)
+        if d:
+            bx = boxes[lvl - 1] = box(lvl)
+            scale.append(scale[-1] * bx[2] ** d)
+        else:
+            scale.append(scale[-1])
+    return boxes, scale
 
 
 # ---------------------------------------------------------------------------
@@ -579,16 +722,16 @@ class MultiPoly:
         """Substitute var=value and clear denominators.
 
         Returns den(value)^deg * f(var=value), an integer polynomial with
-        the same sign and zero set at any point as the true substitution.
+        the same sign and zero set at any point as the true substitution;
+        deg is the degree in var.  One pass on nodes (_npoint_subs).
         """
-        value = Fraction(value)
-        u, v = value.numerator, value.denominator
-        terms = self.coeff_terms(var)
-        d = terms[0][0] if terms else 0
-        acc = MultiPoly.zero(self.order)
-        for e, c in terms:
-            acc = acc + c * (u**e) * (v ** (d - e))
-        return acc
+        lvl = self.order.level(var)
+        node = self.node
+        if _nlevel(node) < lvl:
+            return self
+        values = [None] * node[0]
+        values[lvl - 1] = Fraction(value)
+        return MultiPoly(self.order, _npoint_subs(node, values))
 
     # -- rendering
 

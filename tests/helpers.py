@@ -1,19 +1,23 @@
 """Shared helpers for the test suite: deterministic random polynomials,
-reference division on MultiPoly, the PRS route for every gcd, the
-gcd-first sign route, the exact route over algebraic fibers, the sorted
-route for stack roots at query fibers and a base stack isolated afresh
-on every descent."""
+reference division, substitution and interval evaluation on MultiPoly
+and Fractions, the PRS route for every gcd, the gcd-first and the
+sequential-substitution sign routes, the exact route over algebraic
+fibers, the sorted route for stack roots at query fibers, a base stack
+isolated afresh on every descent, and the fiber squarefree part."""
 
 from __future__ import annotations
 
+import math
 import random
 import sys
+from fractions import Fraction
 
 from projcad import algnum, cadcore, polyring
 from projcad.polyring import (
     InexactDivisionError,
     MultiPoly,
     VarOrder,
+    _imul,
     _nint_div,
 )
 
@@ -183,3 +187,140 @@ def uncached_base_stack(monkeypatch):
     """
     monkeypatch.setattr(cadcore, "_stack_roots",
                         cadcore._isolated_stack_roots)
+
+
+def reference_subs_rational_cleared(f: MultiPoly, var: str, value) -> MultiPoly:
+    """den(value)^deg * f(var=value) on MultiPoly arithmetic, in any
+    variable (the route the node substitution replaced)."""
+    value = Fraction(value)
+    u, v = value.numerator, value.denominator
+    terms = f.coeff_terms(var)
+    d = terms[0][0] if terms else 0
+    acc = MultiPoly.zero(f.order)
+    for e, c in terms:
+        acc = acc + c * (u**e) * (v ** (d - e))
+    return acc
+
+
+def _iadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _ipow(x, k: int):
+    # k >= 1
+    acc = x
+    for _ in range(k - 1):
+        acc = _imul(acc, x)
+    return acc
+
+
+def reference_box_eval(f: MultiPoly, boxes):
+    """Interval evaluation of f over rational boxes keyed by level, on
+    Fractions (the evaluator the integer kernel replaced)."""
+    if f.is_constant():
+        v = Fraction(f.const_value())
+        return (v, v)
+    x = boxes[f.level()]
+    var = f.mvar()
+    acc = None
+    prev_e = None
+    for e, c in f.coeff_terms(var):
+        cv = reference_box_eval(c, boxes)
+        if acc is None:
+            acc = cv
+        else:
+            acc = _iadd(_imul(acc, _ipow(x, prev_e - e)), cv)
+        prev_e = e
+    if prev_e:
+        acc = _imul(acc, _ipow(x, prev_e))
+    return acc
+
+
+def reference_coeff_enclosure(terms, boxes) -> tuple:
+    """Enclosure of the coefficients (e, c) in `terms` over rational
+    boxes keyed by level, scaled to integers by the lcm of the
+    denominators (the route the integer kernel replaced)."""
+    d = terms[0][0]
+    lo = [Fraction(0)] * (d + 1)
+    hi = [Fraction(0)] * (d + 1)
+    for e, c in terms:
+        lo[e], hi[e] = reference_box_eval(c, boxes)
+    den = math.lcm(*(v.denominator for v in lo + hi))
+    lo = [v.numerator * (den // v.denominator) for v in lo]
+    hi = [v.numerator * (den // v.denominator) for v in hi]
+    mid = [l + h for l, h in zip(lo, hi)]
+    rad = [h - l for l, h in zip(lo, hi)]
+    g = math.gcd(*mid, *rad) or 1
+    return tuple(v // g for v in mid), tuple(v // g for v in rad)
+
+
+def _reference_box_sign(r: MultiPoly, s) -> int | None:
+    boxes = {}
+    for v in r.variables():
+        lvl = r.order.level(v)
+        boxes[lvl] = s.coords[lvl - 1].box()
+    lo, hi = reference_box_eval(r, boxes)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return None
+
+
+def _reference_sign_at(q: MultiPoly, s) -> int:
+    # one variable at a time through subs_rational_cleared, boxes on
+    # Fractions; every call below goes through the patched module names
+    if q.is_constant():
+        return algnum._sgn(q.const_value())
+    k = len(s)
+    order = q.order
+    for name in q.variables():
+        if order.level(name) > k:
+            raise ValueError("variable %r is not fixed by the sample point"
+                             % (name,))
+    r = q
+    for name in sorted(r.variables(), key=order.level):
+        v = s.coords[order.level(name) - 1].point_value()
+        if v is not None:
+            r = reference_subs_rational_cleared(r, name, v)
+            if r.is_constant():
+                return algnum._sgn(r.const_value())
+    sg = algnum._box_sign(r, s)
+    if sg is not None:
+        return sg
+    j = r.level()
+    coord = s.coords[j - 1]
+    var = r.mvar()
+    pref = s.prefix(j - 1)
+    g = algnum.fiber_gcd(r, coord.defining, var, pref)
+    if g.degree(var) >= 1:
+        iv = coord.interval
+        slo = algnum.sign_at(reference_subs_rational_cleared(g, var, iv.lo),
+                             pref)
+        shi = algnum.sign_at(reference_subs_rational_cleared(g, var, iv.hi),
+                             pref)
+        if slo * shi < 0:
+            return 0
+    return algnum._interval_sign(r, s)
+
+
+def sequential_substitution_signs(monkeypatch):
+    """Make sign_at substitute point values one variable at a time on
+    MultiPoly arithmetic and take box signs on Fractions, as it did
+    before the one-pass node substitution and the integer kernel."""
+    monkeypatch.setattr(algnum, "sign_at", _reference_sign_at)
+    monkeypatch.setattr(algnum, "_box_sign", _reference_box_sign)
+
+
+def fiber_squarefree_part(f: MultiPoly, var: str, s) -> MultiPoly:
+    """Squarefree part of f over the fiber, via the pseudo-quotient by
+    gcd(f, f'); exact up to a fiber-nonzero constant factor."""
+    f = algnum.fiber_reduce(f, var, s)
+    if f.is_zero():
+        raise ValueError("polynomial vanishes identically over the fiber")
+    if f.degree(var) == 0:
+        return algnum._strip(f)
+    g = algnum.fiber_gcd(f, f.derivative(var), var, s)
+    if g.degree(var) == 0:
+        return algnum._strip(f)
+    return algnum._fiber_quo(f, g, var, s)

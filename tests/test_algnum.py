@@ -16,6 +16,8 @@ from projcad.algnum import (
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
+    _box_enclosure,
+    _coeff_enclosure,
     _enclosure_sign,
     _enclosure_variations,
     _fiber_image,
@@ -30,7 +32,6 @@ from projcad.algnum import (
     _variations_poly,
     fiber_gcd,
     fiber_reduce,
-    fiber_squarefree_part,
     isolate_real_roots,
     refine,
     roots_over_cell,
@@ -39,10 +40,14 @@ from projcad.algnum import (
 from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
 from helpers import (
+    fiber_squarefree_part,
     force_exact_fiber_decisions,
     force_gcd_first_signs,
     random_nonconstant,
     random_poly,
+    reference_box_eval,
+    reference_coeff_enclosure,
+    sequential_substitution_signs,
 )
 
 O1 = VarOrder(["x"])
@@ -310,6 +315,122 @@ def test_filtered_sign_matches_gcd_first(monkeypatch):
             assert sg == planted
     assert sum(1 for q, s, _ in cases if len(s) == 2) >= 40
     assert {-1, 0, 1} <= set(filtered)
+
+
+def _random_box(rng, kind):
+    def rat():
+        return F(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 8, 12)))
+
+    if kind == "point":
+        v = rat()
+        return v, v
+    if kind == "zero-end":
+        v = abs(rat()) or F(1, 3)
+        return (F(0), v) if rng.random() < 0.5 else (-v, F(0))
+    if kind == "straddle":
+        return -(abs(rat()) or F(1, 2)), abs(rat()) or F(5, 4)
+    if kind == "negative":
+        a, b = sorted((-(abs(rat()) or F(1, 7)), -(abs(rat()) or F(2))))
+        return a, b
+    a, b = sorted((rat(), rat()))
+    return a, b
+
+
+_BOX_KINDS = ("point", "zero-end", "straddle", "negative", "any")
+X3, Y3, Z3 = (MultiPoly.var(O3, v) for v in "xyz")
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_box_enclosures_match_fraction_reference(nvars):
+    # the integer kernel divided by its scale is the Fraction evaluator's
+    # enclosure exactly, and the coefficient enclosure equals the lcm
+    # route tuple for tuple
+    rng = random.Random(4242 + nvars)
+    names = O3.names[:nvars]
+    kinds_seen = set()
+    for _ in range(150):
+        f = random_poly(rng, O3, vars_used=names, max_deg=4, max_coeff=9,
+                        n_terms=5)
+        kinds = [rng.choice(_BOX_KINDS) for _ in names]
+        kinds_seen.update(kinds)
+        boxes = {lvl: _random_box(rng, k)
+                 for lvl, k in enumerate(kinds, start=1)}
+        coords = [RootOfCoordinate(X3, IsolatingInterval(*boxes[lvl]))
+                  for lvl in range(1, nvars + 1)]
+        lo, hi, k = _box_enclosure(f.node, coords)
+        assert k > 0
+        assert (F(lo, k), F(hi, k)) == reference_box_eval(f, boxes)
+        if f.level() >= 2:
+            assert _coeff_enclosure(f.node, coords) == (
+                reference_coeff_enclosure(f.coeff_terms(f.mvar()), boxes))
+    assert kinds_seen == set(_BOX_KINDS)
+
+
+def _mixed_point(rng, algebraic):
+    # a sample point with a random rational where algebraic[l - 1] is
+    # False and a random irrational root over the point below elsewhere
+    s = SamplePoint(())
+    for lvl, alg in enumerate(algebraic, start=1):
+        if not alg:
+            s = s.extend(RationalCoordinate(
+                F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))))
+            continue
+        while True:
+            f = random_nonconstant(rng, O3, vars_used=O3.names[:lvl],
+                                   max_deg=3, max_coeff=5, n_terms=4)
+            if f.level() != lvl:
+                continue
+            roots = _irrational_roots([f], s)
+            if roots:
+                s = s.extend(rng.choice(roots))
+                break
+    return s
+
+
+def test_sign_at_matches_sequential_substitution(monkeypatch):
+    # one-pass substitution and integer boxes against the old route:
+    # variable by variable on MultiPoly, boxes on Fractions, each on its
+    # own copy of the point; signs and fiber gcd counts must agree
+    rng = random.Random(2718)
+    cases = []
+    patterns = [tuple(bool(b >> i & 1) for i in range(n))
+                for n in (1, 2, 3) for b in range(2**n)]
+    for pattern in patterns * 2:
+        s = _mixed_point(rng, pattern)
+        names = O3.names[:len(pattern)]
+        for _ in range(5):
+            q = random_poly(rng, O3, vars_used=names, max_deg=3,
+                            max_coeff=6, n_terms=4)
+            cases.append((q, s, None))
+        for c in s.coords:
+            if isinstance(c, RootOfCoordinate):
+                h = random_nonconstant(rng, O3, vars_used=names, max_deg=1,
+                                       max_coeff=3, n_terms=2)
+                cases.append((h * c.defining, s, 0))
+    gcd = algnum.fiber_gcd
+
+    def run():
+        calls = []
+
+        def counting_gcd(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(algnum, "fiber_gcd", counting_gcd)
+            signs = [algnum.sign_at(q, _copy_point(s)) for q, s, _ in cases]
+        return signs, len(calls)
+
+    signs, gcds = run()
+    with monkeypatch.context() as m:
+        sequential_substitution_signs(m)
+        ref_signs, ref_gcds = run()
+    assert signs == ref_signs
+    assert gcds == ref_gcds > 0
+    for (_, _, planted), sg in zip(cases, signs):
+        if planted is not None:
+            assert sg == planted
+    assert {-1, 0, 1} <= set(signs)
 
 
 # ---------------------------------------------------------------------------

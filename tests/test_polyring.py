@@ -31,6 +31,7 @@ from helpers import (
     random_poly,
     reference_exact_div,
     reference_pseudo_division,
+    reference_subs_rational_cleared,
 )
 
 O2 = VarOrder(["x", "y"])
@@ -477,6 +478,29 @@ def test_evaluate_and_substitute():
     g = f.subs_rational_cleared("x", Fraction(1, 2))
     assert g == 4 * y**2 - 3
     assert f.subs_rational_cleared("y", Fraction(0)) == x**2 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_subs_rational_cleared_matches_reference(seed):
+    # the node substitution against the MultiPoly loop, in the main
+    # variable and in each lower one, at negative, zero and non-integer
+    # values; the two are equal, not just proportional
+    rng = random.Random(seed)
+    values = [Fraction(-3), Fraction(0), Fraction(2), Fraction(-7, 4),
+              Fraction(5, 6), Fraction(-1, 9)]
+    seen = set()
+    for _ in range(60):
+        f = random_poly(rng, O3, max_deg=3, max_coeff=9, n_terms=5)
+        for var in O3.names:
+            v = rng.choice(values)
+            got = f.subs_rational_cleared(var, v)
+            assert got == reference_subs_rational_cleared(f, var, v)
+            if not f.is_constant():
+                seen.add(("main" if var == f.mvar() else
+                          "lower" if O3.level(var) < f.level() else "above",
+                          v < 0, v.denominator > 1))
+    assert {("main", True, True), ("lower", True, True),
+            ("main", False, True), ("lower", False, False)} <= seen
 
 
 def test_cleared_value_is_evaluate_times_cleared_denominators():
