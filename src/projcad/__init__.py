@@ -28,11 +28,8 @@ from .polyring import (
 from .subresultants import (
     discriminant,
     psc_chain,
-    psc_chain_minors,
     psd_chain,
     resultant,
-    sylvester_matrix,
-    sylvester_resultant,
 )
 from .projection import (
     ProjectionLevels,
@@ -121,7 +118,6 @@ __all__ = [
     "proj_collins",
     "proj_mccallum",
     "psc_chain",
-    "psc_chain_minors",
     "psd_chain",
     "pseudo_division",
     "pquo",
@@ -132,8 +128,6 @@ __all__ = [
     "sign_at",
     "squarefree_decomposition",
     "squarefree_part",
-    "sylvester_matrix",
-    "sylvester_resultant",
     "truncated_coefficients",
     "verify_sign_invariance",
 ]

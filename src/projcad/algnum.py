@@ -37,10 +37,13 @@ integer Horner with every denominator cleared to one common scale.
 That gives the polynomial's dense image: a list of integers, a positive
 multiple of the polynomial on the fiber.  Its enclosure is the point
 enclosure (the image with every radius 0), on which every decision is
-taken, on integers.  Squarefreeness and coprimality there are exact
-gcds of images (the fiber gcd that splits two polynomials runs only
-when their images share a factor), and the root of a linear polynomial
-comes back as an exact rational.  A polynomial that first involves an
+taken, on integers.  Squarefreeness and coprimality there are first
+tried by polyring's coprimality certificate on the images
+(_images_coprime: one integer gcd of their values at a point above
+their roots); only a pair it does not prove goes to the fiber gcd,
+which is exact and, with every coordinate the pair involves
+point-valued, refines no box.  The root of a linear polynomial comes
+back as an exact rational.  A polynomial that first involves an
 algebraic coordinate but is free of it once reduced over the fiber has
 a dense image too.
 
@@ -73,6 +76,7 @@ from typing import Iterable, Optional
 
 from .polyring import (
     MultiPoly,
+    _images_coprime,
     _nbox_cleared,
     _nbox_scales,
     _ndegrees,
@@ -861,18 +865,12 @@ def _simplest_pos(a: Fraction, b: Fraction) -> Fraction:
     return fa + 1 / _simplest_pos(1 / yb, 1 / ya)
 
 
-def _images_coprime(order, var: str, img_f, img_g) -> bool:
-    """Whether two dense images at a fiber are coprime."""
-    return poly_gcd(MultiPoly.from_coeffs(order, var, img_f),
-                    MultiPoly.from_coeffs(order, var, img_g)).is_constant()
-
-
 def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
     """Squarefree part of r, reduced over the fiber, there (r itself when
     it is squarefree), and its dense image.  The gcd of r and r' that
     tests squarefreeness is the divisor."""
     if img is not None and _images_coprime(
-            r.order, var, img, [i * c for i, c in enumerate(img)][1:]):
+            img, [i * c for i, c in enumerate(img)][1:]):
         return r, img
     h = fiber_gcd(r, r.derivative(var), var, s)
     if h.degree(var) == 0:
@@ -921,7 +919,7 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
         for g, img_g in basis.items():
             if f.degree(var) < 1 or (
                     img_f is not None and img_g is not None
-                    and _images_coprime(f.order, var, img_f, img_g)):
+                    and _images_coprime(img_f, img_g)):
                 merged[g] = img_g
                 continue
             h = fiber_gcd(f, g, var, s)

@@ -411,8 +411,11 @@ def run_compute(cfg: RunConfig, text: str):
         out = render_output(cad, cfg.output)
     except NotWellOrientedError as e:
         return "", "error: %s\n" % e, 2
-    except (SeparabilityError, IntegrityError, ArithmeticError) as e:
-        # an internal failure, not bad input: one line, no traceback
+    except (SeparabilityError, IntegrityError, ArithmeticError,
+            ValueError) as e:
+        # an internal failure, not bad input: one line, no traceback.  A
+        # ValueError also comes from str() of an output number longer
+        # than sys.get_int_max_str_digits() allows
         return "", "error: %s: %s\n" % (
             type(e).__name__, " ".join(str(e).split())), 3
     for idx, p in cad.warnings:

@@ -12,19 +12,36 @@ Canonical-form invariants: no zero coefficients, the top exponent is >= 1,
 and every coefficient node lives at a strictly smaller level.  Two
 polynomials over the same VarOrder are equal iff their nodes are equal.
 
-Most gcds met in projection are trivial, so poly_gcd first tries to prove
-coprimality cheaply: it evaluates the lower variables at a fixed point,
-reduces modulo a fixed prime and runs Euclid in F_p[x].  A constant
-modular gcd, with a leading coefficient that survives the map, proves
-that the gcd has degree 0 in x; the result is then the gcd of the
-contents.  Every other outcome falls back to the exact primitive PRS, so
-results are unchanged (see poly_gcd for the argument).
-finest_squarefree_basis refines incrementally and settles each pair
-once.  It takes each element's modular image once and runs the F_p
-Euclid on copies of the cached images; its elements are primitive, so a
-proof of x-degree 0 there means the gcd is exactly 1 and no contents are
-computed.  squarefree_decomposition does the same for a primitive p
-against p'.  Every modular shortcut goes through _fp_coprime.
+Most gcds met in projection are trivial, so every coprimality shortcut
+first tries one exact certificate, the evaluation idea of the heuristic
+gcd (Char, Geddes and Gonnet, JSC 7, 1989) made one-sided by a root
+bound.  For f and g with the same main variable x:
+
+1. Every lower variable is mapped to a fixed integer per level
+   (_cert_point, in [1009, 9199]; it avoids 0, +-1 and +-2, common roots
+   of leading coefficients).  This gives dense images F, G in Z[x].
+2. At least one leading coefficient must survive the map; otherwise
+   nothing is proven.
+3. R = 2 + max|c_i| // |lc| (Cauchy), taken over the images whose
+   leading coefficient survived, so every complex root a of such an
+   image has |a| < R.
+4. xi = 2^(bitlen(R) + 32).  If gcd(F(xi), G(xi)) < xi - R, then
+   deg_x gcd(f, g) == 0 (_coprime_at).
+
+Proof: suppose h divides f and g and has positive degree in x, and say
+lc_x f survives.  lc_x h divides lc_x f, so the image H of h keeps that
+degree, and its roots are among those of F, so |H(xi)| >= prod |xi - a|
+> (xi - R)^deg >= xi - R.  H divides F and G in Z[x], so H(xi) divides
+F(xi) and G(xi), and F(xi) != 0 because xi > R.  Hence H(xi) divides
+their gcd, which is then at least xi - R, against step 4.
+
+The certificate only ever answers "proven coprime" or "not proven"; an
+unproven pair takes the exact primitive PRS, so no result depends on it.
+poly_gcd, squarefree_decomposition (a primitive p against p') and
+algnum's dense fiber images (_images_coprime) run it on fresh images.
+finest_squarefree_basis fixes one xi per call and keeps each element's
+value there, so a pair test is one integer gcd; its elements are
+primitive, so a proof of x-degree 0 means the gcd is 1.
 
 Exact and pseudo-division run on nodes, in the main variable of the
 divisor: the leading coefficient is read off the first term, x^k shifts
@@ -408,7 +425,8 @@ def _nbox_scales(degs: dict, box, top: int):
 class MultiPoly:
     """An immutable multivariate polynomial over the integers."""
 
-    __slots__ = ("order", "node")
+    # _key caches sort_key, set on first use
+    __slots__ = ("order", "node", "_key")
 
     def __init__(self, order: VarOrder, node):
         self.order = order
@@ -628,7 +646,11 @@ class MultiPoly:
         return hash((self.order, self.node))
 
     def sort_key(self):
-        return _nkey(self.node)
+        try:
+            return self._key
+        except AttributeError:
+            self._key = key = _nkey(self.node)
+            return key
 
     def __lt__(self, other):
         if not isinstance(other, MultiPoly):
@@ -949,91 +971,83 @@ def _int_poly_gcd(c: int, g: MultiPoly) -> MultiPoly:
     return MultiPoly.const(g.order, math.gcd(abs(c), g.int_content()))
 
 
-# The modular coprimality filter maps the variable at level i to
-# _mod_point(i) and reduces modulo the Mersenne prime _MOD_P.
-_MOD_P = (1 << 61) - 1
+def _cert_point(level: int) -> int:
+    """The fixed integer the certificate gives the variable at level."""
+    return 1000003 * level % 8191 + 1009
 
 
-def _mod_point(level: int) -> int:
-    """Fixed nonzero value in F_p given to the variable at `level`."""
-    return level * 0x9E3779B97F4A7C15 % _MOD_P
-
-
-def _nmod_eval(node) -> int:
-    """Image of a node in F_p under every variable -> _mod_point(level)."""
+def _ncert_value(node) -> int:
+    """The node's value with every variable at its _cert_point."""
     if isinstance(node, int):
-        return node % _MOD_P
-    v = _mod_point(node[0])
+        return node
+    v = _cert_point(node[0])
     acc, prev = 0, node[1][0][0]
     for e, c in node[1]:
-        acc = (acc * pow(v, prev - e, _MOD_P) + _nmod_eval(c)) % _MOD_P
+        acc = acc * v ** (prev - e) + _ncert_value(c)
         prev = e
-    return acc * pow(v, prev, _MOD_P) % _MOD_P
+    return acc * v**prev
 
 
-def _nmod_image(node) -> list[int]:
-    """Dense image in F_p[x] of a node in its main variable x (only the
-    lower variables are evaluated), leading coefficient first."""
-    top = node[1][0][0]
-    out = [0] * (top + 1)
+def _ncert_image(node) -> list[int]:
+    """Dense image in Z[x] of a node in its main variable x, lowest
+    degree first, with every lower variable at its _cert_point."""
+    out = [0] * (node[1][0][0] + 1)
     for e, c in node[1]:
-        out[top - e] = _nmod_eval(c)
+        out[e] = _ncert_value(c)
     return out
 
 
-def _fp_coprime(a: list, b: list) -> bool:
-    """True when the dense F_p[x] images a and b (leading coefficient
-    first) prove deg_x gcd == 0 for the polynomials they came from.
-
-    False means "not proven", never "not coprime"; see poly_gcd for the
-    argument.  Every modular shortcut goes through here.  The lists are
-    used as scratch space, so callers pass copies of images they keep.
-    """
-    if a[0] == 0:
-        a, b = b, a
-        if a[0] == 0:
-            return False
-    # Euclid in F_p[x]; a keeps a nonzero leading coefficient throughout
-    while True:
-        while b and b[0] == 0:
-            del b[0]
-        if not b:
-            return False
-        if len(b) == 1:
-            return True
-        if len(a) < len(b):
-            a, b = b, a
-        inv = pow(b[0], -1, _MOD_P)
-        nb = len(b)
-        for i in range(len(a) - nb + 1):
-            q = a[i] * inv % _MOD_P
-            if q:
-                for j in range(1, nb):
-                    a[i + j] = (a[i + j] - q * b[j]) % _MOD_P
-        a, b = b, a[len(a) - nb + 1:]
+def _cert_radius(img):
+    """Cauchy's R for a dense image, lowest degree first: every complex
+    root a has |a| < R.  None when the leading coefficient vanished."""
+    lc = abs(img[-1])
+    return 2 + max(map(abs, img)) // lc if lc else None
 
 
-def _coprime_mod_p(f, g) -> bool:
-    """True when the images mod p prove deg_x gcd(f, g) == 0, for nodes
-    f and g with the same main variable x."""
-    return _fp_coprime(_nmod_image(f), _nmod_image(g))
+def _value_at_pow2(img, shift: int) -> int:
+    """img(2^shift) for a dense image, lowest degree first."""
+    acc = 0
+    for c in reversed(img):
+        acc = (acc << shift) + c
+    return acc
+
+
+def _coprime_at(vf: int, vg: int, xi: int, radius: int) -> bool:
+    """Step 4 of the certificate (module docstring): True when the values
+    vf, vg of two images at xi prove deg_x gcd == 0, given that R =
+    radius bounds the roots of an image whose leading coefficient
+    survived.  Every coprimality shortcut goes through here."""
+    return math.gcd(vf, vg) < xi - radius
+
+
+def _images_coprime(img_f, img_g) -> bool:
+    """True when the dense images in Z[x], lowest degree first, of f and
+    g under one map of their lower variables prove deg_x gcd(f, g) == 0;
+    False means "not proven", never "not coprime"."""
+    radii = [r for r in map(_cert_radius, (img_f, img_g)) if r is not None]
+    if not radii:
+        return False
+    r = max(radii)
+    shift = r.bit_length() + 32
+    return _coprime_at(_value_at_pow2(img_f, shift),
+                       _value_at_pow2(img_g, shift), 1 << shift, r)
+
+
+def _nodes_coprime(f, g) -> bool:
+    """The certificate for nodes f and g with the same main variable."""
+    return _images_coprime(_ncert_image(f), _ncert_image(g))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Sign-normalized gcd over the integers (primitive PRS).
 
-    When f and g share their main variable x, a modular filter runs
-    before the PRS (Brown, JACM 18, 1971).  Every lower variable is set
-    to a fixed value and everything is reduced modulo the prime
-    p = 2^61 - 1; a Euclid loop in F_p[x], bounded by the degrees, then
-    gives gcd(phi(f), phi(g)).  Let h = gcd(f, g) and suppose phi(lc_x f)
-    is nonzero.  Then h | f gives lc_x f = lc_x h * lc_x(f/h), so phi
-    keeps the x-degree of h, and phi(h) divides both images.  If their
-    gcd is constant, deg_x h = 0, and gcd(f, g) is exactly
-    gcd(content(f), content(g)).  The same holds with g in place of f.
-    If both leading coefficients vanish under phi, or the modular gcd
-    is not constant (a common factor or an unlucky point or prime), the
-    PRS runs as before: the filter only ever proves coprimality.
+    When f and g share their main variable x, the coprimality
+    certificate of the module docstring runs first: one integer gcd of
+    the images' values at a point above their roots.  A proof that
+    deg_x gcd(f, g) == 0 makes the result exactly gcd(content(f),
+    content(g)).  Otherwise (both leading coefficients vanish at the
+    fixed point, the pair shares a factor, or the point is unlucky) the
+    primitive PRS runs: the certificate only ever proves coprimality.
     """
     if f.order != g.order:
         raise ValueError("mixed variable orders")
@@ -1054,11 +1068,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if lf > lg:
         # g involves only smaller variables: reduce f to its full content
         return poly_gcd(content(f), g)
-    if _coprime_mod_p(f.node, g.node):
+    if _nodes_coprime(f.node, g.node):
         return poly_gcd(content(f), content(g))
     var = f.order.name(lf)
-    cf, pf = content(f), primitive_part(f)
-    cg, pg = content(g), primitive_part(g)
+    cf, pf = content_primitive_part(f)
+    cg, pg = content_primitive_part(g)
     c = poly_gcd(cf, cg)
     if pf.degree(var) < pg.degree(var):
         pf, pg = pg, pf
@@ -1087,8 +1101,14 @@ def content(f: MultiPoly) -> MultiPoly:
         raise ValueError("content of zero polynomial")
     if f.is_constant():
         return MultiPoly.const(f.order, abs(f.const_value()))
+    terms = f.node[1]
+    if any(isinstance(c, int) for _, c in terms):
+        # the content divides an integer coefficient, so it is the
+        # integer content
+        return MultiPoly.const(f.order, _nicontent(f.node))
     cont = None
-    for _, coef in f.coeff_terms():
+    for _, c in terms:
+        coef = MultiPoly(f.order, c)
         cont = coef.sign_normalized() if cont is None else poly_gcd(cont, coef)
         if cont.is_constant() and cont.const_value() == 1:
             break
@@ -1128,8 +1148,9 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     var = p.mvar()
     dp = p.derivative(var)
     # p is primitive, so gcd(p, p') is 1 when p' is free of x (deg p is
-    # 1) or the images prove deg_x gcd(p, p') == 0; no contents needed
-    if dp.level() < p.level() or _coprime_mod_p(p.node, dp.node):
+    # 1) or the certificate proves deg_x gcd(p, p') == 0; no contents
+    # needed
+    if dp.level() < p.level() or _nodes_coprime(p.node, dp.node):
         return [(p, 1)]
     g = poly_gcd(p, dp)
     if g.is_constant():
@@ -1155,10 +1176,15 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     coprime; every input is an integer constant times a product of powers of
     output elements.  Returned sorted by the canonical key.
 
-    Each element's image mod p (_nmod_image) is taken once, when it
-    enters the basis or, for the item being split, after each division.
-    A pair at one level whose images prove deg_x gcd == 0 is coprime
-    with no gcd; every other pair runs poly_gcd.
+    The certificate of the module docstring runs with one xi per call,
+    above the largest radius R of the items, and with xi - R as the one
+    bound.  Each element carries its image's value at xi and whether its
+    leading coefficient survived the map, which puts every root of its
+    image below R; a factor's image has its roots among those of the
+    image it divides, so the pieces of a split inherit that: g = gcd(p, b)
+    from p or b, p/g from p and b/g from b.  A pair at one level where
+    either side survived is proven coprime by one integer gcd of two
+    cached values; every other pair runs poly_gcd.
     """
     items: list[MultiPoly] = []
     seen = set()
@@ -1170,6 +1196,15 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
             if h not in seen:
                 seen.add(h)
                 items.append(h)
+    images = [_ncert_image(p.node) for p in items]
+    radii = [_cert_radius(img) for img in images]
+    rmax = max((r for r in radii if r is not None), default=1)
+    shift = rmax.bit_length() + 32
+    xi = 1 << shift
+
+    def value(p):
+        return _value_at_pow2(_ncert_image(p.node), shift)
+
     # Incremental refinement (Bach, Driscoll and Shallit, J. Algorithms
     # 15, 1993): basis stays pairwise coprime, and each new item p is
     # split against each element once.  All items are squarefree, so g,
@@ -1177,31 +1212,31 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     # coprime to every other element.  The coarsest coprime refinement
     # is unique, so the sorted result does not depend on item order.
     # Every element and every p is primitive (Gauss's lemma keeps the
-    # quotients primitive), so when the cached images prove that a pair
+    # quotients primitive), so when the certificate proves that a pair
     # at one level has a gcd of x-degree 0, that gcd is exactly 1.
-    basis: list[tuple[MultiPoly, list]] = []
-    for p in items:
-        pimg = _nmod_image(p.node)
+    basis: list[tuple[MultiPoly, int, bool]] = []
+    for p, img, rp in zip(items, images, radii):
+        vp, sp = _value_at_pow2(img, shift), rp is not None
         refined = []
-        for b, bimg in basis:
-            if p.is_constant() or (p.level() == b.level()
-                                   and _fp_coprime(pimg[:], bimg[:])):
-                refined.append((b, bimg))
+        for b, vb, sb in basis:
+            if p.is_constant() or (p.level() == b.level() and (sp or sb)
+                                   and _coprime_at(vp, vb, xi, rmax)):
+                refined.append((b, vb, sb))
                 continue
             g = poly_gcd(p, b)
             if g.is_constant():
-                refined.append((b, bimg))
+                refined.append((b, vb, sb))
                 continue
             g = g.assoc_normalized()
             p = exact_div(p, g)
             if not p.is_constant():
-                pimg = _nmod_image(p.node)
+                vp = value(p)
             qb = exact_div(b, g).assoc_normalized()
-            refined.append((g, _nmod_image(g.node)))
+            refined.append((g, value(g), sp or sb))
             if not qb.is_constant():
-                refined.append((qb, _nmod_image(qb.node)))
+                refined.append((qb, value(qb), sb))
         if not p.is_constant():
-            # pimg is the image of p up to sign, which coprimality ignores
-            refined.append((p.assoc_normalized(), pimg))
+            # vp is the value of p up to sign, which coprimality ignores
+            refined.append((p.assoc_normalized(), vp, sp))
         basis = refined
-    return sorted(b for b, _ in basis)
+    return sorted(b for b, _, _ in basis)

@@ -1,10 +1,10 @@
 """Resultants, discriminants and principal subresultant coefficients.
 
-Two independent routes are provided.  The production route runs a
-subresultant polynomial remainder sequence with Lazard's division-controlled
-updates; the determinant route builds Sylvester-style minors and evaluates
-them by fraction-free (Bareiss) elimination.  The determinant route is the
-test oracle and both must agree exactly, signs included.
+All of them come from a subresultant polynomial remainder sequence with
+Lazard's division-controlled updates.  The independent determinant route
+(Sylvester-style minors by fraction-free Bareiss elimination) lives in
+the test suite as the reference, and both must agree exactly, signs
+included.
 
 Conventions.  For f of degree n and g of degree m in the variable v, the
 j-th principal subresultant coefficient psc_j(f, g) is the determinant of
@@ -16,12 +16,7 @@ v^(n+m-j-1) ... v^j.  psc_0 is the Sylvester resultant.  The empty matrix
 
 from __future__ import annotations
 
-from .polyring import (
-    MultiPoly,
-    VarOrder,
-    exact_div,
-    prem,
-)
+from .polyring import MultiPoly, exact_div, prem
 
 
 def _check_pair(f: MultiPoly, g: MultiPoly, var: str) -> tuple[int, int]:
@@ -35,84 +30,8 @@ def _check_pair(f: MultiPoly, g: MultiPoly, var: str) -> tuple[int, int]:
     return n, m
 
 
-# ---------------------------------------------------------------------------
-# determinant route (test oracle)
-
-
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    """The (n+m) x (n+m) Sylvester matrix of f and g in `var`."""
-    n, m = _check_pair(f, g, var)
-    return _psc_matrix(f, g, var, 0)
-
-
-def _psc_matrix(f, g, var, j) -> list[list[MultiPoly]]:
-    n, m = f.degree(var), g.degree(var)
-    fc = {e: c for e, c in f.coeff_terms(var)}
-    gc = {e: c for e, c in g.coeff_terms(var)}
-    zero = MultiPoly.zero(f.order)
-    cols = list(range(n + m - j - 1, j - 1, -1))
-    rows: list[list[MultiPoly]] = []
-    for k in range(m - j - 1, -1, -1):  # v^k * f
-        rows.append([fc.get(c - k, zero) for c in cols])
-    for k in range(n - j - 1, -1, -1):  # v^k * g
-        rows.append([gc.get(c - k, zero) for c in cols])
-    return rows
-
-
-def _det_bareiss(mat: list[list[MultiPoly]], order: VarOrder) -> MultiPoly:
-    """Fraction-free determinant; entries are polynomials, divisions exact."""
-    n = len(mat)
-    if n == 0:
-        return MultiPoly.one(order)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = MultiPoly.one(order)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next(
-                (r for r in range(k + 1, n) if not m[r][k].is_zero()), None
-            )
-            if pivot is None:
-                return MultiPoly.zero(order)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for jj in range(k + 1, n):
-                m[i][jj] = exact_div(
-                    m[i][jj] * m[k][k] - m[i][k] * m[k][jj], prev
-                )
-            m[i][k] = MultiPoly.zero(order)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant as the Sylvester determinant (independent oracle route)."""
-    n, m = _check_pair(f, g, var)
-    if m == 0:
-        return g**n
-    if n == 0:
-        return f**m
-    return _det_bareiss(_psc_matrix(f, g, var, 0), f.order)
-
-
-def psc_chain_minors(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
-    """psc_0..psc_min(n,m) via determinant minors (test oracle route)."""
-    n, m = _check_pair(f, g, var)
-    lo = min(n, m)
-    out = []
-    for j in range(lo + 1):
-        out.append(_det_bareiss(_psc_matrix(f, g, var, j), f.order))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# production route: subresultant PRS
-
-
 def psc_chain(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
-    """psc_0..psc_min(n,m) via the subresultant PRS (production route)."""
+    """psc_0..psc_min(n,m) via the subresultant PRS."""
     n, m = _check_pair(f, g, var)
     if m == 0:
         return [g**n]
@@ -171,7 +90,7 @@ def _psc_chain_desc(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant via the subresultant PRS (production route)."""
+    """Resultant via the subresultant PRS."""
     return psc_chain(f, g, var)[0]
 
 

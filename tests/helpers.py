@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: deterministic random polynomials,
 reference division, substitution and interval evaluation on MultiPoly
-and Fractions, the PRS route for every gcd, the gcd-first and the
+and Fractions, the determinant route to resultants and psc chains, the
+PRS route for every gcd, the gcd-first and the
 sequential-substitution sign routes, the exact route over algebraic
 fibers, the sorted route for stack roots at query fibers, a base stack
 isolated afresh on every descent, and the fiber squarefree part."""
@@ -19,7 +20,9 @@ from projcad.polyring import (
     VarOrder,
     _imul,
     _nint_div,
+    exact_div,
 )
+from projcad.subresultants import _check_pair
 
 
 def random_poly(
@@ -122,15 +125,82 @@ def reference_pseudo_division(
     return quo, rem
 
 
+def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
+    """The (n+m) x (n+m) Sylvester matrix of f and g in `var`."""
+    _check_pair(f, g, var)
+    return _psc_matrix(f, g, var, 0)
+
+
+def _psc_matrix(f, g, var, j) -> list[list[MultiPoly]]:
+    n, m = f.degree(var), g.degree(var)
+    fc = {e: c for e, c in f.coeff_terms(var)}
+    gc = {e: c for e, c in g.coeff_terms(var)}
+    zero = MultiPoly.zero(f.order)
+    cols = list(range(n + m - j - 1, j - 1, -1))
+    rows: list[list[MultiPoly]] = []
+    for k in range(m - j - 1, -1, -1):  # v^k * f
+        rows.append([fc.get(c - k, zero) for c in cols])
+    for k in range(n - j - 1, -1, -1):  # v^k * g
+        rows.append([gc.get(c - k, zero) for c in cols])
+    return rows
+
+
+def _det_bareiss(mat: list[list[MultiPoly]], order: VarOrder) -> MultiPoly:
+    """Fraction-free determinant; entries are polynomials, divisions exact."""
+    n = len(mat)
+    if n == 0:
+        return MultiPoly.one(order)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = MultiPoly.one(order)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next(
+                (r for r in range(k + 1, n) if not m[r][k].is_zero()), None
+            )
+            if pivot is None:
+                return MultiPoly.zero(order)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for jj in range(k + 1, n):
+                m[i][jj] = exact_div(
+                    m[i][jj] * m[k][k] - m[i][k] * m[k][jj], prev
+                )
+            m[i][k] = MultiPoly.zero(order)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Resultant as the Sylvester determinant (the reference for the
+    subresultant PRS)."""
+    n, m = _check_pair(f, g, var)
+    if m == 0:
+        return g**n
+    if n == 0:
+        return f**m
+    return _det_bareiss(_psc_matrix(f, g, var, 0), f.order)
+
+
+def psc_chain_minors(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
+    """psc_0..psc_min(n,m) via determinant minors (the reference for the
+    subresultant PRS)."""
+    n, m = _check_pair(f, g, var)
+    return [_det_bareiss(_psc_matrix(f, g, var, j), f.order)
+            for j in range(min(n, m) + 1)]
+
+
 def force_prs_gcds(monkeypatch):
-    """Switch off every modular shortcut in polyring.
+    """Switch off the coprimality certificate.
 
     poly_gcd then runs the primitive PRS on every pair that shares its
-    main variable, and finest_squarefree_basis and
-    squarefree_decomposition no longer prove coprimality from images:
-    each pair their shortcut would have settled goes to poly_gcd.
+    main variable, finest_squarefree_basis and squarefree_decomposition
+    send each pair the certificate would have settled to poly_gcd, and
+    algnum sends each pair of dense fiber images to the fiber gcd.
     """
-    monkeypatch.setattr(polyring, "_fp_coprime", lambda a, b: False)
+    monkeypatch.setattr(polyring, "_coprime_at", lambda vf, vg, xi, r: False)
 
 
 def force_gcd_first_signs(monkeypatch):

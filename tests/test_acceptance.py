@@ -13,16 +13,14 @@ from fractions import Fraction
 
 sys.path.insert(0, "tests")
 
-from helpers import random_poly
+from helpers import psc_chain_minors, random_poly, sylvester_resultant
 from projcad.algnum import RationalCoordinate, SamplePoint
 from projcad.cadcore import (cad_full, check_cylindricity, locate_point,
                              verify_sign_invariance)
 from projcad.cli import RunConfig, render_output, run_compute
 from projcad.lifting import minimal_delineating_polynomial
 from projcad.polyring import MultiPoly, VarOrder
-from projcad.subresultants import (discriminant, psc_chain,
-                                   psc_chain_minors, resultant,
-                                   sylvester_resultant)
+from projcad.subresultants import discriminant, psc_chain, resultant
 
 O2 = VarOrder(("x", "y"))
 O3 = VarOrder(("x", "y", "z"))

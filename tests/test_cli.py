@@ -444,6 +444,21 @@ def _random_problem(seed):
     return "vars: x, y, z\n" + "\n".join(polys) + "\n"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-string digit limit")
+def test_output_past_digit_limit_exits_cleanly():
+    # seed 84 prints numbers of over 640 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out, err, code = run_compute(RunConfig(), _random_problem(84))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (out, code) == ("", 3)
+    assert err.startswith("error: ValueError: ")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
 # seeds 40-50 without 47, whose 3069-cell Collins CAD takes seconds; the
 # intervals move for seed 48 under McCallum and seed 45 under Collins
 @pytest.mark.parametrize("seed", [s for s in range(40, 51) if s != 47])

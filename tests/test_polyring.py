@@ -245,51 +245,98 @@ def test_gcd_frozen_and_properties():
         assert g.is_zero() or g.lead_base_coeff() > 0
 
 
-P = polyring._MOD_P
-
-
 def prs_gcd(f, g):
-    """poly_gcd with every modular shortcut switched off."""
+    """poly_gcd with the coprimality certificate switched off."""
     with pytest.MonkeyPatch.context() as mp:
         force_prs_gcds(mp)
         return poly_gcd(f, g)
 
 
-def test_gcd_modular_filter_edge_cases():
+def test_gcd_certificate_edge_cases():
     x, y = xy()
-    k = polyring._mod_point(1)  # the value the filter gives x
+    k = polyring._cert_point(1)  # the value the certificate gives x
+    m = 10**6
     cases = [
-        # lc_y a multiple of p: on one side the other lc decides, on
-        # both sides the PRS does
-        (P * y + x, y - 1, True),
-        (P * y + 1, P * y + 2, False),
-        ((P * y + 1) * (y + x), (P * y + 1) * (y - x), False),
-        # lc_y vanishes at the evaluation point, on one side or both
+        # lc_y vanishes at the fixed point, on one side or on both; the
+        # side that keeps it bounds the roots, however large the other
+        # image's coefficients
         ((x - k) * y + 1, y + 2, True),
+        ((x - k) * y**2 + y + m, y + 2, True),
+        (((x - k) * y + 1) * (y + 2), y + 2, False),
         ((x - k) * y + 1, (x - k) * y + x, False),
         (((x - k) * y + 1) * (y + x), ((x - k) * y + 1) * (y - x), False),
-        # unlucky prime: coprime over Z, equal mod p
-        (y**2 + x, y**2 + x + P * (y + 1), False),
-        (x**2 + 1, x**2 + 1 + P * x, False),
         # unlucky point: coprime, equal images
         (y + x, y + k, False),
-        # integer and polynomial content on one or both sides
+        (y**2 + x, y**2 + k, False),
+        # integer and polynomial content on one or both sides; a content
+        # whose image outgrows xi leaves the pair to the PRS
         (6 * (y + x), 4 * (y - x), True),
         (6 * x * (y + 1), 4 * x**2 * (y - 1), True),
         (3 * (x + 1) * (y**2 - x), (x + 1) * (y + 2), True),
+        ((x**5 + 1) * (y + 1), (x**5 + 1) * (y - 1), False),
         (10 * (y + x) * (y - 1), 4 * (y + x) * (y + 2), False),
-        # mixed levels never reach the filter
+        # a planted factor with a root near R = 2 + max|c| // |lc|:
+        # H(xi) = xi - m is still at least xi - R
+        ((y - m) * (y + 1), (y - m) * (y - 2), False),
+        ((y + m) * (y - 1), (y + m) * (y + 3), False),
+        (y - m, y - m - 1, True),
+        ((y**2 + m) * (y + x), (y**2 + m) * (y - x), False),
+        # mixed levels never reach the certificate
         ((x + 1) * (y**2 + x), (x + 1) * (x - 3), None),
         (2 * y * x + 4 * x, 6 * x**2, None),
     ]
     for f, g, proven in cases:
         assert poly_gcd(f, g) == prs_gcd(f, g) == prs_gcd(g, f)
+        with pytest.MonkeyPatch.context() as mp:
+            force_prs_gcds(mp)
+            want = finest_squarefree_basis([f, g])
+        assert finest_squarefree_basis([f, g]) == want
         if proven is not None:
-            assert polyring._coprime_mod_p(f.node, g.node) is proven
-    assert poly_gcd(P * y + x, y - 1) == MultiPoly.one(O2)
+            assert polyring._nodes_coprime(f.node, g.node) is proven
+            assert polyring._nodes_coprime(g.node, f.node) is proven
+    assert poly_gcd((x - k) * y + 1, y + 2) == MultiPoly.one(O2)
     assert poly_gcd(6 * x * (y + 1), 4 * x**2 * (y - 1)) == 2 * x
     assert poly_gcd((x - k) * y + 1, (x - k) * y + x) == MultiPoly.one(O2)
     assert poly_gcd(10 * (y + x) * (y - 1), 4 * (y + x) * (y + 2)) == 2 * (y + x)
+    assert poly_gcd((x**5 + 1) * (y + 1), (x**5 + 1) * (y - 1)) == x**5 + 1
+    # dense images: the radius comes from the side whose lc is nonzero
+    assert polyring._images_coprime([2, 1], [m, 1, 0])
+    assert not polyring._images_coprime([2, 1], [2, 1, 0])
+    assert not polyring._images_coprime([1, 0], [0, 0])
+
+
+def _planted(rng, order, names, bits):
+    """A random polynomial of positive degree in the main variable of
+    names, with coefficients of up to `bits` bits."""
+    top = names[-1]
+    while True:
+        p = random_poly(rng, order, vars_used=names, max_deg=2, n_terms=3,
+                        max_coeff=(1 << bits) - 1)
+        if p.degree(top) > 0:
+            return p
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])
+def test_certificate_soundness_and_yield(names):
+    rng = random.Random(8191 + len(names))
+    proven = coprime = 0
+    for trial in range(100):
+        bits = 4 if trial % 2 else 60
+        a, b, h = (_planted(rng, O3, names, bits) for _ in range(3))
+        # a planted factor of positive degree is never reported coprime
+        assert not polyring._nodes_coprime((a * h).node, (b * h).node)
+        assert not polyring._nodes_coprime((a * h).node, h.node)
+        img_h = polyring._ncert_image(h.node)
+        img_ah = polyring._ncert_image((a * h).node)
+        assert not polyring._images_coprime(img_ah, img_h)
+        g = prs_gcd(a, b)
+        if g.level() < a.level():
+            coprime += 1
+            proven += polyring._nodes_coprime(a.node, b.node)
+            assert poly_gcd(a, b) == g
+    # almost every coprime pair is proven without a PRS
+    assert coprime >= 50
+    assert proven >= 0.95 * coprime
 
 
 @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("x", "y", "z")])

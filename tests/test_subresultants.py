@@ -1,4 +1,5 @@
-"""Tests for resultants, discriminants and psc chains (both routes)."""
+"""Tests for resultants, discriminants and psc chains: the subresultant
+PRS against the determinant route in helpers."""
 
 from __future__ import annotations
 
@@ -7,15 +8,9 @@ import random
 import pytest
 
 from projcad.polyring import MultiPoly, VarOrder
-from projcad.subresultants import (
-    discriminant,
-    psc_chain,
-    psc_chain_minors,
-    psd_chain,
-    resultant,
-    sylvester_matrix,
-    sylvester_resultant,
-)
+from projcad.subresultants import discriminant, psc_chain, psd_chain, resultant
+
+from helpers import psc_chain_minors, sylvester_matrix, sylvester_resultant
 
 O2 = VarOrder(["x", "y"])
 X, Y = MultiPoly.var(O2, "x"), MultiPoly.var(O2, "y")
