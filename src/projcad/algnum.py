@@ -8,12 +8,14 @@ tests; interval arithmetic runs on integers (each box [lo, hi] as
 decides a sign only when its enclosure excludes 0, so nothing depends
 on floating point.
 
-roots_over_cell is the one place a fiber basis is built: each
-polynomial is reduced over the fiber, flattened to its squarefree part
-there if needed, and split along its fiber gcd with every basis element
-it shares roots with.  The pieces stay polynomials in the lower
-variables, so a section can be re-evaluated anywhere over the base
-cell.  Each element is isolated once and owns the roots it yields.
+_fiber_basis is the one place a fiber basis is built: each polynomial
+is reduced over the fiber, flattened to its squarefree part there if
+needed, and split along its fiber gcd with every basis element it
+shares roots with.  The pieces stay polynomials in the lower variables,
+so a section can be re-evaluated anywhere over the base cell.
+_isolated_basis isolates each element once, and the element owns the
+roots it yields; roots_over_cell sorts them and adds sector samples for
+lifting, and cadcore reads a query stack's roots off them.
 
 Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
 SYMSAC 1976) on the polynomial's interval image (Collins, Johnson and
@@ -830,16 +832,25 @@ def _compare_coords(c1, c2) -> int:
     raise SeparabilityError("separability violated")
 
 
-def _gap_sample(c1, c2) -> Fraction:
-    """Rational strictly between two ordered roots, with the smallest
-    denominator the gap allows."""
+def _separated_ends(c1, c2) -> tuple:
+    """(b1, a2) with b1 < a2: the facing ends of the boxes of two
+    ordered roots c1 < c2, bisected apart within the separation budget.
+    SeparabilityError when the budget is spent or nothing is left to
+    bisect."""
     for _ in _separation_budget(c1, c2):
         b1 = c1.box()[1]
         a2 = c2.box()[0]
         if b1 < a2:
-            return _simplest_in_open(b1, a2)
-        _bisect_all((c1, c2))
+            return b1, a2
+        if not _bisect_all((c1, c2)):
+            break
     raise SeparabilityError("separability violated")
+
+
+def _gap_sample(c1, c2) -> Fraction:
+    """Rational strictly between two ordered roots, with the smallest
+    denominator the gap allows."""
+    return _simplest_in_open(*_separated_ends(c1, c2))
 
 
 def _simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
@@ -939,6 +950,14 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
     return basis
 
 
+def _isolated_basis(polys, var: str, s: SamplePoint) -> dict:
+    """Separable basis of the polynomials over the fiber s (see
+    _fiber_basis), each element isolated once: maps each element, in
+    sorted order, to (its roots in increasing order, a root bound)."""
+    basis = _fiber_basis(polys, var, s)
+    return {r: _isolate(r, var, basis[r], s) for r in sorted(basis)}
+
+
 def roots_over_cell(polys, s: SamplePoint):
     """All real roots of the given polynomials at the fiber s, strictly
     ordered, with rational sector samples around them.
@@ -956,11 +975,9 @@ def roots_over_cell(polys, s: SamplePoint):
     if not ps:
         return [], [Fraction(0)], []
     var = ps[0].order.name(len(s) + 1)
-    basis = _fiber_basis(ps, var, s)
     tagged = []
     bound = Fraction(1)
-    for r in sorted(basis):
-        coords, b = _isolate(r, var, basis[r], s)
+    for r, (coords, b) in _isolated_basis(ps, var, s).items():
         tagged.extend((c, r) for c in coords)
         bound = max(bound, b)
     if not tagged:

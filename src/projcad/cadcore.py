@@ -9,23 +9,20 @@ inside full-dimensional cells, and check_cylindricity validates the
 index structure (stacks are contiguous odd-length runs over a shared
 prefix).
 
-Both descents take a stack's roots at a rational fiber in the order the
-CAD lists its sections: each section polynomial appears once per section
-it owns and is isolated once, on its dense image at the fiber.  That is
-sound when the section polynomials are squarefree and pairwise coprime
-there, which resultants prove (Collins 1975; McCallum 1988): when f and
-g keep their degrees at the fiber, res(f, f') nonzero there makes f
-squarefree and res(f, g) nonzero makes f and g coprime.  The resultants are computed
-once per CAD, on the first query that needs them, and evaluated exactly
-at the fiber, on integers.  A stack where a resultant vanishes, a
-section polynomial drops degree or a root count differs from the CAD's
-falls back to roots_over_cell, which builds the separable basis at the
-fiber and sorts its roots; a resultant also vanishes at a shared complex
-root, which only that route can split off.  The base stack's fiber is
-empty, so its roots are the same on every descent: they are isolated
-once per CAD, on the first query, kept on it, and every descent gets
-fresh copies, because comparisons bisect the roots they are handed in
-place.
+Both descents take a stack's roots at a rational fiber from algnum's
+separable basis there (_isolated_basis), built on the stack's distinct
+section polynomials, with each basis element isolated once.  The basis
+is squarefree and pairwise coprime at the fiber, which is what
+delineability asks of a stack (McCallum 1988); algnum proves it, with
+the integer image certificate and the exact fiber gcd as fallback.
+When every section polynomial is a basis element unchanged, so reduced,
+squarefree and coprime to the others there, and has as many roots as
+it owns sections, its roots fill its sections in turn, in the order the
+CAD lists them.  Any other stack's roots come sorted.  The base stack's
+fiber is empty, so its roots are the same on every descent: they are
+isolated once per CAD, on the first query, kept on it, and every
+descent gets fresh copies, because comparisons bisect the roots they
+are handed in place.
 
 locate_point requires its comparisons against a stack's roots to read
 below, then at most one equal, then above; a stack out of order, a
@@ -39,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 from .algnum import (
@@ -46,19 +44,18 @@ from .algnum import (
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
-    _bisect_all,
+    SeparabilityError,
     _bisect_once,
+    _compare_coords,
     _copy_coord,
     _defining_sign,
-    _fiber_image,
-    _isolate,
-    roots_over_cell,
+    _isolated_basis,
+    _separated_ends,
     sign_at,
 )
-from .lifting import CAD, Cell, NotWellOrientedError, cad_lifting
-from .polyring import MultiPoly, VarOrder
+from .lifting import CAD, Cell, cad_lifting
+from .polyring import VarOrder
 from .projection import cad_projection
-from .subresultants import resultant
 
 __all__ = [
     "CylindricityReport",
@@ -97,70 +94,30 @@ def _cmp_root_to_rational(coord, q: Fraction) -> int:
         return 1 if q < iv.lo else -1
     if _defining_sign(coord, q) == 0:
         return 0
-    # a root of degree n over Q lies at least c / den(q)^n from a rational
-    # q that is not a root (Liouville), so a longer denominator may need
-    # up to n more bisection steps per bit
+    # q is not the root, which the closed box contains: q at an end of
+    # the box is decided there.  A root of degree n over Q lies at least
+    # c / den(q)^n from a rational q that is not a root (Liouville), so a
+    # longer denominator may need up to n more bisection steps per bit
     n = 1
     for c in coord.prefix + (coord,):
         if isinstance(c, RootOfCoordinate):
             n *= c.defining.degree()
     for _ in range(_MAX_SEPARATION_STEPS + n * q.denominator.bit_length()):
+        if not iv.lo < q < iv.hi:
+            return 1 if q <= iv.lo else -1
         _bisect_once(coord)
-        if not iv.lo <= q <= iv.hi:
-            return 1 if q < iv.lo else -1
     raise ArithmeticError("root %r not separated from %s" % (coord, q))
-
-
-def _certificate(cad: CAD, f: MultiPoly, g: Optional[MultiPoly],
-                 var: str, vals) -> bool:
-    """Whether res(f, g) in var (res(f, f') when g is None) is nonzero at
-    the rational fiber vals.  Each resultant is computed once per CAD."""
-    key = (f, None) if g is None else frozenset((f, g))
-    r = cad._resultants.get(key)
-    if r is None:
-        r = cad._resultants[key] = resultant(
-            f, f.derivative(var) if g is None else g, var)
-    return r.cleared_value(vals) != 0
-
-
-def _certified_roots(cad: CAD, refs: tuple, fiber: SamplePoint):
-    """Roots of the section polynomials refs at a rational fiber, in the
-    CAD's section order.  None when resultants do not prove each of them
-    squarefree and coprime to the others there, or when one of them has
-    a different number of roots there than of sections."""
-    var = cad.order.name(len(fiber) + 1)
-    vals = [c.value for c in fiber.coords]
-    owners = list(dict.fromkeys(refs))
-    imgs = []
-    for f in owners:
-        img = _fiber_image(f, var, fiber)
-        # a certificate speaks for the fiber only when f keeps its degree
-        if len(img) - 1 != f.degree(var):
-            return None
-        if len(img) > 2 and not _certificate(cad, f, None, var, vals):
-            return None
-        imgs.append(img)
-    for i, f in enumerate(owners):
-        for g in owners[i + 1:]:
-            if not _certificate(cad, f, g, var, vals):
-                return None
-    roots = {}
-    for f, img in zip(owners, imgs):
-        coords = _isolate(f, var, img, fiber)[0]
-        if len(coords) != refs.count(f):
-            return None
-        roots[f] = iter(coords)
-    return [next(roots[f]) for f in refs]
 
 
 def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     """Roots of the stack over an index prefix at the rational fiber
-    `vals`, one per section of that stack, in the CAD's section order.
+    `vals`, one per section of that stack.
 
-    Each section polynomial is isolated once at the fiber and its roots
-    fill its sections in turn, once cached resultants prove the section
-    polynomials squarefree and pairwise coprime there.  Any other stack
-    takes roots_over_cell, whose roots come sorted.
+    The stack's distinct section polynomials go through algnum's
+    separable basis at the fiber, and each basis element is isolated
+    once.  When every section polynomial is a basis element unchanged,
+    with as many roots as it owns sections, the roots come in the CAD's
+    section order (see _section_order); otherwise they come sorted.
 
     The base stack (prefix ()) has the same empty fiber on every
     descent, so it is isolated once per CAD and kept on it.  Callers
@@ -175,16 +132,34 @@ def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     return [_copy_coord(c, ()) for c in base]
 
 
+def _section_order(refs: tuple, isolated: dict) -> Optional[list]:
+    """The roots of the separable basis `isolated` (element -> (roots,
+    bound)) in the section order refs, one section polynomial per
+    section; None unless the basis is exactly the section polynomials
+    and each has one root per section it owns."""
+    if isolated.keys() != set(refs):
+        return None
+    roots = {}
+    for f, (coords, _) in isolated.items():
+        if len(coords) != refs.count(f):
+            return None
+        roots[f] = iter(coords)
+    return [next(roots[f]) for f in refs]
+
+
 def _isolated_stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     refs = cad.section_polys(prefix)
     if not refs:
         return []
     fiber = SamplePoint(tuple(RationalCoordinate(v) for v in vals))
-    coords = _certified_roots(cad, refs, fiber)
-    if coords is not None:
-        return coords
+    var = cad.order.name(len(vals) + 1)
     try:
-        coords = roots_over_cell(refs, fiber)[0]
+        isolated = _isolated_basis(sorted(set(refs)), var, fiber)
+        coords = _section_order(refs, isolated)
+        if coords is not None:
+            return coords
+        coords = sorted((c for roots, _ in isolated.values() for c in roots),
+                        key=cmp_to_key(_compare_coords))
     except ValueError as e:
         raise IntegrityError("stack over %s broke down at %s: %s"
                              % (prefix, list(vals), e))
@@ -235,24 +210,14 @@ class SignInvarianceReport:
 def _separate_gap(coords, i):
     """Exclusive rational bracket for the gap below/between/above the
     ordered root coordinates; None means unbounded on that side."""
-    lo = None
-    hi = None
-    if i > 0:
-        c = coords[i - 1]
-        if i < len(coords):
-            # two point values that are not apart are equal or out of
-            # order: nothing separates them
-            steps = 0
-            while not c.box()[1] < coords[i].box()[0]:
-                steps += 1
-                if steps > _MAX_SEPARATION_STEPS or not _bisect_all(
-                        (c, coords[i])):
-                    raise IntegrityError(
-                        "roots %r and %r of a stack do not separate"
-                        % (c, coords[i]))
-        lo = c.box()[1]
-    if i < len(coords):
-        hi = coords[i].box()[0]
+    if 0 < i < len(coords):
+        try:
+            return _separated_ends(coords[i - 1], coords[i])
+        except SeparabilityError:
+            raise IntegrityError("roots %r and %r of a stack do not separate"
+                                 % (coords[i - 1], coords[i]))
+    lo = coords[i - 1].box()[1] if i > 0 else None
+    hi = coords[i].box()[0] if i < len(coords) else None
     return lo, hi
 
 

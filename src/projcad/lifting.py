@@ -35,7 +35,6 @@ from .algnum import (
     fiber_gcd,
     fiber_reduce,
     roots_over_cell,
-    sign_at,
 )
 from .polyring import MultiPoly, VarOrder, poly_gcd, squarefree_part
 from .projection import ProjectionLevels
@@ -159,17 +158,7 @@ def is_nullified(p: MultiPoly, cell) -> bool:
         return True
     if p.is_constant():
         return False
-    for _, c in p.node[1]:
-        if sign_at(MultiPoly(p.order, c), s) != 0:
-            return False
-    return True
-
-
-def _vanishes_in_var(q: MultiPoly, var: str, s: SamplePoint) -> bool:
-    # zero as a univariate polynomial in var over the fiber
-    if q.degree(var) == 0:
-        return sign_at(q, s) == 0
-    return all(sign_at(c, s) == 0 for _, c in q.coeff_terms(var))
+    return fiber_reduce(p, p.mvar(), s).is_zero()
 
 
 def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
@@ -193,7 +182,7 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
             q = p
             for v in combo:
                 q = q.derivative(v)
-            if q.is_zero() or _vanishes_in_var(q, var, s):
+            if fiber_reduce(q, var, s).is_zero():
                 continue
             live.append(q)
         if live:
@@ -238,9 +227,8 @@ class CAD:
 
     The stack tree is kept as two maps built once, on first use, from
     the cells: index prefix -> section polynomials of the stack over it,
-    and index -> cell.  Two caches stay empty until the first point
-    query: the resultants of section polynomials that queries evaluate,
-    and the roots of the base stack, isolated once and handed out as
+    and index -> cell.  One cache stays empty until the first point
+    query: the roots of the base stack, isolated once and handed out as
     copies (see cadcore._stack_roots).
     """
 
@@ -276,10 +264,6 @@ class CAD:
                 polys.append(owner[prefix, 2 * len(polys) + 2])
             out[prefix] = tuple(polys)
         return out
-
-    @cached_property
-    def _resultants(self) -> dict:
-        return {}
 
     @cached_property
     def _base_roots(self) -> list:

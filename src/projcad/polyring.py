@@ -425,8 +425,8 @@ def _nbox_scales(degs: dict, box, top: int):
 class MultiPoly:
     """An immutable multivariate polynomial over the integers."""
 
-    # _key caches sort_key, set on first use
-    __slots__ = ("order", "node", "_key")
+    # _key caches sort_key and _hash the hash, each set on first use
+    __slots__ = ("order", "node", "_key", "_hash")
 
     def __init__(self, order: VarOrder, node):
         self.order = order
@@ -452,12 +452,6 @@ class MultiPoly:
     def var(order: VarOrder, name: str) -> "MultiPoly":
         lvl = order.level(name)
         return MultiPoly(order, (lvl, ((1, 1),)))
-
-    @staticmethod
-    def from_coeffs(order: VarOrder, name: str, coeffs) -> "MultiPoly":
-        """Univariate sum of coeffs[e] * name^e over ints, lowest first."""
-        lvl = order.level(name)
-        return MultiPoly(order, _nmake(lvl, dict(enumerate(coeffs))))
 
     # -- predicates and structure
 
@@ -562,18 +556,6 @@ class MultiPoly:
             acc = acc + c * xv**e
         return acc
 
-    def reductum_k(self, k: int) -> "MultiPoly":
-        """k-fold reductum in the main variable of self (fixed across steps)."""
-        if not 0 <= k <= max(self.degree(), 0):
-            raise ValueError(f"reductum index {k} out of range")
-        if k == 0 or self.is_constant():
-            return self if k == 0 else MultiPoly.zero(self.order)
-        var = self.mvar()
-        p = self
-        for _ in range(k):
-            p = p.reductum(var)
-        return p
-
     def derivative(self, var: str | None = None) -> "MultiPoly":
         if var is None:
             if self.is_constant():
@@ -643,7 +625,12 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        return hash((self.order, self.node))
+        # from the node alone, which holds only ints
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(self.node)
+            return h
 
     def sort_key(self):
         try:
@@ -703,18 +690,6 @@ class MultiPoly:
             return acc * x**prev_e
 
         return go(self.node)
-
-    def cleared_value(self, values) -> int:
-        """The value at a rational point times a positive integer, so with
-        the same sign and zero set; values[l - 1] is the value of the
-        variable at level l, for each level the polynomial involves.
-
-        Each denominator is cleared to the polynomial's degree in its
-        variable, so the evaluation is integer Horner.
-        """
-        degs = _ndegrees(self.node)
-        scale = _nscales(degs, values, max(degs, default=0))
-        return _ncleared(self.node, values, degs, scale)
 
     def cleared_coeffs(self, var: str, values) -> list[int]:
         """Coefficients in var, lowest degree first, at a rational point

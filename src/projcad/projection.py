@@ -145,9 +145,6 @@ class ProjectionLevels:
             raise IndexError("level out of range")
         return self.by_level[ell - 1]
 
-    def all_polys(self) -> list:
-        return [p for lvl in self.by_level for p in lvl]
-
 
 def cad_projection(F: Iterable[MultiPoly], order: VarOrder,
                    method: str = "mccallum") -> ProjectionLevels:

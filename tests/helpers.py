@@ -236,16 +236,15 @@ def force_exact_fiber_decisions(monkeypatch):
 
 
 def force_sorted_stack_roots(monkeypatch):
-    """Make the certified route for a stack's roots at a query fiber
-    answer "undecided" everywhere.
+    """Make the section-order reading of a stack's roots at a query
+    fiber answer "no" everywhere.
 
     Every stack that locate_point and the sign-invariance oracle descend
-    through then takes roots_over_cell, which builds the separable basis
-    at the fiber and sorts its roots, with no resultant certificate and
-    no reading of the CAD's section order.
+    through then sorts the roots of its separable basis at the fiber,
+    with no reading of the CAD's section order.
     """
-    monkeypatch.setattr(cadcore, "_certified_roots",
-                        lambda cad, refs, fiber: None)
+    monkeypatch.setattr(cadcore, "_section_order",
+                        lambda refs, isolated: None)
 
 
 def uncached_base_stack(monkeypatch):

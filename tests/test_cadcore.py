@@ -22,8 +22,7 @@ from projcad.cadcore import (
 from projcad.lifting import CAD, Bound, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
 from projcad.algnum import (IsolatingInterval, RationalCoordinate,
-                            RootOfCoordinate, SamplePoint, roots_over_cell,
-                            sign_at)
+                            RootOfCoordinate, SamplePoint, sign_at)
 from projcad.cli import parse_input
 
 from helpers import force_sorted_stack_roots, random_poly, uncached_base_stack
@@ -98,11 +97,12 @@ def _sqrt2():
 
 
 def test_cmp_root_to_rational_is_bounded():
-    # x^2 + 1 has no root in (0, 1), so bisection moves lo towards 1 and
-    # never past it: the comparison must give up instead of looping
-    bogus = RootOfCoordinate(X1**2 + 1, IsolatingInterval(0, 1))
-    with pytest.raises(ArithmeticError, match="not separated from 1"):
-        cadcore._cmp_root_to_rational(bogus, F(1))
+    # a rational at an end of a proper isolating interval is not the
+    # root, which lies inside: it is decided from the box as it stands
+    root = _sqrt2()
+    assert cadcore._cmp_root_to_rational(root, F(1)) == 1
+    assert cadcore._cmp_root_to_rational(root, F(2)) == -1
+    assert root.box() == (1, 2)
     # a rational within 2^-600 of sqrt(2) needs more steps than the fixed
     # budget; its long denominator buys them
     k = 600
@@ -271,27 +271,48 @@ def test_stack_root_counts_are_checked_per_section_polynomial():
             locate_point((0, 0), cad)
 
 
+def _recording_section_order(monkeypatch):
+    # whether each stack a descent reads took the sorted path
+    section_order = cadcore._section_order
+    took_sorted = []
+
+    def recording(refs, isolated):
+        coords = section_order(refs, isolated)
+        took_sorted.append(coords is None)
+        return coords
+
+    monkeypatch.setattr(cadcore, "_section_order", recording)
+    return took_sorted
+
+
 def test_zero_certificate_falls_back_to_sorted_roots(monkeypatch):
     # the upper section polynomial keeps one simple real root, y = 1, but
     # at x = 0, on the zero set of its discriminant, the complex roots
-    # +-i become double: res(f, f') vanishes there, so that stack takes
-    # roots_over_cell, which flattens them
+    # +-i become double: f is not squarefree there, the separable basis
+    # flattens it, and that stack's roots come sorted.  At x = 1 f is
+    # squarefree and coprime to y + 2, and the roots come in the CAD's
+    # section order
     f = (Y2 - 1) * ((Y2**2 + 1)**2 + X2**2)
     cad = _two_section_cad(Y2 + 2, f)
-    assert not cadcore._certificate(cad, f, None, "y", [F(0)])
-    assert cadcore._certificate(cad, f, None, "y", [F(1)])
-    calls = []
-
-    def counting(polys, s):
-        calls.append([c.value for c in s.coords])
-        return roots_over_cell(polys, s)
-
-    monkeypatch.setattr(cadcore, "roots_over_cell", counting)
+    took_sorted = _recording_section_order(monkeypatch)
     assert locate_point((0, 0), cad).index == (1, 3)
     assert locate_point((0, 1), cad).index == (1, 4)
     assert locate_point((1, 1), cad).index == (1, 4)
     assert locate_point((-1, 3), cad).index == (1, 5)
-    assert calls == [[0], [0]]
+    assert took_sorted == [True, True, False, False]
+
+
+def test_long_coefficients_split_at_zero():
+    # the roots +-sqrt(2)/(10^160 - 1) are isolated on either side of the
+    # split point 0: the oracle bisects them about 530 times before their
+    # boxes come apart, and 0, an end of both boxes, is decided as it is
+    order, polys = parse_input("vars: x\n(" + "9" * 160 + "*x)^2 - 2\n")
+    cad = cad_full(polys, order)
+    assert len(cad.cells) == 5
+    rep = verify_sign_invariance(cad, polys, samples_per_cell=4, seed=0)
+    assert rep.ok and rep.points_checked == 12
+    for k, entry in ((-20, 1), (-14, 3), (-13, 3), (0, 3), (13, 3), (15, 5)):
+        assert locate_point((F(k, 10**161),), cad).index == (entry,)
 
 
 def _query_points(rng, count, radius):
@@ -333,21 +354,22 @@ def test_certified_stack_roots_match_sorted_route(monkeypatch, polys,
                                                   method, radius):
     cad = cad_full(polys, O3, method)
     pts = _query_points(random.Random(radius), 48, radius)
-    calls = []
-
-    def counting(polys, s):
-        calls.append(len(s))
-        return roots_over_cell(polys, s)
-
     with monkeypatch.context() as m:
-        m.setattr(cadcore, "roots_over_cell", counting)
+        took_sorted = _recording_section_order(m)
         got = _descents(cad, polys, pts)
-        certified_fallbacks = len(calls)
         force_sorted_stack_roots(m)
         want = _descents(cad, polys, pts)
     assert got == want
     assert got[1] and got[2] > 0
-    assert certified_fallbacks < len(calls) - certified_fallbacks
+    assert 2 * sum(took_sorted) < len(took_sorted)
+
+
+def test_sphere_saddle_query_stacks_take_section_order(monkeypatch):
+    polys = [X3**2 + Y3**2 + Z3**2 - 4, X3 * Y3 + Z3**2 - 1]
+    cad = cad_full(polys, O3)
+    took_sorted = _recording_section_order(monkeypatch)
+    _descents(cad, polys, _query_points(random.Random(2), 48, 2))
+    assert took_sorted and not any(took_sorted)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 6, 9, 11, 12])

@@ -87,16 +87,10 @@ def test_reductum():
     x, y = xy()
     f = 3 * x**2 + 2 * x + 1
     assert f.reductum() == 2 * x + 1
-    assert f.reductum_k(1) == 2 * x + 1
-    assert f.reductum_k(2) == MultiPoly.one(O2)
     g = y**2 + x**2 - 1
     assert g.reductum() == x**2 - 1
-    assert g.reductum_k(2).is_zero()
-    with pytest.raises(ValueError):
-        f.reductum_k(3)
     h = x**3 + 1
     assert h.reductum() == MultiPoly.one(O2)
-    assert h.reductum_k(2).is_zero()
 
 
 def test_derivative():
@@ -548,23 +542,6 @@ def test_subs_rational_cleared_matches_reference(seed):
                           v < 0, v.denominator > 1))
     assert {("main", True, True), ("lower", True, True),
             ("main", False, True), ("lower", False, False)} <= seen
-
-
-def test_cleared_value_is_evaluate_times_cleared_denominators():
-    rng = random.Random(11)
-    for _ in range(200):
-        f = random_poly(rng, O3, max_deg=4, max_coeff=9, n_terms=5)
-        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                for _ in range(3)]
-        den = 1
-        for name, v in zip(O3.names, vals):
-            den *= v.denominator ** f.degree(name)
-        want = f.evaluate(dict(zip(O3.names, vals))) * den
-        assert f.cleared_value(vals) == want
-        # values beyond the levels f involves are not read
-        assert f.cleared_value(vals[:f.level()]) == want
-    x, y = xy()
-    assert (y**2 + x**2 - 1).cleared_value([Fraction(3, 5), Fraction(4, 5)]) == 0
 
 
 def test_cleared_coeffs_share_one_scale():

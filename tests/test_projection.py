@@ -194,7 +194,7 @@ def _check_levels_invariants(levels: ProjectionLevels):
 
 
 def _check_inputs_recoverable(levels: ProjectionLevels, inputs):
-    basis = levels.all_polys()
+    basis = [p for lvl in levels.by_level for p in lvl]
     for f in inputs:
         r = f
         for b in basis:
