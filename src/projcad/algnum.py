@@ -28,9 +28,10 @@ evaluate it by interval Horner.  A decision is taken only when every
 enclosure it needs excludes 0 or is exactly [0, 0]; it is then exact,
 because the boxes contain their coordinates and so the enclosures
 contain the true values, for good.  Otherwise that one node or sign
-falls back to the exact symbolic step: the transformed polynomial stays
-an integer polynomial in the lower variables and each coefficient sign
-at the fiber is decided by sign_at.
+falls back to the exact symbolic step: the same transform runs on the
+polynomial's coefficients, which stay integer polynomials in the lower
+variables, and each transformed coefficient's sign at the fiber is
+decided by sign_at.
 
 When every lower variable the polynomial involves sits at a
 point-valued coordinate (a rational, or a root whose interval has
@@ -521,7 +522,8 @@ def _unit_scale(a: Fraction, b: Fraction):
 
 def _to_unit(c, q: int, pa: int, pw: int) -> list:
     """Coefficients of (v+1)^d h(1/(v+1)), h = q^d c(a + (b-a)v), for
-    a = pa/q and b - a = pw/q; lowest degree first, c left as it is."""
+    a = pa/q and b - a = pw/q; lowest degree first, c left as it is.
+    The entries are integers, or polynomials in the lower variables."""
     d = len(c) - 1
     c = [ci * q ** (d - i) for i, ci in enumerate(c)]
     if pa:
@@ -587,11 +589,10 @@ def _enclosure_sign(enc, x: Fraction) -> Optional[int]:
 
 def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
     """Sign variations of (v+1)^d h(1/(v+1)), h = q^d c(a + (b-a)v), for
-    the polynomial c enclosed by enc (the counterpart of
-    _variations_poly(_shifted_to_unit(...))), or None when some
-    transformed coefficient's enclosure straddles 0.  The Taylor shift by
-    pa bounds its radii by the shift by |pa|; every other step has
-    nonnegative entries."""
+    the polynomial c enclosed by enc (the interval counterpart of
+    _sign_variations), or None when some transformed coefficient's
+    enclosure straddles 0.  The Taylor shift by pa bounds its radii by
+    the shift by |pa|; every other step has nonnegative entries."""
     mid, rad = enc
     q, pa, pw = _unit_scale(a, b)
     if not any(rad):
@@ -646,33 +647,21 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
         "bisection steps" % (g, _MAX_SEPARATION_STEPS))
 
 
-def _shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
-    """Integer polynomial equal to f(a + (b-a)v) up to a positive factor:
-    roots of f in (a,b) become roots in (0,1)."""
-    q, pa, pw = _unit_scale(a, b)
-    xv = MultiPoly.var(f.order, var)
-    d = f.degree(var)
-    acc = MultiPoly.zero(f.order)
-    for e, c in f.coeff_terms(var):
-        acc = acc + c * (pa + pw * xv) ** e * q ** (d - e)
-    return acc
-
-
-def _variations_poly(h: MultiPoly, var: str):
-    """g(v) = (v+1)^d h(1/(v+1)): sign variations of g's coefficients
-    bound the number of roots of h in (0,1), exactly when 0 or 1."""
-    xv = MultiPoly.var(h.order, var)
-    d = h.degree(var)
-    acc = MultiPoly.zero(h.order)
-    for e, c in h.coeff_terms(var):
-        acc = acc + c * (xv + 1) ** (d - e)
-    return acc
-
-
-def _sign_variations(g: MultiPoly, var: str, s: SamplePoint) -> int:
+def _sign_variations(f: MultiPoly, var: str, s: SamplePoint,
+                     a: Fraction, b: Fraction) -> int:
+    """The exact Descartes node: sign variations at the fiber s of
+    (v+1)^d h(1/(v+1)), h = q^d f(a + (b-a)v).  _to_unit runs on f's
+    coefficients in var, polynomials in the lower variables, and each
+    result is signed by sign_at from the highest degree down, zero
+    coefficients skipped."""
+    c = [MultiPoly.zero(f.order)] * (f.degree(var) + 1)
+    for e, ce in f.coeff_terms(var):
+        c[e] = ce
     signs = []
-    for _, c in g.coeff_terms(var):
-        sc = sign_at(c, s)
+    for ce in reversed(_to_unit(c, *_unit_scale(a, b))):
+        if ce.is_zero():
+            continue
+        sc = sign_at(ce, s)
         if sc:
             signs.append(sc)
     return _changes(signs)
@@ -713,8 +702,7 @@ def _nonroot_split(f, var, s, a, b, enc=None) -> Fraction:
 def _vca(f, var, s, enc, a, b, out):
     v = _enclosure_variations(enc, a, b)
     if v is None:
-        g = _variations_poly(_shifted_to_unit(f, var, a, b), var)
-        v = _sign_variations(g, var, s)
+        v = _sign_variations(f, var, s, a, b)
     if v == 0:
         return
     if v == 1:

@@ -2,7 +2,7 @@
 
 cad_full chains projection and lifting.  The rest of this module checks
 finished decompositions from the outside: locate_point descends the
-stacks to find the cell containing a rational point with exact
+stack tree to find the cell containing a rational point with exact
 comparisons only, verify_sign_invariance confirms that every input
 polynomial keeps one sign per cell by sampling random rational points
 inside full-dimensional cells, and check_cylindricity validates the
@@ -19,10 +19,10 @@ When every section polynomial is a basis element unchanged, so reduced,
 squarefree and coprime to the others there, and has as many roots as
 it owns sections, its roots fill its sections in turn, in the order the
 CAD lists them.  Any other stack's roots come sorted.  The base stack's
-fiber is empty, so its roots are the same on every descent: they are
-isolated once per CAD, on the first query, kept on it, and every
-descent gets fresh copies, because comparisons bisect the roots they
-are handed in place.
+fiber is empty, so its roots are those lifting isolated there: every
+descent reads fresh copies of them off the section cells of the CAD's
+stack tree, because comparisons bisect the roots they are handed in
+place.
 
 locate_point requires its comparisons against a stack's roots to read
 below, then at most one equal, then above; a stack out of order, a
@@ -40,9 +40,7 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .algnum import (
-    _MAX_SEPARATION_STEPS,
     RationalCoordinate,
-    RootOfCoordinate,
     SamplePoint,
     SeparabilityError,
     _bisect_once,
@@ -51,6 +49,7 @@ from .algnum import (
     _defining_sign,
     _isolated_basis,
     _separated_ends,
+    _separation_budget,
     sign_at,
 )
 from .lifting import CAD, Cell, cad_lifting
@@ -95,14 +94,9 @@ def _cmp_root_to_rational(coord, q: Fraction) -> int:
     if _defining_sign(coord, q) == 0:
         return 0
     # q is not the root, which the closed box contains: q at an end of
-    # the box is decided there.  A root of degree n over Q lies at least
-    # c / den(q)^n from a rational q that is not a root (Liouville), so a
-    # longer denominator may need up to n more bisection steps per bit
-    n = 1
-    for c in coord.prefix + (coord,):
-        if isinstance(c, RootOfCoordinate):
-            n *= c.defining.degree()
-    for _ in range(_MAX_SEPARATION_STEPS + n * q.denominator.bit_length()):
+    # the box is decided there.  The separation budget grows with q's
+    # bit length, so a q close to the root gets the steps it needs
+    for _ in _separation_budget(coord, RationalCoordinate(q)):
         if not iv.lo < q < iv.hi:
             return 1 if q <= iv.lo else -1
         _bisect_once(coord)
@@ -119,17 +113,15 @@ def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     with as many roots as it owns sections, the roots come in the CAD's
     section order (see _section_order); otherwise they come sorted.
 
-    The base stack (prefix ()) has the same empty fiber on every
-    descent, so it is isolated once per CAD and kept on it.  Callers
-    bisect the roots they get in place, so every call gets fresh copies
-    of the isolation as it first came out, never the kept objects.
+    The base stack (prefix ()) sits over the empty fiber, where lifting
+    isolated its roots from the same basis: they are read off its
+    section cells.  Callers bisect the roots they get in place, so every
+    call gets fresh copies, never the cells' own coordinates.
     """
     if prefix:
         return _isolated_stack_roots(cad, prefix, vals)
-    base = cad._base_roots
-    if not base:
-        base.extend(_isolated_stack_roots(cad, (), ()))
-    return [_copy_coord(c, ()) for c in base]
+    return [_copy_coord(c.sample.coords[0], ())
+            for c in cad.stacks[()].cells[1::2]]
 
 
 def _section_order(refs: tuple, isolated: dict) -> Optional[list]:

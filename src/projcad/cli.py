@@ -313,20 +313,17 @@ def _condition(bound, var: str) -> str:
     return "%s < %s < %s" % (_bound_side(lo, var), var, _bound_side(hi, var))
 
 
-def _piecewise_lines(cad: CAD, cells, depth: int, out):
-    groups: dict = {}
-    for c in cells:
-        groups.setdefault(c.index[depth], []).append(c)
+def _piecewise_lines(cad: CAD, prefix: tuple, out):
+    depth = len(prefix)
     var = cad.order.name(depth + 1)
     pad = "  " * depth
-    for entry in sorted(groups):
-        members = groups[entry]
-        label = _condition(members[0].bounds[depth], var)
+    for c in cad.stacks[prefix].cells:
+        label = _condition(c.bounds[depth], var)
         if depth + 1 == cad.order.n:
             out.append(pad + label)
         else:
             out.append(pad + label + ":")
-            _piecewise_lines(cad, members, depth + 1, out)
+            _piecewise_lines(cad, c.index, out)
 
 
 def render_output(cad: CAD, fmt: str) -> str:
@@ -358,7 +355,7 @@ def render_output(cad: CAD, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     if fmt == "piecewise":
         out: list = []
-        _piecewise_lines(cad, list(cad.cells), 0, out)
+        _piecewise_lines(cad, (), out)
         return "\n".join(out) + "\n"
     raise ValueError("unknown output format %r" % fmt)
 

@@ -9,7 +9,10 @@ always has odd length, and a cell's index records its position in each
 stack on the way up: even entries pin a coordinate to a root, odd
 entries leave it ranging in a band.  A stack comes from one call of
 roots_over_cell; each section's RootRef is the basis polynomial owning
-its root and that root's rank among the polynomial's roots.
+its root and that root's rank among the polynomial's roots.  Every
+stack is kept in the finished CAD, keyed by its base cell's index:
+that tree is what queries descend, and the cells of the top level,
+met in index order, are its leaves.
 
 A polynomial that vanishes identically over a base cell contributes no
 sections there and is set aside.  With the smaller projection operator
@@ -23,8 +26,7 @@ The larger operator's theory needs none of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -222,14 +224,13 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
 
 @dataclass(frozen=True)
 class CAD:
-    """Finished decomposition: cells sorted by index, plus the records
-    of every nullification event met along the way.
+    """Finished decomposition: its stack tree, the top-level cells in
+    index order, and the records of every nullification event met
+    along the way.
 
-    The stack tree is kept as two maps built once, on first use, from
-    the cells: index prefix -> section polynomials of the stack over it,
-    and index -> cell.  One cache stays empty until the first point
-    query: the roots of the base stack, isolated once and handed out as
-    copies (see cadcore._stack_roots).
+    stacks maps the index of every cell below the top level to the
+    stack over it, () to the stack over the empty cell R^0, so the
+    tree is walked down from () and its leaves are the cells.
     """
 
     order: VarOrder
@@ -239,44 +240,27 @@ class CAD:
     warnings: tuple = ()
     delineations: tuple = ()
     levels: Optional[ProjectionLevels] = None
-
-    @cached_property
-    def _by_index(self) -> dict:
-        out: dict = {}
-        for c in self.cells:
-            out.setdefault(c.index, c)
-        return out
-
-    @cached_property
-    def _sections(self) -> dict:
-        owner: dict = {}
-        for c in self.cells:
-            for j, entry in enumerate(c.index):
-                if entry % 2 == 0:
-                    owner.setdefault((c.index[:j], entry),
-                                     c.bounds[j].lo.poly)
-        out: dict = {}
-        for prefix, _ in owner:
-            if prefix in out:
-                continue
-            polys = []
-            while (prefix, 2 * len(polys) + 2) in owner:
-                polys.append(owner[prefix, 2 * len(polys) + 2])
-            out[prefix] = tuple(polys)
-        return out
-
-    @cached_property
-    def _base_roots(self) -> list:
-        return []
+    # left out of the hash, which a dict has not, so a CAD stays hashable
+    stacks: dict = field(default_factory=dict, hash=False)
 
     def section_polys(self, prefix) -> tuple:
         """Section polynomials of the stack over an index prefix, in
         ascending root order (one entry per section, repeats allowed)."""
-        return self._sections.get(tuple(prefix), ())
+        stack = self.stacks.get(tuple(prefix))
+        if stack is None:
+            return ()
+        return tuple(c.bounds[-1].lo.poly for c in stack.cells[1::2])
 
     def cell_at(self, index) -> Optional[Cell]:
         """The cell carrying this index, or None."""
-        return self._by_index.get(tuple(index))
+        index = tuple(index)
+        if len(index) != self.order.n:
+            return None
+        stack = self.stacks.get(index[:-1])
+        k = index[-1]
+        if stack is None or not 0 < k <= len(stack.cells):
+            return None
+        return stack.cells[k - 1]
 
 
 def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
@@ -288,6 +272,8 @@ def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
     (or everywhere, with final_oi) such a cell additionally triggers
     the delineating-polynomial repair when zero-dimensional, and a
     not-well-oriented warning (or, with strict, an abort) otherwise.
+    Every stack built is kept in the CAD's stacks; the top-level cells
+    come out of them in index order.
     """
     if method is None:
         method = P.method
@@ -295,7 +281,8 @@ def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
         raise ValueError(
             "projection was computed with method %r" % (P.method,))
     root = Cell((), SamplePoint(()), ())
-    current = list(generate_stack(root, P.level(1)).cells)
+    stacks = {(): generate_stack(root, P.level(1))}
+    current = stacks[()].cells
     warnings: list = []
     delineations: list = []
     for i in range(2, P.n + 1):
@@ -319,8 +306,8 @@ def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
                     if strict:
                         raise NotWellOrientedError("input not well-oriented")
                     warnings.append((cell.index, p))
-            nxt.extend(generate_stack(cell, q).cells)
+            stacks[cell.index] = generate_stack(cell, q)
+            nxt.extend(stacks[cell.index].cells)
         current = nxt
-    current.sort(key=lambda c: c.index)
     return CAD(P.order, method, final_oi, tuple(current),
-               tuple(warnings), tuple(delineations), P)
+               tuple(warnings), tuple(delineations), P, stacks)

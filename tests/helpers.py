@@ -3,8 +3,10 @@ reference division, substitution and interval evaluation on MultiPoly
 and Fractions, the determinant route to resultants and psc chains, the
 PRS route for every gcd, the gcd-first and the
 sequential-substitution sign routes, the exact route over algebraic
-fibers, the sorted route for stack roots at query fibers, a base stack
-isolated afresh on every descent, and the fiber squarefree part."""
+fibers, the symbolic Descartes transform on MultiPoly, the sorted route
+for stack roots at query fibers, a base stack isolated afresh on every
+descent, the flat-scan reading of a CAD's stacks, a builder of CADs
+from hand-made cells, and the fiber squarefree part."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from projcad import algnum, cadcore, polyring
+from projcad.lifting import CAD, Cell, Stack
 from projcad.polyring import (
     InexactDivisionError,
     MultiPoly,
@@ -235,6 +238,42 @@ def force_exact_fiber_decisions(monkeypatch):
     monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, x: None)
 
 
+def shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
+    """Integer polynomial equal to f(a + (b-a)v) up to a positive factor:
+    roots of f in (a,b) become roots in (0,1)."""
+    q, pa, pw = algnum._unit_scale(a, b)
+    xv = MultiPoly.var(f.order, var)
+    d = f.degree(var)
+    acc = MultiPoly.zero(f.order)
+    for e, c in f.coeff_terms(var):
+        acc = acc + c * (pa + pw * xv) ** e * q ** (d - e)
+    return acc
+
+
+def variations_poly(h: MultiPoly, var: str):
+    """g(v) = (v+1)^d h(1/(v+1)): sign variations of g's coefficients
+    bound the number of roots of h in (0,1), exactly when 0 or 1."""
+    xv = MultiPoly.var(h.order, var)
+    d = h.degree(var)
+    acc = MultiPoly.zero(h.order)
+    for e, c in h.coeff_terms(var):
+        acc = acc + c * (xv + 1) ** (d - e)
+    return acc
+
+
+def reference_variations(f: MultiPoly, var: str, s, a, b) -> int:
+    """Descartes sign variations of f on (a, b) at the fiber s, with the
+    transform built on MultiPoly arithmetic and each coefficient signed
+    by sign_at (the route the coefficient-list transform replaced)."""
+    signs = []
+    for _, c in variations_poly(shifted_to_unit(f, var, a, b),
+                                var).coeff_terms(var):
+        sc = algnum.sign_at(c, s)
+        if sc:
+            signs.append(sc)
+    return algnum._changes(signs)
+
+
 def force_sorted_stack_roots(monkeypatch):
     """Make the section-order reading of a stack's roots at a query
     fiber answer "no" everywhere.
@@ -251,11 +290,57 @@ def uncached_base_stack(monkeypatch):
     """Make every descent isolate the base stack again.
 
     locate_point and the sign-invariance oracle then take the stack over
-    prefix () from a fresh isolation at each call, as they did before
-    the CAD kept it, instead of from copies of the kept roots.
+    prefix () from a fresh isolation at each call instead of from copies
+    of the roots lifting isolated, read off the CAD's stack tree.
     """
     monkeypatch.setattr(cadcore, "_stack_roots",
                         cadcore._isolated_stack_roots)
+
+
+def flat_stack_maps(cells) -> tuple:
+    """(sections, by_index) read off a flat cell list by scanning it:
+    index prefix -> section polynomials of the stack over it, in order,
+    and index -> cell (the first cell carrying it).  The reference for
+    CAD.section_polys and CAD.cell_at, which read the stack tree."""
+    by_index: dict = {}
+    for c in cells:
+        by_index.setdefault(c.index, c)
+    owner: dict = {}
+    for c in cells:
+        for j, entry in enumerate(c.index):
+            if entry % 2 == 0:
+                owner.setdefault((c.index[:j], entry), c.bounds[j].lo.poly)
+    sections: dict = {}
+    for prefix, _ in owner:
+        if prefix in sections:
+            continue
+        polys = []
+        while (prefix, 2 * len(polys) + 2) in owner:
+            polys.append(owner[prefix, 2 * len(polys) + 2])
+        sections[prefix] = tuple(polys)
+    return sections, by_index
+
+
+def cad_from_cells(order: VarOrder, cells, method: str = "mccallum",
+                   final_oi: bool = False):
+    """A CAD over hand-made top-level cells, with the stack tree they
+    imply: the cell over each index prefix is cut from the first
+    top-level cell under it (its index, sample point and bounds
+    truncated), and each stack lists the cells over its prefix in
+    index order."""
+    members: dict = {}
+    for c in cells:
+        for k in range(1, len(c.index) + 1):
+            sub = c.index[:k]
+            cell = c if k == len(c.index) else Cell(
+                sub, c.sample.prefix(k), c.bounds[:k])
+            members.setdefault(sub[:-1], {}).setdefault(sub[-1], cell)
+    stacks = {}
+    for prefix, over in members.items():
+        base = (members[prefix[:-1]][prefix[-1]] if prefix
+                else Cell((), algnum.SamplePoint(()), ()))
+        stacks[prefix] = Stack(base, tuple(over[k] for k in sorted(over)))
+    return CAD(order, method, final_oi, tuple(cells), stacks=stacks)
 
 
 def reference_subs_rational_cleared(f: MultiPoly, var: str, value) -> MultiPoly:

@@ -25,11 +25,9 @@ from projcad.algnum import (
     _nonroot_split,
     _point_enclosure,
     _root_bound,
-    _shifted_to_unit,
     _sign_variations,
     _simplest_in_open,
     _strip,
-    _variations_poly,
     fiber_gcd,
     fiber_reduce,
     isolate_real_roots,
@@ -47,6 +45,7 @@ from helpers import (
     random_poly,
     reference_box_eval,
     reference_coeff_enclosure,
+    reference_variations,
     sequential_substitution_signs,
 )
 
@@ -694,7 +693,8 @@ def test_interval_route_carries_enclosure(monkeypatch):
 def test_interval_images_match_exact():
     # polynomials of levels 2 and 3 over irrational fibers: every variation
     # count and Horner sign the enclosure decides is the exact one, and
-    # a point enclosure (a rational fiber) decides every one
+    # a point enclosure (a rational fiber) decides every one.  The exact
+    # node's count, decided or not, is the MultiPoly route's
     rng = random.Random(1729)
     fibers = []
     while len(fibers) < 12:
@@ -729,12 +729,12 @@ def test_interval_images_match_exact():
                 v = _enclosure_variations(enc, a, b)
                 if img is not None:
                     assert v is not None
+                want = reference_variations(f, var, s, a, b)
+                assert _sign_variations(f, var, s, a, b) == want
                 if v is None:
                     counts["undecided"] += 1
                     continue
-                assert v == _sign_variations(
-                    _variations_poly(_shifted_to_unit(f, var, a, b), var),
-                    var, s)
+                assert v == want
                 counts["nodes"] += 1
                 counts["algebraic"] += img is None
             for x in [a, b] + [F(rng.randint(-40, 40), rng.randint(1, 9))
@@ -827,8 +827,7 @@ def test_dense_variations_match_symbolic():
         img = _fiber_image(f, var, s)
         a = F(rng.randint(-40, 40), rng.randint(1, 8))
         b = a + F(rng.randint(1, 40), rng.randint(1, 8))
-        want = _sign_variations(
-            _variations_poly(_shifted_to_unit(f, var, a, b), var), var, s)
+        want = reference_variations(f, var, s, a, b)
         assert _enclosure_variations(_point_enclosure(img), a, b) == want
         checked += 1
 

@@ -25,7 +25,13 @@ from projcad.algnum import (IsolatingInterval, RationalCoordinate,
                             RootOfCoordinate, SamplePoint, sign_at)
 from projcad.cli import parse_input
 
-from helpers import force_sorted_stack_roots, random_poly, uncached_base_stack
+from helpers import (
+    cad_from_cells,
+    flat_stack_maps,
+    force_sorted_stack_roots,
+    random_poly,
+    uncached_base_stack,
+)
 from test_cli import _random_problem
 
 O1 = VarOrder(["x"])
@@ -205,7 +211,7 @@ def test_stack_maps():
     assert cad.cell_at((3, 3)).index == (3, 3)
     assert cad.cell_at((3, 7)) is None
     # a CAD assembled by hand from the same cells answers the same way
-    again = CAD(cad.order, cad.method, cad.final_oi, cad.cells)
+    again = cad_from_cells(cad.order, cad.cells, cad.method, cad.final_oi)
     assert again.section_polys((3,)) == cad.section_polys((3,))
     for pt in ((0, 0), (-2, 5), (1, 0), (F(1, 2), F(7, 8))):
         assert locate_point(pt, again).index == locate_point(pt, cad).index
@@ -230,7 +236,7 @@ def _two_section_cad(below, above):
                          RationalCoordinate(F(0))))
     cells = tuple(Cell((1, k + 1), fiber, (band, b))
                   for k, b in enumerate(tops))
-    return CAD(O2, "mccallum", False, cells)
+    return cad_from_cells(O2, cells)
 
 
 def test_broken_stack_raises_integrity_error(monkeypatch):
@@ -393,7 +399,7 @@ def test_certified_stack_roots_match_sorted_route_random(monkeypatch, seed):
         assert got[1]
 
 
-def test_base_stack_is_isolated_once_and_copied(monkeypatch):
+def test_base_stack_is_read_off_the_tree_and_copied(monkeypatch):
     cad = cad_full([X2**2 + Y2**2 - 2], O2)
     isolated = cadcore._isolated_stack_roots
     calls = []
@@ -403,22 +409,78 @@ def test_base_stack_is_isolated_once_and_copied(monkeypatch):
         return isolated(cad, prefix, vals)
 
     monkeypatch.setattr(cadcore, "_isolated_stack_roots", counting)
+    own = [c.sample.coords[0] for c in cad.stacks[()].cells[1::2]]
+    boxes = [c.box() for c in own]
     first = cadcore._stack_roots(cad, (), [])
-    boxes = [c.box() for c in first]
+    assert [c.box() for c in first] == boxes
     assert len(first) == 2 and all(c.point_value() is None for c in first)
-    # callers bisect the roots they get in place
+    assert not any(a is b for a, b in zip(first, own))
+    # callers bisect the roots they get in place; the cells' own
+    # coordinates and the next call's copies keep their boxes
     for c in first:
         refine(c, F(1, 2**20))
     assert [c.box() for c in first] != boxes
+    assert [c.box() for c in own] == boxes
     again = cadcore._stack_roots(cad, (), [])
     assert [c.box() for c in again] == boxes
     assert not any(a is b for a, b in zip(first, again))
     for pt in ((0, 0), (2, 1), (F(-7, 5), F(1, 3))):
         locate_point(pt, cad)
-    assert calls.count(()) == 1
-    # a deep copy of a CAD no query has read starts cold
-    fresh = cad_full([X2**2 + Y2**2 - 2], O2)
-    assert copy.deepcopy(fresh)._base_roots == []
+    assert verify_sign_invariance(cad, [X2**2 + Y2**2 - 2]).ok
+    assert calls and () not in calls
+    # a deep copy owns its tree: bisecting one copy's base sections
+    # leaves the other's roots as they were
+    twin = copy.deepcopy(cad)
+    boxes = [c.box() for c in cadcore._stack_roots(cad, (), [])]
+    for c in twin.stacks[()].cells[1::2]:
+        refine(c.sample.coords[0], F(1, 2**30))
+    assert [c.box() for c in cadcore._stack_roots(cad, (), [])] == boxes
+    assert [c.box() for c in cadcore._stack_roots(twin, (), [])] != boxes
+
+
+def _tree_leaves(cad, prefix=()):
+    out = []
+    for c in cad.stacks[prefix].cells:
+        out.extend(_tree_leaves(cad, c.index) if c.index in cad.stacks
+                   else [c])
+    return out
+
+
+def _check_tree_against_flat_scan(cad):
+    # every prefix and index the cells carry, and a few they do not,
+    # read the same off the tree as off a scan of the flat cell list
+    sections, by_index = flat_stack_maps(cad.cells)
+    assert tuple(_tree_leaves(cad)) == cad.cells
+    assert all(len(c.index) == cad.order.n for c in cad.cells)
+    prefixes = {c.index[:j] for c in cad.cells
+                for j in range(cad.order.n + 1)}
+    probes = set(prefixes)
+    for idx in prefixes:
+        if idx:
+            probes.update({idx[:-1] + (idx[-1] + 2,), idx[:-1] + (0,),
+                           idx + (1,)})
+    for pre in probes:
+        assert cad.section_polys(pre) == sections.get(pre, ())
+        assert cad.section_polys(list(pre)) == sections.get(pre, ())
+        assert cad.cell_at(pre) is by_index.get(pre)
+        assert cad.cell_at(list(pre)) is by_index.get(pre)
+    return len(probes)
+
+
+@_BENCH_CADS
+def test_stack_tree_matches_flat_scan(polys, method, radius):
+    cad = cad_full(polys, O3, method)
+    assert _check_tree_against_flat_scan(cad) > len(cad.cells)
+
+
+def test_stack_tree_matches_flat_scan_random():
+    for seed in range(40):
+        if seed == 17:
+            continue
+        order, polys = parse_input(_random_problem(seed))
+        for method in ("mccallum", "collins"):
+            cad = cad_full(polys, order, method)
+            assert _check_tree_against_flat_scan(cad) > len(cad.cells)
 
 
 @_BENCH_CADS
