@@ -33,10 +33,9 @@ polynomial's coefficients, which stay integer polynomials in the lower
 variables, and each transformed coefficient's sign at the fiber is
 decided by sign_at.
 
-When every lower variable the polynomial involves sits at a
-point-valued coordinate (a rational, or a root whose interval has
-collapsed to a point), the point values are substituted once, by
-integer Horner with every denominator cleared to one common scale.
+When every lower variable the polynomial involves sits at a rational
+coordinate, the rationals are substituted once, by integer Horner with
+every denominator cleared to one common scale.
 That gives the polynomial's dense image: a list of integers, a positive
 multiple of the polynomial on the fiber.  Its enclosure is the point
 enclosure (the image with every radius 0), on which every decision is
@@ -45,10 +44,10 @@ tried by polyring's coprimality certificate on the images
 (_images_coprime: one integer gcd of their values at a point above
 their roots); only a pair it does not prove goes to the fiber gcd,
 which is exact and, with every coordinate the pair involves
-point-valued, refines no box.  The root of a linear polynomial comes
-back as an exact rational.  A polynomial that first involves an
-algebraic coordinate but is free of it once reduced over the fiber has
-a dense image too.
+rational, refines no box.  The root of a linear polynomial comes back
+as an exact rational.  A polynomial that first involves an algebraic
+coordinate but is free of it once reduced over the fiber has a dense
+image too.
 
 A sign at a sample point first substitutes every point-valued
 coordinate in one pass of integer Horner on the polynomial's nodes.
@@ -62,9 +61,11 @@ polynomial: the defining polynomial may well be reducible (bases are
 only squarefree, not irreducible), so a shared root is detected by a
 sign change of that gcd across the isolating interval rather than by
 divisibility.  A value the gcd shows to be nonzero is signed by interval
-evaluation under refinement.  Refinement shrinks the intervals in place,
-so which boxes later decisions see depends on the signs taken before;
-the signs themselves do not.  Every refinement loop has a step budget
+evaluation under refinement.  Each real root is one RootOfCoordinate,
+shared by every sample point over it; refinement shrinks its box in
+place, which moves no decision and nothing printed: the output shows
+the interval isolation found from a root bound fixed by the polynomial
+and the fiber (_root_bound_of).  Every refinement loop has a step budget
 and raises ArithmeticError (SeparabilityError when two roots will not
 separate) once it is spent.
 """
@@ -135,9 +136,6 @@ class IsolatingInterval:
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -160,26 +158,29 @@ class RootOfCoordinate:
     """Coordinate pinned as the unique root of `defining` in `interval`.
 
     `prefix` holds the lower coordinates the defining polynomial's
-    coefficients are evaluated over.  The interval shrinks in place as
-    refinement happens; the defining polynomial, being squarefree over
-    the fiber, changes sign exactly once inside the interval, which is
-    what bisection relies on.
+    coefficients are evaluated over.  `isolated` is the interval
+    isolation found, which the output prints.  The working box
+    `interval` starts there and shrinks in place, for every sample point
+    sharing the root; the defining polynomial, being squarefree over the
+    fiber, changes sign exactly once inside it, which bisection relies on.
 
     `enclosure` is the defining polynomial's interval image over the
     prefix (see _coeff_enclosure), or None.  Bisection signs the defining
     polynomial on it by interval Horner, and falls back to sign_at only
     when that does not decide.  It stays valid for good, since the
     coefficients' values never change.  When the prefix fixes every
-    variable of the defining polynomial to a point value it is the point
+    variable of the defining polynomial to a rational it is the point
     enclosure of the dense image, which always decides.
     """
 
-    __slots__ = ("defining", "interval", "prefix", "enclosure", "_sign_lo")
+    __slots__ = ("defining", "interval", "isolated", "prefix", "enclosure",
+                 "_sign_lo")
 
     def __init__(self, defining: MultiPoly, interval: IsolatingInterval,
                  prefix=(), enclosure: Optional[tuple] = None):
         self.defining = defining
         self.interval = interval
+        self.isolated = (interval.lo, interval.hi)
         self.prefix = tuple(prefix)
         self.enclosure = enclosure
         self._sign_lo = None
@@ -194,17 +195,6 @@ class RootOfCoordinate:
     def __repr__(self):
         return "RootOf(%s, (%s, %s))" % (
             self.defining, self.interval.lo, self.interval.hi)
-
-
-def _copy_coord(coord, new_prefix):
-    if isinstance(coord, RationalCoordinate):
-        return coord
-    return RootOfCoordinate(
-        coord.defining,
-        IsolatingInterval(coord.interval.lo, coord.interval.hi),
-        new_prefix,
-        coord.enclosure,
-    )
 
 
 class SamplePoint:
@@ -222,13 +212,7 @@ class SamplePoint:
         return SamplePoint(self.coords[:k])
 
     def extend(self, coord) -> "SamplePoint":
-        # fresh copies all the way down: no interval state is shared
-        # between different sample points
-        out = []
-        for c in self.coords:
-            out.append(_copy_coord(c, tuple(out)))
-        out.append(_copy_coord(coord, tuple(out)))
-        return SamplePoint(out)
+        return SamplePoint(self.coords + (coord,))
 
     def __repr__(self):
         return "SamplePoint(%r)" % (list(self.coords),)
@@ -375,11 +359,12 @@ def _bisect_once(coord: RootOfCoordinate):
 
 
 def refine(coord, width):
-    """Shrink a coordinate's isolating interval to the requested width.
+    """Shrink a coordinate's working box to the requested width.
 
     Rational coordinates pass through unchanged; the same object is
-    returned with its interval narrowed in place.  The width must be
-    positive: bisection never brings an irrational root's interval to
+    returned with its working box narrowed in place, for every sample
+    point sharing it, and its `isolated` interval as it was.  The width
+    must be positive: bisection never brings an irrational root's box to
     width 0.
     """
     width = Fraction(width)
@@ -463,24 +448,25 @@ def fiber_gcd(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint) -> MultiPoly
 
 
 # ---------------------------------------------------------------------------
-# dense images over point-valued fibers
+# dense images over rational fibers
 
 
 def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
     """Dense image of p in var at the fiber s, lowest degree first, with
     no zero leading entries ([] when p vanishes there).
 
-    Every lower variable of p is substituted by its point value, at one
-    common positive scale (each denominator raised to p's degree in its
-    variable), so the coefficients come out of integer Horner
+    Every lower variable of p is substituted by its rational value, at
+    one common positive scale (each denominator raised to p's degree in
+    its variable), so the coefficients come out of integer Horner
     (MultiPoly.cleared_coeffs) and the image is a positive multiple of p
     on the fiber; it is divided by its content.  None when some lower
-    variable of p sits at a coordinate without a point value; p's
-    interval image is then taken over the boxes (see _root_bound).
+    variable of p sits at a root, even a collapsed one; p's interval
+    image is then taken over the boxes (see _root_bound).
     """
     order = p.order
     lvl = order.level(var)
-    vals = [c.point_value() for c in s.coords[:lvl - 1]]
+    vals = [c.value if isinstance(c, RationalCoordinate) else None
+            for c in s.coords[:lvl - 1]]
     if None in vals:
         # only the levels p involves need a point value
         for name in p.variables():
@@ -608,14 +594,31 @@ def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
     return _changes(signs)
 
 
-def _enclosure_bound(enc) -> Fraction:
-    """B with every real root of the polynomial enclosed by enc strictly
-    inside (-B, B): 1 + max |c_i| / |lc| over the enclosure.  The
-    polynomial has positive degree and its leading coefficient's
-    enclosure excludes 0."""
-    mid, rad = enc
-    m = max(abs(mi) + ri for mi, ri in zip(mid[:-1], rad))
-    return 1 + Fraction(m, abs(mid[-1]) - rad[-1])
+def _root_bound_of(g: MultiPoly, var: str, s: SamplePoint, enc) -> Fraction:
+    """The least B = 2^k, k >= 0, with |c_i| <= (B - 1) |lc| at the fiber
+    s for every lower coefficient c_i of g in var: a bound on the real
+    roots, at least Cauchy's 1 + max |c_i| / |lc|, fixed by g and the
+    fiber.  enc is g's coefficient enclosure there, up to sign, its
+    leading coefficient's excluding 0; it decides every test on a point
+    enclosure, and sign_at each other test it does not decide."""
+    d = len(enc[0]) - 1
+    lo = [max(abs(m) - r, 0) for m, r in zip(*enc)]
+    hi = [abs(m) + r for m, r in zip(*enc)]
+
+    def within(i, t):  # |c_i| <= t |lc|
+        if hi[i] <= t * lo[d] or lo[i] > t * hi[d]:
+            return hi[i] <= t * lo[d]
+        # the two signs are opposite exactly when |c_i| > t |lc|
+        c, tl = g.coefficient(var, i), t * g.coefficient(var, d)
+        return sign_at(tl - c, s) * sign_at(tl + c, s) >= 0
+
+    # ceil(c / l).bit_length() is the least k with c <= (2^k - 1) l
+    k_lo = max((-(-lo[i] // hi[d])).bit_length() for i in range(d))
+    k_hi = max((-(-hi[i] // lo[d])).bit_length() for i in range(d))
+    for k in range(k_lo, k_hi):
+        if all(within(i, (1 << k) - 1) for i in range(d)):
+            return Fraction(1 << k)
+    return Fraction(1 << k_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +626,9 @@ def _enclosure_bound(enc) -> Fraction:
 
 
 def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
-    """(B, enclosure): every real root of g at the fiber lies strictly
-    inside (-B, B), B = 1 + max |c_i| / |lc| over the coefficients'
-    enclosure, which comes back too.  var is g's main variable."""
+    """(B, enclosure): g's root bound at the fiber (_root_bound_of) and
+    the coefficients' enclosure over the boxes.  var is g's main
+    variable."""
     node = g.node
     lvl, terms = node
     if len(terms) == 1:
@@ -638,7 +641,7 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
         llo, lhi, _ = _box_enclosure(lead, s.coords)
         if llo > 0 or lhi < 0:
             enc = _coeff_enclosure(node, s.coords)
-            return _enclosure_bound(enc), enc
+            return _root_bound_of(g, var, s, enc), enc
         if not _bisect_all(coords):
             raise ArithmeticError(
                 "leading coefficient of %s vanishes at the fiber" % (g,))
@@ -723,8 +726,8 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
     Returns (coordinates in increasing order, root bound B).  f must be
     reduced over the fiber (its leading coefficient nonzero at s),
     squarefree at s and of positive degree there.  img is f's dense
-    image at s, or None off point-valued fibers; with it a linear f
-    gives its exact rational root.
+    image at s, or None off rational fibers; with it a linear f gives
+    its exact rational root.
     """
     if img is None:
         g = _strip(f)
@@ -735,7 +738,7 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
         if f.lead_base_coeff() < 0:
             img = [-c for c in img]
         enc = _point_enclosure(img)
-        B = _enclosure_bound(enc)
+        B = _root_bound_of(f, var, s, enc)
         if len(img) == 2:
             return [RationalCoordinate(Fraction(-img[0], img[1]))], B
         g = _strip(f)
@@ -758,7 +761,7 @@ def isolate_real_roots(f: MultiPoly):
         raise ValueError("squarefree polynomial required")
     s = SamplePoint(())
     enc = _point_enclosure(_fiber_image(f, var, s))
-    B = _enclosure_bound(enc)
+    B = _root_bound_of(f, var, s, enc)
     ivs = []
     _vca(f, var, s, enc, -B, B, ivs)
     return ivs

@@ -20,9 +20,8 @@ squarefree and coprime to the others there, and has as many roots as
 it owns sections, its roots fill its sections in turn, in the order the
 CAD lists them.  Any other stack's roots come sorted.  The base stack's
 fiber is empty, so its roots are those lifting isolated there: every
-descent reads fresh copies of them off the section cells of the CAD's
-stack tree, because comparisons bisect the roots they are handed in
-place.
+descent reads them off the section cells of the CAD's stack tree, the
+cells' own objects, whose working boxes its comparisons narrow.
 
 locate_point requires its comparisons against a stack's roots to read
 below, then at most one equal, then above; a stack out of order, a
@@ -45,7 +44,6 @@ from .algnum import (
     SeparabilityError,
     _bisect_once,
     _compare_coords,
-    _copy_coord,
     _defining_sign,
     _isolated_basis,
     _separated_ends,
@@ -114,14 +112,15 @@ def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:
     section order (see _section_order); otherwise they come sorted.
 
     The base stack (prefix ()) sits over the empty fiber, where lifting
-    isolated its roots from the same basis: they are read off its
-    section cells.  Callers bisect the roots they get in place, so every
-    call gets fresh copies, never the cells' own coordinates.
+    isolated its roots from the same basis: they are its section cells'
+    own coordinates.
     """
     if prefix:
         return _isolated_stack_roots(cad, prefix, vals)
-    return [_copy_coord(c.sample.coords[0], ())
-            for c in cad.stacks[()].cells[1::2]]
+    base = cad.stacks.get(())
+    if base is None:
+        raise IntegrityError("the decomposition keeps no base stack")
+    return [c.sample.coords[0] for c in base.cells[1::2]]
 
 
 def _section_order(refs: tuple, isolated: dict) -> Optional[list]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algnum import SeparabilityError
+from .algnum import RationalCoordinate, SeparabilityError
 from .cadcore import IntegrityError, cad_full
 from .lifting import CAD, NotWellOrientedError, RootRef
 from .polyring import MultiPoly, VarOrder
@@ -217,12 +217,10 @@ def _poly_str(p, strs: dict) -> str:
 
 
 def _coord_json(coord, strs: dict):
-    v = coord.point_value()
-    if v is not None:
-        return {"rational": str(v)}
-    lo, hi = coord.box()
+    if isinstance(coord, RationalCoordinate):
+        return {"rational": str(coord.value)}
     return {"rootOf": _poly_str(coord.defining, strs),
-            "interval": [str(lo), str(hi)]}
+            "interval": [str(v) for v in coord.isolated]}
 
 
 def _cell_json(cell, strs: dict):
@@ -234,12 +232,10 @@ def _cell_json(cell, strs: dict):
 
 
 def _coord_text(coord, strs: dict):
-    v = coord.point_value()
-    if v is not None:
-        return str(v)
-    lo, hi = coord.box()
-    return "root of %s in (%s, %s)" % (_poly_str(coord.defining, strs),
-                                      lo, hi)
+    if isinstance(coord, RationalCoordinate):
+        return str(coord.value)
+    return "root of %s in (%s, %s)" % (
+        _poly_str(coord.defining, strs), *coord.isolated)
 
 
 def _square_factor(k: int) -> int:
@@ -333,7 +329,7 @@ def render_output(cad: CAD, fmt: str) -> str:
         return "%d\n" % len(cad.cells)
     strs: dict = {}
     if fmt == "json":
-        doc = {
+        head = json.dumps({
             "variables": list(cad.order.names),
             "method": cad.method,
             "finalOI": cad.final_oi,
@@ -342,9 +338,10 @@ def render_output(cad: CAD, fmt: str) -> str:
                 {"cell": list(idx), "polynomial": str(p)}
                 for idx, p in cad.warnings
             ],
-            "cells": [_cell_json(c, strs) for c in cad.cells],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        })
+        cells = ",\n".join(json.dumps(_cell_json(c, strs))
+                           for c in cad.cells)
+        return '%s, "cells": [\n%s\n]}\n' % (head[:-1], cells)
     if fmt == "text":
         lines = []
         for c in cad.cells:

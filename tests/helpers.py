@@ -5,8 +5,9 @@ PRS route for every gcd, the gcd-first and the
 sequential-substitution sign routes, the exact route over algebraic
 fibers, the symbolic Descartes transform on MultiPoly, the sorted route
 for stack roots at query fibers, a base stack isolated afresh on every
-descent, the flat-scan reading of a CAD's stacks, a builder of CADs
-from hand-made cells, and the fiber squarefree part."""
+descent, sample points with private copies of their roots, the
+flat-scan reading of a CAD's stacks, a builder of CADs from hand-made
+cells, and the fiber squarefree part."""
 
 from __future__ import annotations
 
@@ -229,7 +230,7 @@ def force_exact_fiber_decisions(monkeypatch):
 
     Descartes nodes, split points and bisection signs then all take the
     exact symbolic step, as they did before interval images existed.
-    That holds for the point enclosures of dense images over point-valued
+    That holds for the point enclosures of dense images over rational
     fibers too, which otherwise decide everything.  The enclosures are
     still taken, because the root bound is read from them.
     """
@@ -290,11 +291,40 @@ def uncached_base_stack(monkeypatch):
     """Make every descent isolate the base stack again.
 
     locate_point and the sign-invariance oracle then take the stack over
-    prefix () from a fresh isolation at each call instead of from copies
-    of the roots lifting isolated, read off the CAD's stack tree.
+    prefix () from a fresh isolation at each call instead of from the
+    roots lifting isolated, read off the CAD's stack tree.
     """
     monkeypatch.setattr(cadcore, "_stack_roots",
                         cadcore._isolated_stack_roots)
+
+
+def _copy_coord(coord, prefix):
+    if isinstance(coord, algnum.RationalCoordinate):
+        return coord
+    twin = algnum.RootOfCoordinate(
+        coord.defining,
+        algnum.IsolatingInterval(coord.interval.lo, coord.interval.hi),
+        prefix, coord.enclosure)
+    twin.isolated = coord.isolated
+    return twin
+
+
+def copying_extend(s, coord):
+    """s extended by coord, with a fresh copy of every root all the way
+    down, each over the copies below it: no working box is shared
+    between sample points.  The reference for SamplePoint.extend, which
+    shares the roots."""
+    out: list = []
+    for c in s.coords + (coord,):
+        out.append(_copy_coord(c, tuple(out)))
+    return algnum.SamplePoint(out)
+
+
+def private_copies(monkeypatch):
+    """Make SamplePoint.extend copy every coordinate (copying_extend), so
+    that one sample point's bisections leave every other's boxes as they
+    were."""
+    monkeypatch.setattr(algnum.SamplePoint, "extend", copying_extend)
 
 
 def flat_stack_maps(cells) -> tuple:

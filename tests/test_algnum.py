@@ -35,9 +35,12 @@ from projcad.algnum import (
     roots_over_cell,
     sign_at,
 )
+from projcad.cadcore import cad_full, locate_point, verify_sign_invariance
+from projcad.cli import render_output
 from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
 from helpers import (
+    copying_extend,
     fiber_squarefree_part,
     force_exact_fiber_decisions,
     force_gcd_first_signs,
@@ -71,9 +74,10 @@ def _sqrt2_coord(order=O1):
 def test_isolate_sqrt2():
     ivs = isolate_real_roots(X**2 - 2)
     assert len(ivs) == 2
-    # root bound 1 + 2/1 = 3 frames the initial search
-    assert (ivs[0].lo, ivs[0].hi) == (F(-3), F(0))
-    assert (ivs[1].lo, ivs[1].hi) == (F(0), F(3))
+    # the root bound, the least power of two B with |-2| <= (B - 1) * 1,
+    # is 4 and frames the initial search
+    assert (ivs[0].lo, ivs[0].hi) == (F(-4), F(0))
+    assert (ivs[1].lo, ivs[1].hi) == (F(0), F(4))
     f = X**2 - 2
     for iv in ivs:
         # endpoints are never roots, and the single interior root shows
@@ -266,7 +270,7 @@ def test_sign_at_decided_by_boxes_skips_gcd(monkeypatch):
 
 
 def _copy_point(s):
-    return s.prefix(len(s) - 1).extend(s.coords[-1])
+    return copying_extend(s.prefix(len(s) - 1), s.coords[-1])
 
 
 def _irrational_roots(polys, s):
@@ -555,13 +559,28 @@ def test_roots_over_cell_algebraic_fiber():
     assert sign_at(y4 - X2**2 + 1, s2) == 1
 
 
-def test_extend_does_not_share_interval_state():
-    s1 = SamplePoint((_sqrt2_coord(O2),))
-    sections, _, _ = roots_over_cell([Y2**2 - X2], s1)
-    s2 = s1.extend(sections[0])
-    refine(s2.coords[0], F(1, 2**16))
-    # the original fiber coordinate is untouched
-    assert s1.coords[0].interval.width() > F(1, 2**16)
+def test_refinement_and_queries_leave_the_output_alone():
+    # every sample point shares its roots with the cells below it, and
+    # narrowing their working boxes, by refine, by point location and by
+    # an oracle sweep, moves nothing the output prints
+    polys = [X3**2 + Y3**2 + Z3**2 - 1, X3 + Y3 + Z3]
+    cad = cad_full(polys, O3)
+    formats = ("json", "text", "piecewise")
+    want = [render_output(cad, f) for f in formats]
+    for stack in cad.stacks.values():
+        # roots compare by identity
+        below = stack.base.sample.coords
+        assert all(c.sample.coords[:-1] == below for c in stack.cells)
+    roots = list({id(c): c for cell in cad.cells for c in cell.sample.coords
+                  if isinstance(c, RootOfCoordinate)}.values())
+    for c in roots:
+        refine(c, F(1, 2**20))
+    assert all(c.box() != c.isolated for c in roots)
+    rng = random.Random(3)
+    for _ in range(24):
+        locate_point(tuple(F(rng.randint(-12, 12), 8) for _ in "xyz"), cad)
+    assert verify_sign_invariance(cad, polys, samples_per_cell=2).ok
+    assert [render_output(cad, f) for f in formats] == want
 
 
 def test_dense_route_carries_image():
@@ -649,8 +668,8 @@ def test_root_bound_is_bounded():
     f = X2 * Y2**2 + Y2 + 1
     with pytest.raises(ArithmeticError, match="vanishes at the fiber"):
         _root_bound(f, "y", _rational_fiber(0))
-    # over x = 1 it is 1 + max |c_i| / |lc|, and the enclosure of the
-    # coefficients 1, 1, 1 is a point there
+    # over x = 1 it is the least power of two B with |c_i| <= (B - 1) |lc|,
+    # and the enclosure of the coefficients 1, 1, 1 is a point there
     assert _root_bound(f, "y", _rational_fiber(1)) == (
         2, ((1, 1, 1), (0, 0, 0)))
     # over x = sqrt(2) the leading coefficient x^2 - 2 vanishes, but the
@@ -658,6 +677,27 @@ def test_root_bound_is_bounded():
     s = SamplePoint((_sqrt2_coord(O2),))
     with pytest.raises(ArithmeticError, match="not separated from 0"):
         _root_bound((X2**2 - 2) * Y2**2 + Y2 + 1, "y", s)
+
+
+def test_root_bound_does_not_depend_on_the_boxes(monkeypatch):
+    # over x = sqrt(2) the bound is the same whatever the box of x.  For
+    # y^2 + 1 - x^2, |c_0| = (2 - 1) |lc| exactly, so no enclosure decides
+    # B = 2 and sign_at does; the others need B - 1 >= sqrt(2)
+    calls = []
+    sign = algnum.sign_at
+
+    def counting(q, s):
+        calls.append(q)
+        return sign(q, s)
+
+    for g, want in ((Y2**2 + 1 - X2**2, 2), (Y2**2 - X2, 4),
+                    (Y2**2 + X2 * Y2 - 1, 4), (4 * Y2**3 - X2 * Y2, 2)):
+        for width in (1, F(1, 8), F(1, 2**40)):
+            s = SamplePoint((refine(_sqrt2_coord(O2), width),))
+            with monkeypatch.context() as m:
+                m.setattr(algnum, "sign_at", counting)
+                assert _root_bound(g, "y", s)[0] == want
+    assert len(calls) >= 3
 
 
 def test_interval_sign_is_bounded():
@@ -672,7 +712,7 @@ def test_interval_sign_is_bounded():
 def test_interval_route_carries_enclosure(monkeypatch):
     # over x = sqrt(2) the roots of y^2 - x take the interval route; every
     # Descartes node is decided on the interval image, and each root
-    # keeps the enclosure, as do its copies
+    # keeps the enclosure, shared by every sample point extended by it
     def no_exact_variations(*args):
         raise AssertionError("exact Descartes node")
 
@@ -683,9 +723,10 @@ def test_interval_route_carries_enclosure(monkeypatch):
     for c in sections:
         mid, rad = c.enclosure
         assert len(mid) == len(rad) == 3 and rad[0] > 0
-        assert s.extend(c).coords[-1].enclosure == c.enclosure
-        # the enclosure signs the defining polynomial at the endpoints
-        for x in c.box():
+        assert s.extend(c).coords[-1] is c
+        # the enclosure signs the defining polynomial at the ends of the
+        # isolating interval
+        for x in c.isolated:
             assert _enclosure_sign(c.enclosure, x) == sign_at(
                 c.defining.subs_rational_cleared("y", x), s)
 

@@ -399,7 +399,7 @@ def test_certified_stack_roots_match_sorted_route_random(monkeypatch, seed):
         assert got[1]
 
 
-def test_base_stack_is_read_off_the_tree_and_copied(monkeypatch):
+def test_base_stack_is_read_off_the_tree(monkeypatch):
     cad = cad_full([X2**2 + Y2**2 - 2], O2)
     isolated = cadcore._isolated_stack_roots
     calls = []
@@ -410,24 +410,22 @@ def test_base_stack_is_read_off_the_tree_and_copied(monkeypatch):
 
     monkeypatch.setattr(cadcore, "_isolated_stack_roots", counting)
     own = [c.sample.coords[0] for c in cad.stacks[()].cells[1::2]]
+    roots = cadcore._stack_roots(cad, (), [])
+    assert len(roots) == 2 and all(c.point_value() is None for c in roots)
+    # the base stack's roots are the section cells' own objects, and the
+    # cells above share them
+    assert all(a is b for a, b in zip(roots, own))
+    assert all(c.sample.coords[0] is own[(c.index[0] - 2) // 2]
+               for c in cad.cells if c.index[0] % 2 == 0)
     boxes = [c.box() for c in own]
-    first = cadcore._stack_roots(cad, (), [])
-    assert [c.box() for c in first] == boxes
-    assert len(first) == 2 and all(c.point_value() is None for c in first)
-    assert not any(a is b for a, b in zip(first, own))
-    # callers bisect the roots they get in place; the cells' own
-    # coordinates and the next call's copies keep their boxes
-    for c in first:
-        refine(c, F(1, 2**20))
-    assert [c.box() for c in first] != boxes
-    assert [c.box() for c in own] == boxes
-    again = cadcore._stack_roots(cad, (), [])
-    assert [c.box() for c in again] == boxes
-    assert not any(a is b for a, b in zip(first, again))
-    for pt in ((0, 0), (2, 1), (F(-7, 5), F(1, 3))):
+    for pt in ((0, 0), (2, 1), (F(-7, 5), F(1, 3)), (F(-141, 100), 0)):
         locate_point(pt, cad)
     assert verify_sign_invariance(cad, [X2**2 + Y2**2 - 2]).ok
     assert calls and () not in calls
+    # the comparisons narrowed the shared working boxes, never the
+    # isolating intervals
+    assert [c.box() for c in own] != boxes
+    assert [c.isolated for c in own] == [(-4, 0), (0, 4)]
     # a deep copy owns its tree: bisecting one copy's base sections
     # leaves the other's roots as they were
     twin = copy.deepcopy(cad)
@@ -436,6 +434,15 @@ def test_base_stack_is_read_off_the_tree_and_copied(monkeypatch):
         refine(c.sample.coords[0], F(1, 2**30))
     assert [c.box() for c in cadcore._stack_roots(cad, (), [])] == boxes
     assert [c.box() for c in cadcore._stack_roots(twin, (), [])] != boxes
+
+
+def test_locate_point_without_stacks_raises_integrity_error():
+    # a CAD built without its stack tree has no base stack to descend
+    cell = Cell((1,), SamplePoint((RationalCoordinate(F(0)),)),
+                (Bound("range"),))
+    cad = CAD(VarOrder(["x"]), "mccallum", False, (cell,))
+    with pytest.raises(IntegrityError, match="no base stack"):
+        locate_point((0,), cad)
 
 
 def _tree_leaves(cad, prefix=()):

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcad import algnum, cli
-from projcad.algnum import SeparabilityError
-from projcad.cadcore import IntegrityError
+from projcad.algnum import RationalCoordinate, SeparabilityError
+from projcad.cadcore import IntegrityError, cad_full
 from projcad.cli import (_EXAMPLES, ParseError, RunConfig, examples_suite,
-                         main, parse_input, run_compute)
+                         main, parse_input, render_output, run_compute)
 from projcad.polyring import VarOrder
 
 from helpers import (force_exact_fiber_decisions, force_gcd_first_signs,
-                     random_poly)
+                     private_copies, random_poly)
 
 CIRCLE = "vars: x, y\nx^2 + y^2 - 1\n"
 SADDLE = "vars: x, y, z\nz*y - x^2\n"
@@ -205,8 +205,12 @@ def test_json_schema_and_stability():
         assert len(cell["sample"]) == 2
         for coord in cell["sample"]:
             assert set(coord) in ({"rational"}, {"rootOf", "interval"})
-    # re-serialization and a fresh run are both bit-exact
-    assert json.dumps(doc, indent=2) + "\n" == out
+    # one cell per line; re-serialization and a fresh run are both
+    # bit-exact
+    cells = doc.pop("cells")
+    assert out.splitlines() == [json.dumps(doc)[:-1] + ', "cells": [',
+                                *(json.dumps(c) + "," for c in cells[:-1]),
+                                json.dumps(cells[-1]), "]}"]
     assert run_compute(RunConfig(), CIRCLE)[0] == out
 
 
@@ -215,8 +219,8 @@ def test_json_algebraic_sample():
     doc = json.loads(out)
     coord = doc["cells"][1]["sample"][1]
     assert coord["rootOf"] == "y^2 - 2"
-    lo, hi = coord["interval"]
-    assert "/" in lo and "/" in hi
+    # the isolating interval: the root bound 4 split at 0
+    assert coord["interval"] == ["-4", "0"]
 
 
 def test_count_matches_json_cell_array():
@@ -350,11 +354,6 @@ def test_collins_four_variable_regression():
 
 
 def test_json_matches_cad_bit_exact():
-    from fractions import Fraction
-
-    from projcad.cadcore import cad_full
-    from projcad.cli import parse_input
-
     order, polys = parse_input(CIRCLE)
     cad = cad_full(polys, order)
     doc = json.loads(run_compute(RunConfig(), CIRCLE)[0])
@@ -363,33 +362,31 @@ def test_json_matches_cad_bit_exact():
         assert tuple(got["index"]) == cell.index
         assert got["dimension"] == cell.dimension()
         for coord_doc, coord in zip(got["sample"], cell.sample.coords):
-            if "rational" in coord_doc:
-                assert Fraction(coord_doc["rational"]) \
-                    == coord.point_value()
+            if isinstance(coord, RationalCoordinate):
+                assert coord_doc == {"rational": str(coord.value)}
             else:
-                lo, hi = coord.box()
                 assert coord_doc["rootOf"] == str(coord.defining)
                 assert [Fraction(v) for v in coord_doc["interval"]] \
-                    == [lo, hi]
+                    == list(coord.isolated)
 
 
 # sha256 of the JSON output: sections, isolating intervals and sample
 # points must not move when the arithmetic behind them is reworked
 GOLDEN_JSON = {
     "circle":
-        "a603b63c2fffa1ddcbb57cf54fe409b25a46b5de2404d54f979b1e22aa5d3e0a",
+        "f80c8c80ba0d63b21339e14f4aff341f0f234078d0e47524f1d2f03ce93d9935",
     "zy-x2":
-        "feddd85c2ae3334dca44384ce1a2316a2148ac630b8addba9c98fa51a5ef0bc9",
+        "70ef23075ae2010eaaceb3562f6be39cfe2d257884b02e65767b26256c51b879",
     "zy-x2-oi":
-        "659339edba98aff78d8ab2392fda27f62d3de9ccde04d66c90ac86aa0cc0b6be",
+        "c16b451b8312020aceb21d971b5f276c3f73693362c870f11b49a755c6a1ff3b",
     "w-example":
-        "1a9a3c6844a9b1bbc15bc979abe91592923b70ba901a4c4a9dff7ea8c25df145",
+        "6c9c9c9d6633f2414a769b0af97eec1c3c830847ff8f5556dddead09921047ec",
     "warn-4var":
-        "5a495944e98868e937fee041f6bc4b760eb4b3945dcb8f7d73edcacce9becf28",
+        "0a902c0d3788118dec5296bab0f197fe0d52f7c361d5ec90070e8ea4710c5b1f",
     "sphere-plane":
-        "7888330d7f5e8936a6352fe165705aa041bf741a76fd0b02fa2a871b4ee0ac7d",
+        "c02ebba8acf0ec07f964566553eb5cb6db34c7165e8db5318448966aa3879220",
     "sphere-saddle":
-        "e22e94c19121b2c8be5f45543880d2162956eed4361406aed20d49a5a0389956",
+        "3b32b29ac2ce31784e4ddda62f5862b55f53eb10e588f6017c1a94742ad02d23",
 }
 
 # problems beyond the built-in examples: (text, cell count)
@@ -447,11 +444,12 @@ def _random_problem(seed):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-string digit limit")
 def test_output_past_digit_limit_exits_cleanly():
-    # seed 84 prints numbers of over 640 digits
+    # the defining polynomial's leading coefficient has 800 digits
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        out, err, code = run_compute(RunConfig(), _random_problem(84))
+        out, err, code = run_compute(
+            RunConfig(), "vars: x\n(" + "9" * 400 + "*x)^2 - 2\n")
     finally:
         sys.set_int_max_str_digits(limit)
     assert (out, code) == ("", 3)
@@ -459,30 +457,41 @@ def test_output_past_digit_limit_exits_cleanly():
     assert err.endswith("\n") and err.count("\n") == 1
 
 
-# seeds 40-50 without 47, whose 3069-cell Collins CAD takes seconds; the
-# intervals move for seed 48 under McCallum and seed 45 under Collins
+# seeds 40-50 without 47, whose 3069-cell Collins CAD takes seconds
 @pytest.mark.parametrize("seed", [s for s in range(40, 51) if s != 47])
 def test_filtered_signs_match_gcd_first_end_to_end(monkeypatch, seed):
+    # the gcd-first route bisects other boxes, and the output, which
+    # depends on the input alone, must not move by one byte
     text = _random_problem(seed)
     cfg = RunConfig(method="collins" if seed % 2 else "mccallum")
-    out, err, code = run_compute(cfg, text)
+    got = run_compute(cfg, text)
     with monkeypatch.context() as m:
         force_gcd_first_signs(m)
-        ref_out, ref_err, ref_code = run_compute(cfg, text)
-    assert (code, err) == (ref_code, ref_err) == (0, "")
-    doc, ref = json.loads(out), json.loads(ref_out)
-    assert doc["cellCount"] == ref["cellCount"]
-    assert doc["warnings"] == ref["warnings"]
-    for cell, ref_cell in zip(doc["cells"], ref["cells"], strict=True):
-        assert cell["index"] == ref_cell["index"]
-        assert cell["dimension"] == ref_cell["dimension"]
-        for e, ref_e in zip(cell["sample"], ref_cell["sample"], strict=True):
-            assert e.keys() == ref_e.keys()
-            if "rootOf" in e:
-                assert e["rootOf"] == ref_e["rootOf"]
-                lo, hi = map(Fraction, e["interval"])
-                ref_lo, ref_hi = map(Fraction, ref_e["interval"])
-                assert max(lo, ref_lo) <= min(hi, ref_hi)
+        want = run_compute(cfg, text)
+    assert got == want and got[2] == 0
+
+
+def _rendered(text, cfg):
+    order, polys = parse_input(text)
+    cad = cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
+    return [render_output(cad, f) for f in ("json", "text", "piecewise")]
+
+
+def test_output_depends_on_the_input_alone(monkeypatch):
+    # with every sample point holding its own copies of its roots, other
+    # boxes are bisected, and the JSON, text and piecewise output must
+    # not move by one byte: the golden problems, and seeds 0-39 without
+    # 17, which does not finish in seconds, under both operators
+    runs = [(GOLDEN_EXTRA[nm][0], RunConfig()) if nm in GOLDEN_EXTRA
+            else _EXAMPLES[nm][:2] for nm in sorted(GOLDEN_JSON)]
+    runs += [(_random_problem(seed), RunConfig(method=method))
+             for seed in range(40) if seed != 17
+             for method in ("mccallum", "collins")]
+    for text, cfg in runs:
+        want = _rendered(text, cfg)
+        with monkeypatch.context() as m:
+            private_copies(m)
+            assert _rendered(text, cfg) == want, (text, cfg.method)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
