@@ -65,9 +65,11 @@ evaluation under refinement.  Each real root is one RootOfCoordinate,
 shared by every sample point over it; refinement shrinks its box in
 place, which moves no decision and nothing printed: the output shows
 the interval isolation found from a root bound fixed by the polynomial
-and the fiber (_root_bound_of).  Every refinement loop has a step budget
-and raises ArithmeticError (SeparabilityError when two roots will not
-separate) once it is spent.
+and the fiber (_root_bound_of).  Every comparison of a root, with
+another root (_compare_coords) or with a rational
+(_cmp_root_to_rational), is made here.  Every refinement loop has a step
+budget and raises ArithmeticError (SeparabilityError when two roots
+will not separate) once it is spent.
 """
 
 from __future__ import annotations
@@ -630,24 +632,14 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
     the coefficients' enclosure over the boxes.  var is g's main
     variable."""
     node = g.node
-    lvl, terms = node
+    terms = node[1]
     if len(terms) == 1:
         return Fraction(1), _coeff_enclosure(node, s.coords)
     # shrink until the leading coefficient's box excludes zero, then
     # bound the others by their current boxes
-    lead = terms[0][1]
-    coords = [s.coords[l - 1] for l in sorted(_ndegrees(node)) if l < lvl]
-    for _ in range(_MAX_SEPARATION_STEPS):
-        llo, lhi, _ = _box_enclosure(lead, s.coords)
-        if llo > 0 or lhi < 0:
-            enc = _coeff_enclosure(node, s.coords)
-            return _root_bound_of(g, var, s, enc), enc
-        if not _bisect_all(coords):
-            raise ArithmeticError(
-                "leading coefficient of %s vanishes at the fiber" % (g,))
-    raise ArithmeticError(
-        "leading coefficient of %s not separated from 0 after %d "
-        "bisection steps" % (g, _MAX_SEPARATION_STEPS))
+    _interval_sign(MultiPoly(g.order, terms[0][1]), s)
+    enc = _coeff_enclosure(node, s.coords)
+    return _root_bound_of(g, var, s, enc), enc
 
 
 def _sign_variations(f: MultiPoly, var: str, s: SamplePoint,
@@ -821,6 +813,19 @@ def _compare_coords(c1, c2) -> int:
             return 1
         _bisect_all((c1, c2))
     raise SeparabilityError("separability violated")
+
+
+def _cmp_root_to_rational(coord, q: Fraction) -> int:
+    """-1/0/+1 for coord < q / coord == q / coord > q, exact."""
+    lo, hi = coord.box()
+    if not lo <= q <= hi:
+        return 1 if q < lo else -1
+    if lo == hi or _defining_sign(coord, q) == 0:
+        return 0
+    # q is in the closed box but is not the root; the separation budget
+    # grows with q's bit length, so a q close to the root gets the steps
+    # it needs
+    return _compare_coords(coord, RationalCoordinate(q))
 
 
 def _separated_ends(c1, c2) -> tuple:

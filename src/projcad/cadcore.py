@@ -22,6 +22,9 @@ CAD lists them.  Any other stack's roots come sorted.  The base stack's
 fiber is empty, so its roots are those lifting isolated there: every
 descent reads them off the section cells of the CAD's stack tree, the
 cells' own objects, whose working boxes its comparisons narrow.
+algnum makes every root comparison, with a rational
+(_cmp_root_to_rational) or with another root (_compare_coords,
+_separated_ends); this module refines no box itself.
 
 locate_point requires its comparisons against a stack's roots to read
 below, then at most one equal, then above; a stack out of order, a
@@ -42,12 +45,10 @@ from .algnum import (
     RationalCoordinate,
     SamplePoint,
     SeparabilityError,
-    _bisect_once,
+    _cmp_root_to_rational,
     _compare_coords,
-    _defining_sign,
     _isolated_basis,
     _separated_ends,
-    _separation_budget,
     sign_at,
 )
 from .lifting import CAD, Cell, cad_lifting
@@ -79,26 +80,6 @@ def cad_full(polys, order: VarOrder, method: str = "mccallum",
 
 # ---------------------------------------------------------------------------
 # point location
-
-
-def _cmp_root_to_rational(coord, q: Fraction) -> int:
-    """-1/0/+1 for root < q / root == q / root > q, exact."""
-    if isinstance(coord, RationalCoordinate):
-        v = coord.value
-        return (v > q) - (v < q)
-    iv = coord.interval
-    if not iv.lo <= q <= iv.hi:
-        return 1 if q < iv.lo else -1
-    if _defining_sign(coord, q) == 0:
-        return 0
-    # q is not the root, which the closed box contains: q at an end of
-    # the box is decided there.  The separation budget grows with q's
-    # bit length, so a q close to the root gets the steps it needs
-    for _ in _separation_budget(coord, RationalCoordinate(q)):
-        if not iv.lo < q < iv.hi:
-            return 1 if q <= iv.lo else -1
-        _bisect_once(coord)
-    raise ArithmeticError("root %r not separated from %s" % (coord, q))
 
 
 def _stack_roots(cad: CAD, prefix: tuple, vals) -> list:

@@ -33,12 +33,14 @@ from typing import Optional
 from .algnum import (
     RationalCoordinate,
     SamplePoint,
-    _fiber_quo,
+    _fiber_image,
+    _squarefree_with_image,
+    _strip,
     fiber_gcd,
     fiber_reduce,
     roots_over_cell,
 )
-from .polyring import MultiPoly, VarOrder, poly_gcd, squarefree_part
+from .polyring import MultiPoly, VarOrder, _npoint_subs
 from .projection import ProjectionLevels
 
 __all__ = [
@@ -169,8 +171,11 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
     Takes the least m for which some order-m partial derivative of p
     survives at the point as a univariate polynomial in p's main
     variable, and returns the squarefree part of the gcd of all the
-    surviving order-m partials there; None when that gcd is constant,
-    meaning no replacement is needed at all.
+    surviving order-m partials there.  Every rational coordinate of the
+    point is substituted into the partials first.  None when that gcd
+    is constant, meaning no replacement is needed at all, which is so
+    as soon as a surviving partial, reduced over the point, is free of
+    the main variable.
     """
     if isinstance(s, Cell):
         s = s.sample
@@ -178,44 +183,31 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
         raise ValueError("polynomial is not nullified at the sample point")
     var = p.mvar()
     names = [n for n in p.order.names if p.order.level(n) <= p.level()]
+    values = [c.value if isinstance(c, RationalCoordinate) else None
+              for c in s.coords] + [None]
     live: list = []
     for m in range(1, p.total_degree() + 1):
         for combo in combinations_with_replacement(names, m):
             q = p
             for v in combo:
                 q = q.derivative(v)
-            if fiber_reduce(q, var, s).is_zero():
+            q = fiber_reduce(MultiPoly(p.order, _npoint_subs(q.node, values)),
+                             var, s)
+            if q.is_zero():
                 continue
+            if q.degree(var) == 0:
+                return None
             live.append(q)
         if live:
             break
     if not live:
         return None
-    if any(q.degree(var) == 0 for q in live):
-        # a surviving derivative free of the main variable makes the
-        # gcd constant
-        return None
-    if all(isinstance(c, RationalCoordinate) for c in s.coords):
-        univs = []
-        for q in live:
-            for j, c in enumerate(s.coords):
-                q = q.subs_rational_cleared(p.order.name(j + 1), c.value)
-            univs.append(q)
-        g = univs[0]
-        for q in univs[1:]:
-            g = poly_gcd(g, q)
-            if g.is_constant():
-                return None
-        return squarefree_part(g)
     g = live[0]
     for q in live[1:]:
         g = fiber_gcd(g, q, var, s)
         if g.degree(var) == 0:
             return None
-    h = fiber_gcd(g, g.derivative(var), var, s)
-    if h.degree(var) != 0:
-        g = _fiber_quo(fiber_reduce(g, var, s), h, var, s)
-    return g
+    return _strip(_squarefree_with_image(g, _fiber_image(g, var, s), var, s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +255,8 @@ class CAD:
         return stack.cells[k - 1]
 
 
-def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
-                final_oi: bool = False, strict: bool = False) -> CAD:
+def cad_lifting(P: ProjectionLevels, final_oi: bool = False,
+                strict: bool = False) -> CAD:
     """Build the cell decomposition of R^n from projection levels.
 
     Any polynomial vanishing identically over a base cell is excluded
@@ -275,11 +267,6 @@ def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
     Every stack built is kept in the CAD's stacks; the top-level cells
     come out of them in index order.
     """
-    if method is None:
-        method = P.method
-    if method != P.method:
-        raise ValueError(
-            "projection was computed with method %r" % (P.method,))
     root = Cell((), SamplePoint(()), ())
     stacks = {(): generate_stack(root, P.level(1))}
     current = stacks[()].cells
@@ -287,7 +274,7 @@ def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
     delineations: list = []
     for i in range(2, P.n + 1):
         level_polys = P.level(i)
-        check_null = method == "mccallum" and (i < P.n or final_oi)
+        check_null = P.method == "mccallum" and (i < P.n or final_oi)
         nxt: list = []
         for cell in current:
             q = []
@@ -309,5 +296,5 @@ def cad_lifting(P: ProjectionLevels, method: Optional[str] = None,
             stacks[cell.index] = generate_stack(cell, q)
             nxt.extend(stacks[cell.index].cells)
         current = nxt
-    return CAD(P.order, method, final_oi, tuple(current),
+    return CAD(P.order, P.method, final_oi, tuple(current),
                tuple(warnings), tuple(delineations), P, stacks)

@@ -666,7 +666,7 @@ def test_root_bound_is_bounded():
     # the leading coefficient x vanishes over x = 0 and no coordinate
     # there can be refined: the bound search must say so, not loop
     f = X2 * Y2**2 + Y2 + 1
-    with pytest.raises(ArithmeticError, match="vanishes at the fiber"):
+    with pytest.raises(ArithmeticError, match="exact zero reached"):
         _root_bound(f, "y", _rational_fiber(0))
     # over x = 1 it is the least power of two B with |c_i| <= (B - 1) |lc|,
     # and the enclosure of the coefficients 1, 1, 1 is a point there
@@ -675,7 +675,7 @@ def test_root_bound_is_bounded():
     # over x = sqrt(2) the leading coefficient x^2 - 2 vanishes, but the
     # box of x can be bisected forever: the search must give up
     s = SamplePoint((_sqrt2_coord(O2),))
-    with pytest.raises(ArithmeticError, match="not separated from 0"):
+    with pytest.raises(ArithmeticError, match="not decided after 512"):
         _root_bound((X2**2 - 2) * Y2**2 + Y2 + 1, "y", s)
 
 

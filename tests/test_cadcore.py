@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from projcad import cadcore
-from projcad.algnum import refine
+from projcad.algnum import _cmp_root_to_rational, refine
 from projcad.cadcore import (
     IntegrityError,
     cad_full,
@@ -106,15 +106,24 @@ def test_cmp_root_to_rational_is_bounded():
     # a rational at an end of a proper isolating interval is not the
     # root, which lies inside: it is decided from the box as it stands
     root = _sqrt2()
-    assert cadcore._cmp_root_to_rational(root, F(1)) == 1
-    assert cadcore._cmp_root_to_rational(root, F(2)) == -1
+    assert _cmp_root_to_rational(root, F(1)) == 1
+    assert _cmp_root_to_rational(root, F(2)) == -1
     assert root.box() == (1, 2)
     # a rational within 2^-600 of sqrt(2) needs more steps than the fixed
     # budget; its long denominator buys them
     k = 600
     below = F(math.isqrt(2 * 4**k), 2**k)
-    assert cadcore._cmp_root_to_rational(_sqrt2(), below) == 1
-    assert cadcore._cmp_root_to_rational(_sqrt2(), below + F(1, 2**k)) == -1
+    assert _cmp_root_to_rational(_sqrt2(), below) == 1
+    assert _cmp_root_to_rational(_sqrt2(), below + F(1, 2**k)) == -1
+    # exact ties: a rational coordinate, a root found at a point inside
+    # its box, and a root whose box has collapsed
+    assert _cmp_root_to_rational(RationalCoordinate(F(2)), F(2)) == 0
+    two = RootOfCoordinate(X1**2 - 4, IsolatingInterval(1, 3))
+    assert _cmp_root_to_rational(two, F(2)) == 0
+    assert two.box() == (1, 3)
+    refine(two, 1)
+    assert two.box() == (2, 2)
+    assert _cmp_root_to_rational(two, F(2)) == 0
 
 
 def test_separate_gap_is_bounded():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from projcad import algnum, cli
 from projcad.algnum import RationalCoordinate, SeparabilityError
-from projcad.cadcore import IntegrityError, cad_full
+from projcad.cadcore import IntegrityError, cad_full, verify_sign_invariance
 from projcad.cli import (_EXAMPLES, ParseError, RunConfig, examples_suite,
                          main, parse_input, render_output, run_compute)
 from projcad.polyring import VarOrder
@@ -439,6 +439,20 @@ def _random_problem(seed):
             p = random_poly(rng, order, max_deg=2, max_coeff=3, n_terms=4)
         polys.append(str(p))
     return "vars: x, y, z\n" + "\n".join(polys) + "\n"
+
+
+@pytest.mark.parametrize("seed, cells", [(5, 77), (48, 391), (79, 33),
+                                         (113, 31)])
+def test_final_oi_over_rational_points(seed, cells):
+    # each final lift meets a polynomial nullified at a point with
+    # rational coordinates, where a surviving partial derivative is a
+    # nonzero constant once they are substituted
+    text = _random_problem(seed)
+    cfg = RunConfig(final_oi=True, output="count")
+    assert run_compute(cfg, text) == ("%d\n" % cells, "", 0)
+    order, polys = parse_input(text)
+    cad = cad_full(polys, order, final_oi=True)
+    assert verify_sign_invariance(cad, polys, samples_per_cell=1)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -194,6 +194,8 @@ def test_minimal_delineating_frozen():
     assert minimal_delineating_polynomial(Z3 * Y3 - X3**2, s) == Z3
     assert minimal_delineating_polynomial(Z3 * Y3 - X3, s) is None
     assert minimal_delineating_polynomial(Z3**2 * Y3 - X3**2, s) == Z3
+    # the partial in x, y*z + 1, is the nonzero constant 1 over (0, 0)
+    assert minimal_delineating_polynomial(X3 * Y3 * Z3 + X3 + Y3**2, s) is None
 
 
 def test_minimal_delineating_requires_nullified():
@@ -212,6 +214,11 @@ def test_minimal_delineating_algebraic_point():
     assert d is not None and d.degree("z") == 1
     assert sign_at(d, s.extend(RationalCoordinate(F(0)))) == 0
     assert sign_at(d, s.extend(RationalCoordinate(F(1)))) != 0
+    # the partial in x, 2*x*y*z + 2*x, is the nonzero constant 2*sqrt(2)
+    # once y = 0 is substituted: no replacement is needed
+    q = (X3**2 - 2) * Y3 * Z3 + X3**2 - 2 + Y3**2
+    assert is_nullified(q, s)
+    assert minimal_delineating_polynomial(q, s) is None
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +281,6 @@ def test_lifting_collins_never_warns():
     cad = cad_lifting(cad_projection([f], O4, "collins"), final_oi=True)
     assert cad.warnings == ()
     assert cad.delineations == ()
-
-
-def test_lifting_method_mismatch():
-    P = cad_projection([CIRCLE], O2, "mccallum")
-    with pytest.raises(ValueError):
-        cad_lifting(P, method="collins")
 
 
 def test_lifting_univariate():
