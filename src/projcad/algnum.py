@@ -3,10 +3,20 @@
 Coordinates of sample points are either rationals or real roots of
 lower-level polynomials pinned down by an isolating interval.  Every
 decision here reduces to integer polynomial arithmetic plus exact sign
-tests; interval arithmetic runs on integers (each box [lo, hi] as
-(lo q, hi q, q), every enclosure at one common positive scale) and
-decides a sign only when its enclosure excludes 0, so nothing depends
-on floating point.
+tests; interval arithmetic runs on integers (every enclosure at one
+common positive scale) and decides a sign only when its enclosure
+excludes 0, so nothing depends on floating point.
+
+Boxes are integers too.  An IsolatingInterval stores [a/q, b/q] as
+(a, b, q), and every box isolation makes has a power-of-two q: the root
+bound is 2^k, split points are a/q + (b-a)/q * num/2^t, and bisection
+takes the midpoint (a + b)/(2q).  Points are passed as (u, v) for u/v,
+boxes are compared with each other and with rationals by
+cross-multiplication, and the simplest rational in a gap between two
+roots comes from a continued-fraction descent on integers.  A Fraction
+is built only at the edges: a sector sample, the point value of a
+collapsed box, the interval the output prints, and the point handed to
+an exact fallback.
 
 _fiber_basis is the one place a fiber basis is built: each polynomial
 is reduced over the fiber, flattened to its squarefree part there if
@@ -21,17 +31,17 @@ Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
 SYMSAC 1976) on the polynomial's interval image (Collins, Johnson and
 Krandick, JSC 34, 2002): its coefficients in the main variable enclosed
 over the fiber's boxes, scaled to integer endpoints.  Each Descartes
-node runs an integer scale, a Taylor shift, a reversal, a shift by 1
-and a sign count on it in interval arithmetic (Rouillier and
-Zimmermann, JCAM 162, 2004), and split points and bisection signs
-evaluate it by interval Horner.  A decision is taken only when every
-enclosure it needs excludes 0 or is exactly [0, 0]; it is then exact,
-because the boxes contain their coordinates and so the enclosures
-contain the true values, for good.  Otherwise that one node or sign
-falls back to the exact symbolic step: the same transform runs on the
-polynomial's coefficients, which stay integer polynomials in the lower
-variables, and each transformed coefficient's sign at the fiber is
-decided by sign_at.
+node on (a/q, b/q) runs the integer scale by q, a Taylor shift by a,
+a scale by b - a, a reversal, a shift by 1 and a sign count on it in
+interval arithmetic (Rouillier and Zimmermann, JCAM 162, 2004), and
+split points and bisection signs evaluate it by interval Horner.  A
+decision is taken only when every enclosure it needs excludes 0 or is
+exactly [0, 0]; it is then exact, because the boxes contain their
+coordinates and so the enclosures contain the true values, for good.
+Otherwise that one node or sign falls back to the exact symbolic step:
+the same transform runs on the polynomial's coefficients, which stay
+integer polynomials in the lower variables, and each transformed
+coefficient's sign at the fiber is decided by sign_at.
 
 When every lower variable the polynomial involves sits at a rational
 coordinate, the rationals are substituted once, by integer Horner with
@@ -121,28 +131,65 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass
+def _reduced(a: int, b: int, q: int) -> tuple:
+    # (a, b, q) divided by gcd(a, b, q)
+    g = math.gcd(a, b, q)
+    return (a // g, b // g, q // g) if g > 1 else (a, b, q)
+
+
 class IsolatingInterval:
     """Rational interval containing exactly one root of its polynomial.
 
-    lo == hi encodes an exactly known rational root; proper intervals
-    never have a root at either endpoint.
+    The box [a/q, b/q] is stored as the integers (a, b, q), q > 0 and
+    reduced by gcd(a, b, q); isolation and bisection only ever make a
+    power-of-two q.  The constructor takes any rationals lo <= hi, and
+    lo, hi, width() and midpoint() are Fractions built on read.  lo ==
+    hi encodes an exactly known rational root; proper intervals never
+    have a root at either endpoint.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("a", "b", "q")
 
-    def __post_init__(self):
-        self.lo = Fraction(self.lo)
-        self.hi = Fraction(self.hi)
-        if self.lo > self.hi:
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._set(lo.numerator * (q // lo.denominator),
+                  hi.numerator * (q // hi.denominator), q)
+
+    @classmethod
+    def _of(cls, a: int, b: int, q: int) -> "IsolatingInterval":
+        iv = cls.__new__(cls)
+        iv._set(a, b, q)
+        return iv
+
+    def _set(self, a: int, b: int, q: int):
+        self.a, self.b, self.q = _reduced(a, b, q)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.q)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.q)
 
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.b - self.a, self.q)
 
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.a + self.b, 2 * self.q)
+
+    def __eq__(self, other):
+        if not isinstance(other, IsolatingInterval):
+            return NotImplemented
+        return (self.a, self.b, self.q) == (other.a, other.b, other.q)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "IsolatingInterval(lo=%r, hi=%r)" % (self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -161,10 +208,13 @@ class RootOfCoordinate:
 
     `prefix` holds the lower coordinates the defining polynomial's
     coefficients are evaluated over.  `isolated` is the interval
-    isolation found, which the output prints.  The working box
-    `interval` starts there and shrinks in place, for every sample point
-    sharing the root; the defining polynomial, being squarefree over the
-    fiber, changes sign exactly once inside it, which bisection relies on.
+    isolation found, as a pair of Fractions, which the output prints.
+    The working box `interval` starts there and shrinks in place, for
+    every sample point sharing the root; the defining polynomial, being
+    squarefree over the fiber, changes sign exactly once inside it, which
+    bisection relies on.  Bisection and every comparison read the box as
+    the integers (a, b, q) it stores, q a power of two for every root
+    isolation makes; point_value() and box() build Fractions.
 
     `enclosure` is the defining polynomial's interval image over the
     prefix (see _coeff_enclosure), or None.  Bisection signs the defining
@@ -189,7 +239,7 @@ class RootOfCoordinate:
 
     def point_value(self) -> Optional[Fraction]:
         iv = self.interval
-        return iv.lo if iv.lo == iv.hi else None
+        return Fraction(iv.a, iv.q) if iv.a == iv.b else None
 
     def box(self):
         return (self.interval.lo, self.interval.hi)
@@ -267,12 +317,13 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
 
 
 def _int_box(coord) -> tuple:
-    """The coordinate's current box [lo, hi] as (lo*q, hi*q, q), q the
-    lcm of the endpoint denominators."""
-    lo, hi = coord.box()
-    q = math.lcm(lo.denominator, hi.denominator)
-    return (lo.numerator * (q // lo.denominator),
-            hi.numerator * (q // hi.denominator), q)
+    """The coordinate's current box [a/q, b/q] as (a, b, q): a root's
+    stored triple, or (n, n, d) for a rational n/d."""
+    if isinstance(coord, RationalCoordinate):
+        v = coord.value
+        return v.numerator, v.numerator, v.denominator
+    iv = coord.interval
+    return iv.a, iv.b, iv.q
 
 
 def _box_enclosure(node, coords) -> tuple:
@@ -318,45 +369,49 @@ def _bisect_all(coords) -> bool:
     there is none."""
     progressed = False
     for c in coords:
-        if isinstance(c, RootOfCoordinate) and c.point_value() is None:
+        if isinstance(c, RootOfCoordinate) and c.interval.a != c.interval.b:
             _bisect_once(c)
             progressed = True
     return progressed
 
 
-def _defining_sign(coord: RootOfCoordinate, x: Fraction) -> int:
-    """Sign of the coordinate's defining polynomial at x over its prefix."""
-    return _fiber_sign(coord.defining, coord.prefix, coord.enclosure, x)
+def _defining_sign(coord: RootOfCoordinate, u: int, v: int) -> int:
+    """Sign of the coordinate's defining polynomial at u/v (v > 0) over
+    its prefix."""
+    return _fiber_sign(coord.defining, coord.prefix, coord.enclosure, u, v)
 
 
-def _fiber_sign(f: MultiPoly, prefix: tuple, enc, x) -> int:
-    """Sign of f(x), x in f's main variable, at the fiber of the
-    coordinates `prefix`: read off the coefficient enclosure enc (None
-    for none) when that decides it, else exact by sign_at."""
+def _fiber_sign(f: MultiPoly, prefix: tuple, enc, u: int, v: int) -> int:
+    """Sign of f(u/v), v > 0, u/v in f's main variable, at the fiber of
+    the coordinates `prefix`: read off the coefficient enclosure enc
+    (None for none) when that decides it, else exact by sign_at."""
     if enc is not None:
-        sg = _enclosure_sign(enc, x)
+        sg = _enclosure_sign(enc, u, v)
         if sg is not None:
             return sg
-    return sign_at(f.subs_rational_cleared(f.mvar(), x), SamplePoint(prefix))
+    return sign_at(f.subs_rational_cleared(f.mvar(), Fraction(u, v)),
+                   SamplePoint(prefix))
 
 
 def _bisect_once(coord: RootOfCoordinate):
-    """One bisection step; collapses to a point on an exact hit."""
+    """One bisection step, at the midpoint (a + b)/(2q) of the box;
+    collapses to a point on an exact hit."""
     iv = coord.interval
-    if iv.lo == iv.hi:
+    a, b, q = iv.a, iv.b, iv.q
+    if a == b:
         return
-    mid = iv.midpoint()
-    sm = _defining_sign(coord, mid)
+    m, q2 = a + b, 2 * q
+    sm = _defining_sign(coord, m, q2)
     if sm == 0:
-        iv.lo = iv.hi = mid
+        iv._set(m, m, q2)
         coord._sign_lo = 0
         return
     if coord._sign_lo is None:
-        coord._sign_lo = _defining_sign(coord, iv.lo)
+        coord._sign_lo = _defining_sign(coord, a, q)
     if coord._sign_lo * sm < 0:
-        iv.hi = mid
+        iv._set(2 * a, m, q2)
     else:
-        iv.lo = mid
+        iv._set(m, 2 * b, q2)
         coord._sign_lo = sm
 
 
@@ -376,9 +431,10 @@ def refine(coord, width):
     if isinstance(coord, RationalCoordinate):
         return coord
     iv = coord.interval
-    while iv.hi - iv.lo > width:
+    u, v = width.numerator, width.denominator
+    while (iv.b - iv.a) * v > u * iv.q:
         _bisect_once(coord)
-        if iv.lo == iv.hi:
+        if iv.a == iv.b:
             break
     return coord
 
@@ -500,14 +556,6 @@ def _taylor_shift(c: list, t: int):
             c[j] += t * c[j + 1]
 
 
-def _unit_scale(a: Fraction, b: Fraction):
-    """(q, pa, pw) with a = pa/q and b - a = pw/q, all integers."""
-    a, w = Fraction(a), Fraction(b) - Fraction(a)
-    q = math.lcm(a.denominator, w.denominator)
-    return (q, a.numerator * (q // a.denominator),
-            w.numerator * (q // w.denominator))
-
-
 def _to_unit(c, q: int, pa: int, pw: int) -> list:
     """Coefficients of (v+1)^d h(1/(v+1)), h = q^d c(a + (b-a)v), for
     a = pa/q and b - a = pw/q; lowest degree first, c left as it is.
@@ -559,11 +607,11 @@ def _coeff_enclosure(node, coords) -> tuple:
     return tuple(v // g for v in mid), tuple(v // g for v in rad)
 
 
-def _enclosure_sign(enc, x: Fraction) -> Optional[int]:
-    """Sign at a rational x of the polynomial enclosed by enc, by interval
-    Horner; None when the enclosure of the value straddles 0."""
+def _enclosure_sign(enc, u: int, v: int) -> Optional[int]:
+    """Sign at the rational u/v, v > 0, of the polynomial enclosed by
+    enc, by interval Horner; None when the enclosure of the value
+    straddles 0."""
     mid, rad = enc
-    u, v = x.numerator, x.denominator
     m = _horner(mid, u, v)
     if not any(rad):
         return _sgn(m)
@@ -575,18 +623,19 @@ def _enclosure_sign(enc, x: Fraction) -> Optional[int]:
     return None if r else 0
 
 
-def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
-    """Sign variations of (v+1)^d h(1/(v+1)), h = q^d c(a + (b-a)v), for
-    the polynomial c enclosed by enc (the interval counterpart of
-    _sign_variations), or None when some transformed coefficient's
-    enclosure straddles 0.  The Taylor shift by pa bounds its radii by
-    the shift by |pa|; every other step has nonnegative entries."""
+def _enclosure_variations(enc, a: int, b: int, q: int) -> Optional[int]:
+    """Sign variations on (a/q, b/q) of the polynomial c enclosed by enc:
+    those of (v+1)^d h(1/(v+1)), h = q^d c((a + (b-a)v)/q) (the interval
+    counterpart of _sign_variations), or None when some transformed
+    coefficient's enclosure straddles 0.  The Taylor shift by a bounds
+    its radii by the shift by |a|; every other step has nonnegative
+    entries."""
     mid, rad = enc
-    q, pa, pw = _unit_scale(a, b)
+    w = b - a
     if not any(rad):
-        return _changes([m > 0 for m in _to_unit(mid, q, pa, pw) if m])
+        return _changes([m > 0 for m in _to_unit(mid, q, a, w) if m])
     signs = []
-    for m, r in zip(_to_unit(mid, q, pa, pw), _to_unit(rad, q, abs(pa), pw)):
+    for m, r in zip(_to_unit(mid, q, a, w), _to_unit(rad, q, abs(a), w)):
         if m > r:
             signs.append(True)
         elif m < -r:
@@ -596,7 +645,7 @@ def _enclosure_variations(enc, a: Fraction, b: Fraction) -> Optional[int]:
     return _changes(signs)
 
 
-def _root_bound_of(g: MultiPoly, var: str, s: SamplePoint, enc) -> Fraction:
+def _root_bound_of(g: MultiPoly, var: str, s: SamplePoint, enc) -> int:
     """The least B = 2^k, k >= 0, with |c_i| <= (B - 1) |lc| at the fiber
     s for every lower coefficient c_i of g in var: a bound on the real
     roots, at least Cauchy's 1 + max |c_i| / |lc|, fixed by g and the
@@ -619,8 +668,8 @@ def _root_bound_of(g: MultiPoly, var: str, s: SamplePoint, enc) -> Fraction:
     k_hi = max((-(-hi[i] // lo[d])).bit_length() for i in range(d))
     for k in range(k_lo, k_hi):
         if all(within(i, (1 << k) - 1) for i in range(d)):
-            return Fraction(1 << k)
-    return Fraction(1 << k_hi)
+            return 1 << k
+    return 1 << k_hi
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +683,7 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
     node = g.node
     terms = node[1]
     if len(terms) == 1:
-        return Fraction(1), _coeff_enclosure(node, s.coords)
+        return 1, _coeff_enclosure(node, s.coords)
     # shrink until the leading coefficient's box excludes zero, then
     # bound the others by their current boxes
     _interval_sign(MultiPoly(g.order, terms[0][1]), s)
@@ -643,17 +692,17 @@ def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
 
 
 def _sign_variations(f: MultiPoly, var: str, s: SamplePoint,
-                     a: Fraction, b: Fraction) -> int:
-    """The exact Descartes node: sign variations at the fiber s of
-    (v+1)^d h(1/(v+1)), h = q^d f(a + (b-a)v).  _to_unit runs on f's
-    coefficients in var, polynomials in the lower variables, and each
-    result is signed by sign_at from the highest degree down, zero
-    coefficients skipped."""
+                     a: int, b: int, q: int) -> int:
+    """The exact Descartes node on (a/q, b/q): sign variations at the
+    fiber s of (v+1)^d h(1/(v+1)), h = q^d f((a + (b-a)v)/q).  _to_unit
+    runs on f's coefficients in var, polynomials in the lower variables,
+    and each result is signed by sign_at from the highest degree down,
+    zero coefficients skipped."""
     c = [MultiPoly.zero(f.order)] * (f.degree(var) + 1)
     for e, ce in f.coeff_terms(var):
         c[e] = ce
     signs = []
-    for ce in reversed(_to_unit(c, *_unit_scale(a, b))):
+    for ce in reversed(_to_unit(c, q, a, b - a)):
         if ce.is_zero():
             continue
         sc = sign_at(ce, s)
@@ -662,9 +711,11 @@ def _sign_variations(f: MultiPoly, var: str, s: SamplePoint,
     return _changes(signs)
 
 
-def _split_point(nonzero, degree: int, a: Fraction, b: Fraction) -> Fraction:
-    """Deterministic split point in the middle half of (a, b) where the
-    predicate `nonzero` holds; keeps both parts at most 3/4 of the width.
+def _split_point(nonzero, degree: int, a: int, b: int, q: int) -> tuple:
+    """Deterministic split point u/v in the middle half of (a/q, b/q)
+    where the predicate nonzero(u, v) holds; keeps both parts at most 3/4
+    of the width.  The candidates are a/q + (b-a)/q * num/2^t, so v is
+    q 2^t.
 
     The candidates are distinct, and a polynomial of degree `degree` that
     does not vanish has at most that many roots, so once more candidates
@@ -678,34 +729,37 @@ def _split_point(nonzero, degree: int, a: Fraction, b: Fraction) -> Fraction:
         for num in range(1, den, 2):
             if 4 * num < den or 4 * num > 3 * den:
                 continue
-            m = a + w * Fraction(num, den)
-            if nonzero(m):
-                return m
+            u, v = a * den + w * num, q * den
+            if nonzero(u, v):
+                return u, v
             tried += 1
             if tried > degree:
                 raise ArithmeticError(
                     "no split point in (%s, %s): the polynomial vanishes "
-                    "on the fiber" % (a, b))
+                    "on the fiber" % (Fraction(a, q), Fraction(b, q)))
         t += 1
 
 
-def _nonroot_split(f, var, s, a, b, enc=None) -> Fraction:
-    return _split_point(lambda m: _fiber_sign(f, s.coords, enc, m) != 0,
-                        f.degree(var), a, b)
+def _nonroot_split(f, var, s, a, b, q, enc=None) -> tuple:
+    return _split_point(
+        lambda u, v: _fiber_sign(f, s.coords, enc, u, v) != 0,
+        f.degree(var), a, b, q)
 
 
-def _vca(f, var, s, enc, a, b, out):
-    v = _enclosure_variations(enc, a, b)
+def _vca(f, var, s, enc, a, b, q, out):
+    # Descartes/bisection on (a/q, b/q)
+    v = _enclosure_variations(enc, a, b, q)
     if v is None:
-        v = _sign_variations(f, var, s, a, b)
+        v = _sign_variations(f, var, s, a, b, q)
     if v == 0:
         return
     if v == 1:
-        out.append(IsolatingInterval(a, b))
+        out.append(IsolatingInterval._of(a, b, q))
         return
-    m = _nonroot_split(f, var, s, a, b, enc)
-    _vca(f, var, s, enc, a, m, out)
-    _vca(f, var, s, enc, m, b, out)
+    m, mq = _nonroot_split(f, var, s, a, b, q, enc)
+    k = mq // q
+    _vca(f, var, s, enc, *_reduced(a * k, m, mq), out)
+    _vca(f, var, s, enc, *_reduced(m, b * k, mq), out)
 
 
 def _point_enclosure(img) -> tuple:
@@ -735,7 +789,7 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
             return [RationalCoordinate(Fraction(-img[0], img[1]))], B
         g = _strip(f)
     ivs = []
-    _vca(g, var, s, enc, -B, B, ivs)
+    _vca(g, var, s, enc, -B, B, 1, ivs)
     return [RootOfCoordinate(g, iv, s.coords, enc) for iv in ivs], B
 
 
@@ -755,16 +809,12 @@ def isolate_real_roots(f: MultiPoly):
     enc = _point_enclosure(_fiber_image(f, var, s))
     B = _root_bound_of(f, var, s, enc)
     ivs = []
-    _vca(f, var, s, enc, -B, B, ivs)
+    _vca(f, var, s, enc, -B, B, 1, ivs)
     return ivs
 
 
 # ---------------------------------------------------------------------------
 # merged roots of several polynomials over one cell
-
-
-def _coord_points(c1, c2):
-    return (c1.point_value() is not None) and (c2.point_value() is not None)
 
 
 def _separation_budget(c1, c2):
@@ -801,43 +851,51 @@ def _compare_coords(c1, c2) -> int:
     if c1 is c2:
         return 0
     for _ in _separation_budget(c1, c2):
-        a1, b1 = c1.box()
-        a2, b2 = c2.box()
-        if b1 <= a2:
-            if b1 == a2 and _coord_points(c1, c2):
+        a1, b1, q1 = _int_box(c1)
+        a2, b2, q2 = _int_box(c2)
+        # the boxes [a1/q1, b1/q1] and [a2/q2, b2/q2], compared by
+        # cross-multiplication; touching boxes are apart unless both are
+        # points
+        d = b1 * q2 - a2 * q1
+        if d <= 0:
+            if d == 0 and a1 == b1 and a2 == b2:
                 raise SeparabilityError("separability violated")
             return -1
-        if b2 <= a1:
-            if b2 == a1 and _coord_points(c1, c2):
+        d = b2 * q1 - a1 * q2
+        if d <= 0:
+            if d == 0 and a1 == b1 and a2 == b2:
                 raise SeparabilityError("separability violated")
             return 1
         _bisect_all((c1, c2))
     raise SeparabilityError("separability violated")
 
 
-def _cmp_root_to_rational(coord, q: Fraction) -> int:
-    """-1/0/+1 for coord < q / coord == q / coord > q, exact."""
-    lo, hi = coord.box()
-    if not lo <= q <= hi:
-        return 1 if q < lo else -1
-    if lo == hi or _defining_sign(coord, q) == 0:
+def _cmp_root_to_rational(coord, x: Fraction) -> int:
+    """-1/0/+1 for coord < x / coord == x / coord > x, exact."""
+    a, b, q = _int_box(coord)
+    u, v = x.numerator, x.denominator
+    if u * q < a * v:
+        return 1
+    if u * q > b * v:
+        return -1
+    if a == b or _defining_sign(coord, u, v) == 0:
         return 0
-    # q is in the closed box but is not the root; the separation budget
-    # grows with q's bit length, so a q close to the root gets the steps
+    # x is in the closed box but is not the root; the separation budget
+    # grows with x's bit length, so an x close to the root gets the steps
     # it needs
-    return _compare_coords(coord, RationalCoordinate(q))
+    return _compare_coords(coord, RationalCoordinate(x))
 
 
 def _separated_ends(c1, c2) -> tuple:
-    """(b1, a2) with b1 < a2: the facing ends of the boxes of two
-    ordered roots c1 < c2, bisected apart within the separation budget.
-    SeparabilityError when the budget is spent or nothing is left to
-    bisect."""
+    """(b1, q1, a2, q2) with b1/q1 < a2/q2: the facing ends of the boxes
+    of two ordered roots c1 < c2, bisected apart within the separation
+    budget.  SeparabilityError when the budget is spent or nothing is
+    left to bisect."""
     for _ in _separation_budget(c1, c2):
-        b1 = c1.box()[1]
-        a2 = c2.box()[0]
-        if b1 < a2:
-            return b1, a2
+        _, b1, q1 = _int_box(c1)
+        a2, _, q2 = _int_box(c2)
+        if b1 * q2 < a2 * q1:
+            return b1, q1, a2, q2
         if not _bisect_all((c1, c2)):
             break
     raise SeparabilityError("separability violated")
@@ -849,27 +907,41 @@ def _gap_sample(c1, c2) -> Fraction:
     return _simplest_in_open(*_separated_ends(c1, c2))
 
 
-def _simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
-    """Rational with the smallest denominator in the open interval (a, b)."""
-    if a < 0 < b:
+def _simplest_in_open(an: int, ad: int, bn: int, bd: int) -> Fraction:
+    """Rational with the smallest denominator in the open interval
+    (an/ad, bn/bd), ad and bd positive."""
+    if an < 0 < bn:
         return Fraction(0)
-    if a >= 0:
-        return _simplest_pos(Fraction(a), Fraction(b))
-    return -_simplest_pos(Fraction(-b), Fraction(-a))
+    if an >= 0:
+        return Fraction(*_simplest_pos(an, ad, bn, bd))
+    u, v = _simplest_pos(-bn, bd, -an, ad)
+    return Fraction(-u, v)
 
 
-def _simplest_pos(a: Fraction, b: Fraction) -> Fraction:
-    # 0 <= a < b: continued-fraction descent
-    fa = math.floor(a)
-    if a == fa:
-        if b > fa + 1:
-            return Fraction(fa + 1)
-        t = math.floor(1 / (b - fa)) + 1
-        return fa + Fraction(1, t)
-    if fa + 1 < b:
-        return Fraction(fa + 1)
-    ya, yb = a - fa, b - fa
-    return fa + 1 / _simplest_pos(1 / yb, 1 / ya)
+def _simplest_pos(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """(u, v) in lowest terms: the rational with the smallest denominator
+    in (an/ad, bn/bd), 0 <= an/ad < bn/bd, by the continued-fraction
+    descent on integers.  Each level takes fa = floor(a) and answers
+    fa + 1 when that is below b, fa + 1/t with t = floor(1/(b - fa)) + 1
+    when a is the integer fa, and else goes on with (1/(b - fa),
+    1/(a - fa)).  The partial quotients taken are common to the finite
+    continued fractions of a and b, so the descent ends.  (h1, h0, k1,
+    k0) carries their convergents: the answer is (h1 u + h0 v)/(k1 u +
+    k0 v) for the last level's u/v."""
+    h1, h0, k1, k0 = 1, 0, 0, 1
+    while True:
+        fa, ra = divmod(an, ad)
+        rb = bn - fa * bd  # b - fa = rb/bd > 0
+        if rb > bd:
+            u, v = fa + 1, 1
+            break
+        if ra == 0:
+            t = bd // rb + 1
+            u, v = fa * t + 1, t
+            break
+        h1, h0, k1, k0 = fa * h1 + h0, h1, fa * k1 + k0, k1
+        an, ad, bn, bd = bd, rb, ad, ra
+    return h1 * u + h0 * v, k1 * u + k0 * v
 
 
 def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
@@ -972,7 +1044,7 @@ def roots_over_cell(polys, s: SamplePoint):
         return [], [Fraction(0)], []
     var = ps[0].order.name(len(s) + 1)
     tagged = []
-    bound = Fraction(1)
+    bound = 1
     for r, (coords, b) in _isolated_basis(ps, var, s).items():
         tagged.extend((c, r) for c in coords)
         bound = max(bound, b)
@@ -980,8 +1052,8 @@ def roots_over_cell(polys, s: SamplePoint):
         return [], [Fraction(0)], []
     tagged.sort(key=cmp_to_key(lambda a, b: _compare_coords(a[0], b[0])))
     sections = [c for c, _ in tagged]
-    samples = [-bound]
+    samples = [Fraction(-bound)]
     for c1, c2 in zip(sections, sections[1:]):
         samples.append(_gap_sample(c1, c2))
-    samples.append(bound)
+    samples.append(Fraction(bound))
     return sections, samples, [r for _, r in tagged]

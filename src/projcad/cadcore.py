@@ -184,7 +184,8 @@ def _separate_gap(coords, i):
     ordered root coordinates; None means unbounded on that side."""
     if 0 < i < len(coords):
         try:
-            return _separated_ends(coords[i - 1], coords[i])
+            b1, q1, a2, q2 = _separated_ends(coords[i - 1], coords[i])
+            return Fraction(b1, q1), Fraction(a2, q2)
         except SeparabilityError:
             raise IntegrityError("roots %r and %r of a stack do not separate"
                                  % (coords[i - 1], coords[i]))

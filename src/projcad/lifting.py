@@ -40,7 +40,7 @@ from .algnum import (
     fiber_reduce,
     roots_over_cell,
 )
-from .polyring import MultiPoly, VarOrder, _npoint_subs
+from .polyring import MultiPoly, VarOrder, _npoint_subs, primitive_part
 from .projection import ProjectionLevels
 
 __all__ = [
@@ -170,12 +170,14 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
 
     Takes the least m for which some order-m partial derivative of p
     survives at the point as a univariate polynomial in p's main
-    variable, and returns the squarefree part of the gcd of all the
-    surviving order-m partials there.  Every rational coordinate of the
-    point is substituted into the partials first.  None when that gcd
-    is constant, meaning no replacement is needed at all, which is so
-    as soon as a surviving partial, reduced over the point, is free of
-    the main variable.
+    variable, and returns the primitive part, in the main variable, of
+    the squarefree part of the gcd of all the surviving order-m partials
+    there.  Every rational coordinate of the point is substituted into
+    the partials first.  None when that gcd is constant, meaning no
+    replacement is needed at all, which is so as soon as a surviving
+    partial, reduced over the point, is free of the main variable.  The
+    content dropped divides the leading coefficient, which is nonzero
+    over the point, so the roots there stay the same.
     """
     if isinstance(s, Cell):
         s = s.sample
@@ -207,7 +209,8 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
         g = fiber_gcd(g, q, var, s)
         if g.degree(var) == 0:
             return None
-    return _strip(_squarefree_with_image(g, _fiber_image(g, var, s), var, s)[0])
+    h = _squarefree_with_image(g, _fiber_image(g, var, s), var, s)[0]
+    return _strip(primitive_part(h))
 
 
 # ---------------------------------------------------------------------------

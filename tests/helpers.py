@@ -7,7 +7,8 @@ fibers, the symbolic Descartes transform on MultiPoly, the sorted route
 for stack roots at query fibers, a base stack isolated afresh on every
 descent, sample points with private copies of their roots, the
 flat-scan reading of a CAD's stacks, a builder of CADs from hand-made
-cells, and the fiber squarefree part."""
+cells, the fiber squarefree part, and bisection, split points, root
+comparison and gap samples on Fraction boxes."""
 
 from __future__ import annotations
 
@@ -235,14 +236,18 @@ def force_exact_fiber_decisions(monkeypatch):
     still taken, because the root bound is read from them.
     """
     monkeypatch.setattr(algnum, "_enclosure_variations",
-                        lambda enc, a, b: None)
-    monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, x: None)
+                        lambda enc, a, b, q: None)
+    monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, u, v: None)
 
 
 def shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
     """Integer polynomial equal to f(a + (b-a)v) up to a positive factor:
     roots of f in (a,b) become roots in (0,1)."""
-    q, pa, pw = algnum._unit_scale(a, b)
+    # a = pa/q and b - a = pw/q, q the least common denominator
+    a, w = Fraction(a), Fraction(b) - Fraction(a)
+    q = math.lcm(a.denominator, w.denominator)
+    pa = a.numerator * (q // a.denominator)
+    pw = w.numerator * (q // w.denominator)
     xv = MultiPoly.var(f.order, var)
     d = f.degree(var)
     acc = MultiPoly.zero(f.order)
@@ -508,3 +513,130 @@ def fiber_squarefree_part(f: MultiPoly, var: str, s) -> MultiPoly:
     if g.degree(var) == 0:
         return algnum._strip(f)
     return algnum._fiber_quo(f, g, var, s)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction box arithmetic that the integer triples (a, b, q) replaced
+
+
+class FractionBox:
+    """A twin of a coordinate whose working box is a pair of Fractions.
+
+    The reference bisection narrows lo and hi on Fractions and signs the
+    coordinate's defining polynomial exactly, by sign_at after
+    substituting the point; the coordinate itself is never changed.
+    """
+
+    def __init__(self, coord):
+        self.coord = coord
+        self.lo, self.hi = coord.box()
+        self.sign_lo = None
+
+    def defining_sign(self, x: Fraction) -> int:
+        f = self.coord.defining
+        return algnum.sign_at(f.subs_rational_cleared(f.mvar(), x),
+                              algnum.SamplePoint(self.coord.prefix))
+
+
+def reference_bisect_once(r: FractionBox):
+    """One bisection step on Fractions; collapses on an exact hit."""
+    if r.lo == r.hi:
+        return
+    mid = (r.lo + r.hi) / 2
+    sm = r.defining_sign(mid)
+    if sm == 0:
+        r.lo = r.hi = mid
+        r.sign_lo = 0
+        return
+    if r.sign_lo is None:
+        r.sign_lo = r.defining_sign(r.lo)
+    if r.sign_lo * sm < 0:
+        r.hi = mid
+    else:
+        r.lo = mid
+        r.sign_lo = sm
+
+
+def _reference_bisect_all(boxes) -> bool:
+    progressed = False
+    for r in boxes:
+        if r.lo != r.hi:
+            reference_bisect_once(r)
+            progressed = True
+    return progressed
+
+
+def reference_split_point(nonzero, degree: int, a: Fraction,
+                          b: Fraction) -> Fraction:
+    """The split-point search on Fractions: the first candidate
+    a + (b - a) num/2^t in the middle half of (a, b) where nonzero(m)
+    holds."""
+    w = b - a
+    tried = 0
+    t = 1
+    while True:
+        den = 1 << t
+        for num in range(1, den, 2):
+            if 4 * num < den or 4 * num > 3 * den:
+                continue
+            m = a + w * Fraction(num, den)
+            if nonzero(m):
+                return m
+            tried += 1
+            if tried > degree:
+                raise ArithmeticError(
+                    "no split point in (%s, %s): the polynomial vanishes "
+                    "on the fiber" % (a, b))
+        t += 1
+
+
+def reference_compare_coords(r1: FractionBox, r2: FractionBox) -> int:
+    """Root comparison on Fraction boxes, bisecting both within the
+    separation budget of the two coordinates."""
+    for _ in algnum._separation_budget(r1.coord, r2.coord):
+        points = r1.lo == r1.hi and r2.lo == r2.hi
+        if r1.hi <= r2.lo:
+            if r1.hi == r2.lo and points:
+                raise algnum.SeparabilityError("separability violated")
+            return -1
+        if r2.hi <= r1.lo:
+            if r2.hi == r1.lo and points:
+                raise algnum.SeparabilityError("separability violated")
+            return 1
+        _reference_bisect_all((r1, r2))
+    raise algnum.SeparabilityError("separability violated")
+
+
+def reference_gap_sample(r1: FractionBox, r2: FractionBox) -> Fraction:
+    """The sector sample between two ordered roots on Fraction boxes:
+    bisect until the facing ends are apart, then take the simplest
+    rational between them."""
+    for _ in algnum._separation_budget(r1.coord, r2.coord):
+        if r1.hi < r2.lo:
+            return reference_simplest_in_open(r1.hi, r2.lo)
+        if not _reference_bisect_all((r1, r2)):
+            break
+    raise algnum.SeparabilityError("separability violated")
+
+
+def reference_simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
+    """Rational with the smallest denominator in (a, b), by the
+    continued-fraction descent on Fractions."""
+    if a < 0 < b:
+        return Fraction(0)
+    if a >= 0:
+        return _reference_simplest_pos(Fraction(a), Fraction(b))
+    return -_reference_simplest_pos(Fraction(-b), Fraction(-a))
+
+
+def _reference_simplest_pos(a: Fraction, b: Fraction) -> Fraction:
+    fa = math.floor(a)
+    if a == fa:
+        if b > fa + 1:
+            return Fraction(fa + 1)
+        t = math.floor(1 / (b - fa)) + 1
+        return fa + Fraction(1, t)
+    if fa + 1 < b:
+        return Fraction(fa + 1)
+    ya, yb = a - fa, b - fa
+    return fa + 1 / _reference_simplest_pos(1 / yb, 1 / ya)

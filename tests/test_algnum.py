@@ -16,17 +16,23 @@ from projcad.algnum import (
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
+    SeparabilityError,
+    _bisect_once,
     _box_enclosure,
     _coeff_enclosure,
+    _compare_coords,
     _enclosure_sign,
     _enclosure_variations,
     _fiber_image,
+    _gap_sample,
+    _int_box,
     _interval_sign,
     _nonroot_split,
     _point_enclosure,
     _root_bound,
     _sign_variations,
     _simplest_in_open,
+    _split_point,
     _strip,
     fiber_gcd,
     fiber_reduce,
@@ -40,6 +46,7 @@ from projcad.cli import render_output
 from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
 from helpers import (
+    FractionBox,
     copying_extend,
     fiber_squarefree_part,
     force_exact_fiber_decisions,
@@ -47,7 +54,12 @@ from helpers import (
     random_nonconstant,
     random_poly,
     reference_box_eval,
+    reference_bisect_once,
     reference_coeff_enclosure,
+    reference_compare_coords,
+    reference_gap_sample,
+    reference_simplest_in_open,
+    reference_split_point,
     reference_variations,
     sequential_substitution_signs,
 )
@@ -60,6 +72,17 @@ X = MultiPoly.var(O1, "x")
 X2, Y2 = MultiPoly.var(O2, "x"), MultiPoly.var(O2, "y")
 
 F = Fraction
+
+
+def _num_den(x: Fraction) -> tuple:
+    return x.numerator, x.denominator
+
+
+def _int_ends(a: Fraction, b: Fraction) -> tuple:
+    # the interval (a, b) as integers (a q, b q, q)
+    q = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (
+        q // b.denominator), q
 
 
 def _sqrt2_coord(order=O1):
@@ -573,9 +596,12 @@ def test_refinement_and_queries_leave_the_output_alone():
         assert all(c.sample.coords[:-1] == below for c in stack.cells)
     roots = list({id(c): c for cell in cad.cells for c in cell.sample.coords
                   if isinstance(c, RootOfCoordinate)}.values())
+    # isolation and bisection make power-of-two denominators only
+    assert all(_is_power_of_two(c.interval.q) for c in roots)
     for c in roots:
         refine(c, F(1, 2**20))
     assert all(c.box() != c.isolated for c in roots)
+    assert all(_is_power_of_two(c.interval.q) for c in roots)
     rng = random.Random(3)
     for _ in range(24):
         locate_point(tuple(F(rng.randint(-12, 12), 8) for _ in "xyz"), cad)
@@ -648,18 +674,18 @@ def test_split_search_is_bounded():
     # y*x vanishes identically over x = 0: no candidate can be a
     # non-root, and the search must say so instead of looping
     with pytest.raises(ArithmeticError, match=r"\(0, 1\)"):
-        _nonroot_split(X2 * Y2, "y", _rational_fiber(0), F(0), F(1))
+        _nonroot_split(X2 * Y2, "y", _rational_fiber(0), 0, 1, 1)
     # the same when every candidate is signed on a point enclosure,
     # with no exact step: here the zero polynomial's
     s0 = _rational_fiber(0)
     with pytest.raises(ArithmeticError, match="vanishes"):
-        _nonroot_split(X2 * Y2**2, "y", s0, F(-2), F(2),
+        _nonroot_split(X2 * Y2**2, "y", s0, -2, 2, 1,
                        _point_enclosure([0, 0, 0]))
     # a nonzero image finds a split among its first deg + 1 candidates
     # even when the early ones are roots: (y - 1/2)(y - 1/4) on (0, 1)
     f = 8 * Y2**2 - 6 * Y2 + 1
-    assert _nonroot_split(f, "y", s0, F(0), F(1),
-                          _point_enclosure([1, -6, 8])) == F(3, 4)
+    assert _nonroot_split(f, "y", s0, 0, 1, 1,
+                          _point_enclosure([1, -6, 8])) == (3, 4)
 
 
 def test_root_bound_is_bounded():
@@ -727,7 +753,7 @@ def test_interval_route_carries_enclosure(monkeypatch):
         # the enclosure signs the defining polynomial at the ends of the
         # isolating interval
         for x in c.isolated:
-            assert _enclosure_sign(c.enclosure, x) == sign_at(
+            assert _enclosure_sign(c.enclosure, *_num_den(x)) == sign_at(
                 c.defining.subs_rational_cleared("y", x), s)
 
 
@@ -767,11 +793,11 @@ def test_interval_images_match_exact():
             for _ in range(3):
                 a = B * F(rng.randint(-16, 15), 16)
                 b = a + B * F(rng.randint(1, 8), 16)
-                v = _enclosure_variations(enc, a, b)
+                v = _enclosure_variations(enc, *_int_ends(a, b))
                 if img is not None:
                     assert v is not None
                 want = reference_variations(f, var, s, a, b)
-                assert _sign_variations(f, var, s, a, b) == want
+                assert _sign_variations(f, var, s, *_int_ends(a, b)) == want
                 if v is None:
                     counts["undecided"] += 1
                     continue
@@ -780,7 +806,7 @@ def test_interval_images_match_exact():
                 counts["algebraic"] += img is None
             for x in [a, b] + [F(rng.randint(-40, 40), rng.randint(1, 9))
                                for _ in range(3)]:
-                sg = _enclosure_sign(enc, x)
+                sg = _enclosure_sign(enc, *_num_den(x))
                 if img is not None:
                     assert sg is not None
                 if sg is None:
@@ -869,7 +895,8 @@ def test_dense_variations_match_symbolic():
         a = F(rng.randint(-40, 40), rng.randint(1, 8))
         b = a + F(rng.randint(1, 40), rng.randint(1, 8))
         want = reference_variations(f, var, s, a, b)
-        assert _enclosure_variations(_point_enclosure(img), a, b) == want
+        assert _enclosure_variations(_point_enclosure(img),
+                                     *_int_ends(a, b)) == want
         checked += 1
 
 
@@ -878,11 +905,13 @@ def test_dense_variations_match_symbolic():
 
 
 def test_simplest_in_open_frozen():
-    assert _simplest_in_open(F(1, 3), F(1, 2)) == F(2, 5)
-    assert _simplest_in_open(F(-1), F(1)) == 0
-    assert _simplest_in_open(F(0), F(2)) == 1
-    assert _simplest_in_open(F(5), F(6)) == F(11, 2)
-    assert _simplest_in_open(F(-1, 2), F(-1, 3)) == F(-2, 5)
+    assert _simplest_in_open(1, 3, 1, 2) == F(2, 5)
+    assert _simplest_in_open(-1, 1, 1, 1) == 0
+    assert _simplest_in_open(0, 1, 2, 1) == 1
+    assert _simplest_in_open(5, 1, 6, 1) == F(11, 2)
+    assert _simplest_in_open(-1, 2, -1, 3) == F(-2, 5)
+    # the ends need not be in lowest terms
+    assert _simplest_in_open(2, 6, 4, 8) == F(2, 5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -894,7 +923,7 @@ def test_simplest_in_open_is_minimal(a, b):
     if a == b:
         return
     a, b = min(a, b), max(a, b)
-    r = _simplest_in_open(a, b)
+    r = _simplest_in_open(*_num_den(a), *_num_den(b))
     assert a < r < b
     # brute-force: nothing with a smaller denominator fits in the gap
     for q in range(1, r.denominator):
@@ -902,3 +931,112 @@ def test_simplest_in_open_is_minimal(a, b):
         while F(p, q) <= a:
             p += 1
         assert F(p, q) >= b
+
+
+# ---------------------------------------------------------------------------
+# integer boxes against the Fraction reference
+
+_BOX_SHAPES = ("dyadic", "non-dyadic", "negative", "collapsed")
+_SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13)
+
+
+def _coord_maker(rng, shape, k):
+    """A function making fresh copies of one coordinate whose box has the
+    given shape: around sqrt(k) (-sqrt(k) for "negative") with dyadic or
+    other ends, around a dyadic rational that bisection hits, or a point.
+    Half of the roots carry the point enclosure of their defining
+    polynomial, the others are signed by sign_at alone."""
+    if shape == "collapsed":
+        r = F(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 8)))
+        if rng.random() < 0.3:
+            return lambda: RationalCoordinate(r)
+        f, lo, hi = r.denominator * X - r.numerator, r, r
+    elif shape == "dyadic" and rng.random() < 0.3:
+        j = rng.randint(1, 5)
+        r = F(2 * rng.randint(-20, 20) + 1, 2**j)
+        e = rng.randint(0, j - 1)
+        lo = F(math.floor(r * 2**e), 2**e)
+        f, hi = r.denominator * X - r.numerator, lo + F(1, 2**e)
+    else:
+        others = (3, 5, 6, 7, 10, 12, 20)
+        if shape == "dyadic" or (shape == "negative" and rng.random() < 0.5):
+            d1 = d2 = 2**rng.randint(0, 6)
+        else:
+            d1, d2 = rng.choice(others), rng.choice(others)
+        f = X**2 - k
+        lo = F(math.isqrt(k * d1 * d1), d1)
+        hi = F(math.isqrt(k * d2 * d2) + 1, d2)
+        if shape == "negative":
+            lo, hi = -hi, -lo
+    enc = None
+    if rng.random() < 0.5:
+        enc = _point_enclosure(_fiber_image(f, "x", SamplePoint(())))
+    return lambda: RootOfCoordinate(f, IsolatingInterval(lo, hi), (), enc)
+
+
+def _is_power_of_two(q: int) -> bool:
+    return q & (q - 1) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_BOX_SHAPES), st.sampled_from(_BOX_SHAPES),
+       st.integers(min_value=0, max_value=2**32))
+def test_integer_boxes_match_fraction_reference(shape1, shape2, seed):
+    # bisection, split points, root comparison and gap samples on the
+    # integer triples against the same steps on Fraction boxes
+    rng = random.Random(seed)
+    k1, k2 = rng.sample(_SQUAREFREE, 2)
+    make1 = _coord_maker(rng, shape1, k1)
+    make2 = _coord_maker(rng, shape2, k2)
+
+    c = make1()
+    ref = FractionBox(c)
+    for _ in range(rng.randint(1, 12)):
+        if isinstance(c, RootOfCoordinate):
+            _bisect_once(c)
+            reference_bisect_once(ref)
+        assert c.box() == (ref.lo, ref.hi)
+        if shape1 == "dyadic":
+            assert _is_power_of_two(_int_box(c)[2])
+
+    lo, hi = make1().box()
+    if lo < hi:
+        a, b, q = _int_box(make1())
+        cands = []
+        skip = rng.randint(0, 3)
+        want = reference_split_point(
+            lambda m: cands.append(m) or len(cands) > skip, 99, lo, hi)
+        banned = set(cands[:skip])
+        u, v = _split_point(lambda u, v: F(u, v) not in banned, skip,
+                            a, b, q)
+        assert F(u, v) == want and v % q == 0
+        assert _is_power_of_two(v // q)
+        if skip:
+            with pytest.raises(ArithmeticError) as got:
+                _split_point(lambda u, v: F(u, v) not in banned, skip - 1,
+                             a, b, q)
+            with pytest.raises(ArithmeticError) as ref_err:
+                reference_split_point(lambda m: m not in banned, skip - 1,
+                                      lo, hi)
+            assert str(got.value) == str(ref_err.value)
+
+    c1, c2 = make1(), make2()
+    r1, r2 = FractionBox(make1()), FractionBox(make2())
+    try:
+        want = reference_compare_coords(r1, r2)
+    except SeparabilityError:
+        with pytest.raises(SeparabilityError):
+            _compare_coords(c1, c2)
+        return
+    assert _compare_coords(c1, c2) == want
+    assert (c1.box(), c2.box()) == ((r1.lo, r1.hi), (r2.lo, r2.hi))
+    if want > 0:
+        c1, c2, r1, r2 = c2, c1, r2, r1
+    assert _gap_sample(c1, c2) == reference_gap_sample(r1, r2)
+    assert (c1.box(), c2.box()) == ((r1.lo, r1.hi), (r2.lo, r2.hi))
+    # the gap between the facing ends, in lowest terms and scaled up
+    b1, a2 = c1.box()[1], c2.box()[0]
+    t = rng.randint(1, 9)
+    assert _simplest_in_open(b1.numerator * t, b1.denominator * t,
+                             a2.numerator, a2.denominator) == (
+        reference_simplest_in_open(b1, a2))

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projcad import algnum, cli
-from projcad.algnum import RationalCoordinate, SeparabilityError
-from projcad.cadcore import IntegrityError, cad_full, verify_sign_invariance
+from projcad.algnum import RationalCoordinate, SeparabilityError, sign_at
+from projcad.cadcore import (IntegrityError, cad_full, locate_point,
+                             verify_sign_invariance)
 from projcad.cli import (_EXAMPLES, ParseError, RunConfig, examples_suite,
                          main, parse_input, render_output, run_compute)
-from projcad.polyring import VarOrder
+from projcad.polyring import MultiPoly, VarOrder
 
 from helpers import (force_exact_fiber_decisions, force_gcd_first_signs,
                      private_copies, random_poly)
@@ -455,6 +456,26 @@ def test_final_oi_over_rational_points(seed, cells):
     assert verify_sign_invariance(cad, polys, samples_per_cell=1)
 
 
+def test_delineating_polynomial_is_primitive_in_its_main_variable():
+    # over the points (4,2) and (4,6), where y is algebraic, the gcd of
+    # the surviving partials is z*y^2; its primitive part in z is z, whose
+    # root 0 is rational, and not z*y^2 isolated over the algebraic fiber
+    text = _random_problem(95)
+    out, err, code = run_compute(RunConfig(final_oi=True), text)
+    assert (err, code) == ("", 0)
+    doc = json.loads(out)
+    assert doc["cellCount"] == len(doc["cells"]) == 91
+    samples = {tuple(c["index"]): c["sample"] for c in doc["cells"]}
+    for idx in ((4, 2, 2), (4, 6, 2)):
+        assert samples[idx][2] == {"rational": "0"}
+    order, polys = parse_input(text)
+    cad = cad_full(polys, order, final_oi=True)
+    z = MultiPoly.var(order, "z")
+    assert [(idx, d) for idx, _, d in cad.delineations] == [
+        ((4, 2), z), ((4, 6), z)]
+    assert verify_sign_invariance(cad, polys, samples_per_cell=1)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-string digit limit")
 def test_output_past_digit_limit_exits_cleanly():
@@ -483,6 +504,35 @@ def test_filtered_signs_match_gcd_first_end_to_end(monkeypatch, seed):
         force_gcd_first_signs(m)
         want = run_compute(cfg, text)
     assert got == want and got[2] == 0
+
+
+def test_mccallum_and_collins_agree_at_located_cells():
+    # random rational points located in the McCallum and the Collins CAD
+    # of the same input: the input polynomials take the same signs at the
+    # samples of the two cells, and those are their signs at the point.
+    # Seeds 0-39 without 17, which does not finish in seconds; a McCallum
+    # run that warns is not proven sign-invariant and is left out
+    rng = random.Random(2013)
+    compared = 0
+    for seed in range(40):
+        if seed == 17:
+            continue
+        order, polys = parse_input(_random_problem(seed))
+        mccallum = cad_full(polys, order, "mccallum")
+        if mccallum.warnings:
+            continue
+        collins = cad_full(polys, order, "collins")
+        for _ in range(8):
+            pt = tuple(Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 8)))
+                       for _ in order.names)
+            env = dict(zip(order.names, pt))
+            at_point = [(v > 0) - (v < 0)
+                        for v in (p.evaluate(env) for p in polys)]
+            signs = [[sign_at(p, locate_point(pt, cad).sample)
+                      for p in polys] for cad in (mccallum, collins)]
+            assert signs == [at_point, at_point], (seed, pt)
+            compared += 1
+    assert compared >= 240
 
 
 def _rendered(text, cfg):
@@ -527,8 +577,8 @@ def test_interval_images_match_exact_route_end_to_end(monkeypatch):
     decided = []
     encl_vars = algnum._enclosure_variations
 
-    def counting(enc, a, b):
-        v = encl_vars(enc, a, b)
+    def counting(enc, a, b, q):
+        v = encl_vars(enc, a, b, q)
         decided.append(v is not None)
         return v
 
