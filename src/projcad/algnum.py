@@ -71,15 +71,20 @@ polynomial: the defining polynomial may well be reducible (bases are
 only squarefree, not irreducible), so a shared root is detected by a
 sign change of that gcd across the isolating interval rather than by
 divisibility.  A value the gcd shows to be nonzero is signed by interval
-evaluation under refinement.  Each real root is one RootOfCoordinate,
-shared by every sample point over it; refinement shrinks its box in
-place, which moves no decision and nothing printed: the output shows
-the interval isolation found from a root bound fixed by the polynomial
-and the fiber (_root_bound_of).  Every comparison of a root, with
-another root (_compare_coords) or with a rational
-(_cmp_root_to_rational), is made here.  Every refinement loop has a step
-budget and raises ArithmeticError (SeparabilityError when two roots
-will not separate) once it is spent.
+evaluation under refinement.  sign_at is the one exact sign at a point:
+a polynomial's sign at a rational u/v over a fiber (the gcd's signs at
+the box ends, and a bisection or split-point sign that the interval
+image leaves undecided) is one sign_at at the fiber extended by u/v
+(_fiber_sign), which substitutes every point value in one pass.
+
+Each real root is one RootOfCoordinate, shared by every sample point
+over it; refinement shrinks its box in place, which moves no decision
+and nothing printed: the output shows the interval isolation found from
+a root bound fixed by the polynomial and the fiber (_root_bound_of).
+Every comparison of a root, with another root (_compare_coords) or with
+a rational (_cmp_root_to_rational), is made here.  Every refinement
+loop has a step budget and raises ArithmeticError (SeparabilityError
+when two roots will not separate) once it is spent.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ class IsolatingInterval:
     The box [a/q, b/q] is stored as the integers (a, b, q), q > 0 and
     reduced by gcd(a, b, q); isolation and bisection only ever make a
     power-of-two q.  The constructor takes any rationals lo <= hi, and
-    lo, hi, width() and midpoint() are Fractions built on read.  lo ==
+    lo, hi and width() are Fractions built on read.  lo ==
     hi encodes an exactly known rational root; proper intervals never
     have a root at either endpoint.
     """
@@ -177,9 +182,6 @@ class IsolatingInterval:
 
     def width(self) -> Fraction:
         return Fraction(self.b - self.a, self.q)
-
-    def midpoint(self) -> Fraction:
-        return Fraction(self.a + self.b, 2 * self.q)
 
     def __eq__(self, other):
         if not isinstance(other, IsolatingInterval):
@@ -284,7 +286,9 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     boxes by integer interval Horner; when the enclosure excludes 0 its
     sign is the answer, and nothing is refined.  Otherwise the zero
     decision goes through a fiber gcd with the defining polynomial of the
-    top remaining algebraic coordinate, and a nonzero value is signed by
+    top remaining algebraic coordinate, whose signs at the ends of that
+    coordinate's box are each one sign_at at the lower coordinates
+    extended by the end (_fiber_sign), and a nonzero value is signed by
     interval evaluation under refinement.
     """
     node = q.node
@@ -309,8 +313,8 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     g = fiber_gcd(r, coord.defining, var, pref)
     if g.degree(var) >= 1:
         iv = coord.interval
-        slo = sign_at(g.subs_rational_cleared(var, iv.lo), pref)
-        shi = sign_at(g.subs_rational_cleared(var, iv.hi), pref)
+        slo = _fiber_sign(g, pref.coords, None, iv.a, iv.q)
+        shi = _fiber_sign(g, pref.coords, None, iv.b, iv.q)
         if slo * shi < 0:
             return 0
     return _interval_sign(r, s)
@@ -382,15 +386,16 @@ def _defining_sign(coord: RootOfCoordinate, u: int, v: int) -> int:
 
 
 def _fiber_sign(f: MultiPoly, prefix: tuple, enc, u: int, v: int) -> int:
-    """Sign of f(u/v), v > 0, u/v in f's main variable, at the fiber of
-    the coordinates `prefix`: read off the coefficient enclosure enc
-    (None for none) when that decides it, else exact by sign_at."""
+    """Sign of f(u/v), v > 0, at the fiber of the coordinates `prefix`,
+    u/v in f's main variable, the one just above them: read off the
+    coefficient enclosure enc (None for none) when that decides it, else
+    exact by one sign_at at the prefix extended by u/v."""
     if enc is not None:
         sg = _enclosure_sign(enc, u, v)
         if sg is not None:
             return sg
-    return sign_at(f.subs_rational_cleared(f.mvar(), Fraction(u, v)),
-                   SamplePoint(prefix))
+    return sign_at(f, SamplePoint(
+        prefix + (RationalCoordinate(Fraction(u, v)),)))
 
 
 def _bisect_once(coord: RootOfCoordinate):

@@ -5,9 +5,9 @@ finished decompositions from the outside: locate_point descends the
 stack tree to find the cell containing a rational point with exact
 comparisons only, verify_sign_invariance confirms that every input
 polynomial keeps one sign per cell by sampling random rational points
-inside full-dimensional cells, and check_cylindricity validates the
-index structure (stacks are contiguous odd-length runs over a shared
-prefix).
+inside full-dimensional cells and signing each by sign_at, the one
+exact sign at a point, and check_cylindricity validates the index
+structure (stacks are contiguous odd-length runs over a shared prefix).
 
 Both descents take a stack's roots at a rational fiber from algnum's
 separable basis there (_isolated_basis), built on the stack's distinct
@@ -209,13 +209,12 @@ def _random_in_gap(coords, i, rng) -> Fraction:
     return lo + t * (hi - lo)
 
 
-def _random_interior_point(cad: CAD, cell: Cell, rng):
+def _random_interior_point(cad: CAD, cell: Cell, rng) -> list:
     vals: list = []
-    names = [cad.order.name(i) for i in range(1, cad.order.n + 1)]
     for j, entry in enumerate(cell.index):
         coords = _stack_roots(cad, cell.index[:j], vals)
         vals.append(_random_in_gap(coords, (entry - 1) // 2, rng))
-    return dict(zip(names, vals))
+    return vals
 
 
 def verify_sign_invariance(cad: CAD, polys, samples_per_cell: int = 16,
@@ -223,9 +222,11 @@ def verify_sign_invariance(cad: CAD, polys, samples_per_cell: int = 16,
     """Check that every polynomial holds one sign per cell.
 
     Every full-dimensional cell is probed at random rational interior
-    points, found by re-descending the stacks, and the signs there are
-    compared exactly with those at the cell's sample point.  Stops at
-    the first counterexample.
+    points, found by re-descending the stacks.  Each probe is a sample
+    point of RationalCoordinates, signed by sign_at like the cell's own
+    sample, and the two signs are compared.  Stops at the first
+    counterexample, whose witness is the probe's Fractions in level
+    order.
     """
     polys = sorted(set(polys))
     rng = random.Random(seed)
@@ -235,17 +236,14 @@ def verify_sign_invariance(cad: CAD, polys, samples_per_cell: int = 16,
             continue
         reference = [sign_at(p, cell.sample) for p in polys]
         for _ in range(samples_per_cell):
-            env = _random_interior_point(cad, cell, rng)
+            vals = _random_interior_point(cad, cell, rng)
+            probe = SamplePoint(tuple(RationalCoordinate(v) for v in vals))
             points += 1
             for p, want in zip(polys, reference):
-                v = p.evaluate(env)
-                got = (v > 0) - (v < 0)
-                if got != want:
-                    witness = tuple(env[k] for k in sorted(
-                        env, key=lambda nm: cad.order.level(nm)))
+                if sign_at(p, probe) != want:
                     return SignInvarianceReport(
                         False, len(cad.cells), points,
-                        (cell.index, witness, p))
+                        (cell.index, tuple(vals), p))
     return SignInvarianceReport(True, len(cad.cells), points)
 
 

@@ -53,11 +53,13 @@ Evaluation at rational points is integer Horner on nodes at one common
 scale: each level's denominator raised to the polynomial's degree in
 that level (_nscales).  _ncleared evaluates at a point, and
 _npoint_subs substitutes the levels that have a value in one pass and
-leaves the others symbolic (subs_rational_cleared is its one-variable
-case).  _nbox_cleared encloses a node's values over boxes the same way:
-each box [lo, hi] comes as (lo q, hi q, q), q the lcm of the endpoint
-denominators, and the enclosure comes out times the product of q^deg
-over the levels (_nbox_scales), with _imul on integer endpoints.
+leaves the others symbolic; algnum.sign_at signs through it.
+MultiPoly.evaluate, exact on Fractions, is kept as the reference the
+tests and the benchmark's own checks compare against.  _nbox_cleared
+encloses a node's values over boxes the same way: each box [lo, hi]
+comes as (lo q, hi q, q), q the lcm of the endpoint denominators, and
+the enclosure comes out times the product of q^deg over the levels
+(_nbox_scales), with _imul on integer endpoints.
 """
 
 from __future__ import annotations
@@ -540,21 +542,12 @@ class MultiPoly:
 
         return go(self.node)
 
-    def reductum(self, var: str | None = None) -> "MultiPoly":
-        """Strip the leading term in `var` (default: the main variable)."""
+    def reductum(self) -> "MultiPoly":
+        """Strip the leading term in the main variable."""
         if self.is_constant():
             return MultiPoly.zero(self.order)
-        lvl = self.level() if var is None else self.order.level(var)
-        if self.level() == lvl:
-            terms = self.node[1]
-            return MultiPoly(self.order, _nmake(lvl, dict(terms[1:])))
-        name = self.order.name(lvl)
-        terms = self.coeff_terms(name)
-        xv = MultiPoly.var(self.order, name)
-        acc = MultiPoly.zero(self.order)
-        for e, c in terms[1:]:
-            acc = acc + c * xv**e
-        return acc
+        lvl, terms = self.node
+        return MultiPoly(self.order, _nmake(lvl, dict(terms[1:])))
 
     def derivative(self, var: str | None = None) -> "MultiPoly":
         if var is None:
@@ -714,21 +707,6 @@ class MultiPoly:
             out[e] = (_ncleared(c, values, degs, scale)
                       * (scale[-1] // scale[_nlevel(c)]))
         return out
-
-    def subs_rational_cleared(self, var: str, value: Fraction) -> "MultiPoly":
-        """Substitute var=value and clear denominators.
-
-        Returns den(value)^deg * f(var=value), an integer polynomial with
-        the same sign and zero set at any point as the true substitution;
-        deg is the degree in var.  One pass on nodes (_npoint_subs).
-        """
-        lvl = self.order.level(var)
-        node = self.node
-        if _nlevel(node) < lvl:
-            return self
-        values = [None] * node[0]
-        values[lvl - 1] = Fraction(value)
-        return MultiPoly(self.order, _npoint_subs(node, values))
 
     # -- rendering
 
@@ -1051,23 +1029,15 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     c = poly_gcd(cf, cg)
     if pf.degree(var) < pg.degree(var):
         pf, pg = pg, pf
-    while not pg.is_zero():
-        if pg.level() < lf:
-            # a primitive remainder free of x is a unit: it divides pf
-            pf = pg
-            break
+    while True:
         r = prem(pf, pg, var)
-        pf, pg = pg, r if r.is_zero() else _primitive_of(r, var)
-    return (c * pf.sign_normalized()).sign_normalized()
-
-
-def _primitive_of(f: MultiPoly, var: str) -> MultiPoly:
-    cont = None
-    for _, coef in f.coeff_terms(var):
-        cont = coef.sign_normalized() if cont is None else poly_gcd(cont, coef)
-        if cont.is_constant() and cont.const_value() == 1:
-            return f
-    return exact_div(f, cont)
+        if r.is_zero():
+            break
+        if r.level() < lf:
+            # a nonzero remainder free of x: the primitive parts are coprime
+            return c
+        pf, pg = pg, primitive_part(r)
+    return (c * pg.sign_normalized()).sign_normalized()
 
 
 def content(f: MultiPoly) -> MultiPoly:

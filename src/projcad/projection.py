@@ -54,15 +54,17 @@ def reducta_chain(f: MultiPoly, var: str) -> list:
 
     Stops after the first element whose leading coefficient is constant:
     its degree cannot drop, so deeper reducta are never the effective
-    polynomial on any region.
+    polynomial on any region.  f must not involve variables above var.
     """
+    if f.level() > f.order.level(var):
+        raise ValueError("polynomial involves variables above %r" % var)
     out = []
     g = f
     while not g.is_zero() and g.degree(var) > 0:
         out.append(g)
         if g.lc(var).is_constant():
             break
-        g = g.reductum(var)
+        g = g.reductum()
     return out
 
 

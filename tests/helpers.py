@@ -7,8 +7,9 @@ fibers, the symbolic Descartes transform on MultiPoly, the sorted route
 for stack roots at query fibers, a base stack isolated afresh on every
 descent, sample points with private copies of their roots, the
 flat-scan reading of a CAD's stacks, a builder of CADs from hand-made
-cells, the fiber squarefree part, and bisection, split points, root
-comparison and gap samples on Fraction boxes."""
+cells, the fiber squarefree part, bisection, split points, root
+comparison and gap samples on Fraction boxes, and the oracle's probes
+signed on Fractions."""
 
 from __future__ import annotations
 
@@ -457,7 +458,7 @@ def _reference_box_sign(r: MultiPoly, s) -> int | None:
 
 
 def _reference_sign_at(q: MultiPoly, s) -> int:
-    # one variable at a time through subs_rational_cleared, boxes on
+    # one variable at a time on MultiPoly arithmetic, boxes on
     # Fractions; every call below goes through the patched module names
     if q.is_constant():
         return algnum._sgn(q.const_value())
@@ -491,6 +492,23 @@ def _reference_sign_at(q: MultiPoly, s) -> int:
         if slo * shi < 0:
             return 0
     return algnum._interval_sign(r, s)
+
+
+def fraction_probe_signs(monkeypatch):
+    """Make the sign-invariance oracle sign a point whose coordinates are
+    all rational by MultiPoly.evaluate on Fractions, as it did before its
+    probes went through sign_at.  A point with a root among its
+    coordinates still goes to sign_at."""
+    sign_at = cadcore.sign_at
+
+    def evaluate_when_rational(p, s):
+        if not all(isinstance(c, algnum.RationalCoordinate)
+                   for c in s.coords):
+            return sign_at(p, s)
+        env = {p.order.name(i): c.value for i, c in enumerate(s.coords, 1)}
+        return algnum._sgn(p.evaluate(env))
+
+    monkeypatch.setattr(cadcore, "sign_at", evaluate_when_rational)
 
 
 def sequential_substitution_signs(monkeypatch):
@@ -534,7 +552,7 @@ class FractionBox:
 
     def defining_sign(self, x: Fraction) -> int:
         f = self.coord.defining
-        return algnum.sign_at(f.subs_rational_cleared(f.mvar(), x),
+        return algnum.sign_at(reference_subs_rational_cleared(f, f.mvar(), x),
                               algnum.SamplePoint(self.coord.prefix))
 
 

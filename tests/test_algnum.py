@@ -60,6 +60,7 @@ from helpers import (
     reference_gap_sample,
     reference_simplest_in_open,
     reference_split_point,
+    reference_subs_rational_cleared,
     reference_variations,
     sequential_substitution_signs,
 )
@@ -754,7 +755,7 @@ def test_interval_route_carries_enclosure(monkeypatch):
         # isolating interval
         for x in c.isolated:
             assert _enclosure_sign(c.enclosure, *_num_den(x)) == sign_at(
-                c.defining.subs_rational_cleared("y", x), s)
+                reference_subs_rational_cleared(c.defining, "y", x), s)
 
 
 def test_interval_images_match_exact():
@@ -812,7 +813,8 @@ def test_interval_images_match_exact():
                 if sg is None:
                     counts["undecided"] += 1
                     continue
-                assert sg == sign_at(f.subs_rational_cleared(var, x), s)
+                assert sg == sign_at(
+                    reference_subs_rational_cleared(f, var, x), s)
                 counts["signs"] += 1
                 counts["algebraic"] += img is None
     assert counts["nodes"] >= 150 and counts["signs"] >= 300

@@ -29,6 +29,7 @@ from helpers import (
     cad_from_cells,
     flat_stack_maps,
     force_sorted_stack_roots,
+    fraction_probe_signs,
     random_poly,
     uncached_base_stack,
 )
@@ -151,10 +152,14 @@ def test_sign_invariance_circle():
 def test_sign_invariance_signs_only_probed_cells(monkeypatch):
     polys = [CIRCLE, Y2 - X2]
     cad = cad_full(polys, O2)
+    # probes are signed by sign_at too; count the signs at the cells'
+    # own samples, which are the reference signs
+    owner = {id(c.sample): c for c in cad.cells}
     calls = []
 
     def counting_sign_at(p, s):
-        calls.append(p)
+        if id(s) in owner:
+            calls.append(owner[id(s)])
         return sign_at(p, s)
 
     monkeypatch.setattr(cadcore, "sign_at", counting_sign_at)
@@ -163,6 +168,33 @@ def test_sign_invariance_signs_only_probed_cells(monkeypatch):
     full = sum(1 for c in cad.cells if c.dimension() == 2)
     assert 0 < full < len(cad.cells)
     assert len(calls) == full * len(polys)
+    assert all(c.dimension() == 2 for c in calls)
+
+
+def test_sign_invariance_matches_fraction_probes(monkeypatch):
+    # the oracle signs its probes by sign_at; evaluating them on
+    # Fractions gives the same reports, counterexamples included, on
+    # seeds 0-39 without 17 under both operators, for the inputs alone
+    # and with x - 1 and x^2 - 3 planted (156 runs)
+    reports = []
+    for seed in range(40):
+        if seed == 17:
+            continue
+        order, polys = parse_input(_random_problem(seed))
+        x = MultiPoly.var(order, "x")
+        for method in ("mccallum", "collins"):
+            cad = cad_full(polys, order, method)
+            for checked in (polys, polys + [x - 1, x**2 - 3]):
+                got = verify_sign_invariance(cad, checked, 2, seed)
+                with monkeypatch.context() as m:
+                    fraction_probe_signs(m)
+                    want = verify_sign_invariance(cad, checked, 2, seed)
+                assert got == want, (seed, method)
+                reports.append(got)
+    assert len(reports) == 156
+    failed = [r for r in reports if not r.ok]
+    assert len(failed) == 78
+    assert all(len(r.counterexample[1]) == 3 for r in failed)
 
 
 def test_sign_invariance_catches_missing_polynomial():

@@ -12,6 +12,7 @@ from projcad.polyring import (
     InexactDivisionError,
     MultiPoly,
     VarOrder,
+    _npoint_subs,
     content,
     content_primitive_part,
     exact_div,
@@ -516,16 +517,14 @@ def test_evaluate_and_substitute():
     x, y = xy()
     f = y**2 + x**2 - 1
     assert f.evaluate({"x": Fraction(1, 2), "y": Fraction(1, 2)}) == Fraction(-1, 2)
-    g = f.subs_rational_cleared("x", Fraction(1, 2))
-    assert g == 4 * y**2 - 3
-    assert f.subs_rational_cleared("y", Fraction(0)) == x**2 - 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_subs_rational_cleared_matches_reference(seed):
-    # the node substitution against the MultiPoly loop, in the main
-    # variable and in each lower one, at negative, zero and non-integer
-    # values; the two are equal, not just proportional
+    # the node substitution with one value set against the MultiPoly
+    # loop, in the main variable, in each lower one and above the
+    # polynomial, at negative, zero and non-integer values; the two are
+    # equal, not just proportional
     rng = random.Random(seed)
     values = [Fraction(-3), Fraction(0), Fraction(2), Fraction(-7, 4),
               Fraction(5, 6), Fraction(-1, 9)]
@@ -534,7 +533,9 @@ def test_subs_rational_cleared_matches_reference(seed):
         f = random_poly(rng, O3, max_deg=3, max_coeff=9, n_terms=5)
         for var in O3.names:
             v = rng.choice(values)
-            got = f.subs_rational_cleared(var, v)
+            point = [None] * O3.n
+            point[O3.level(var) - 1] = v
+            got = MultiPoly(O3, _npoint_subs(f.node, point))
             assert got == reference_subs_rational_cleared(f, var, v)
             if not f.is_constant():
                 seen.add(("main" if var == f.mvar() else
@@ -542,6 +543,7 @@ def test_subs_rational_cleared_matches_reference(seed):
                           v < 0, v.denominator > 1))
     assert {("main", True, True), ("lower", True, True),
             ("main", False, True), ("lower", False, False)} <= seen
+    assert any(case[0] == "above" for case in seen)
 
 
 def test_cleared_coeffs_share_one_scale():

@@ -61,6 +61,10 @@ def test_reducta_chain():
     # reductum dropping to level 1 ends the chain
     h = x * y**2 + x**2
     assert reducta_chain(h, "y") == [h]
+    # a polynomial below var has no reducta; one above var is refused
+    assert reducta_chain(x**2 + 1, "y") == []
+    with pytest.raises(ValueError):
+        reducta_chain(g, "x")
 
 
 def test_proj_mccallum_frozen():
