@@ -27,6 +27,17 @@ _isolated_basis isolates each element once, and the element owns the
 roots it yields; roots_over_cell sorts them and adds sector samples for
 lifting, and cadcore reads a query stack's roots off them.
 
+A lifting run (lifting.cad_lifting) binds one memo for as long as it
+runs (_memo_scope: a context variable, reset when the run returns or
+raises); outside a run none is bound and everything is computed afresh.
+The memo holds only results that are pure functions of their operands,
+the same over every fiber: the pseudo-remainders of the fiber gcds, the
+pseudo-quotients of the fiber quotients, _strip, and the derivative a
+squarefree test takes.  A pair of polynomials met over many cells is
+thus divided once per run.  Nothing that depends on a fiber is kept: no
+sign, reduction, root or box.  No memo outlives its run, so one run
+never starts from another's state.
+
 Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
 SYMSAC 1976) on the polynomial's interval image (Collins, Johnson and
 Krandick, JSC 34, 2002): its coefficients in the main variable enclosed
@@ -90,6 +101,8 @@ when two roots will not separate) once it is spent.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -445,10 +458,46 @@ def refine(coord, width):
 
 
 # ---------------------------------------------------------------------------
+# the memo of a lifting run (see the module docstring)
+
+_run_memo: ContextVar = ContextVar("projcad_algnum_run_memo", default=None)
+
+
+@contextmanager
+def _memo_scope():
+    """Bind a fresh memo for the block, and unbind it however the block
+    ends."""
+    token = _run_memo.set({})
+    try:
+        yield
+    finally:
+        _run_memo.reset(token)
+
+
+def _memoized(fn, *args):
+    """fn(*args), kept in the memo bound by _memo_scope, if any.  fn
+    must be a pure function of its arguments that never returns None."""
+    memo = _run_memo.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn,) + args
+    r = memo.get(key)
+    if r is None:
+        r = memo[key] = fn(*args)
+    return r
+
+
+# ---------------------------------------------------------------------------
 # fiber-local polynomial tools (coefficients tested at a sample point)
 
 
 def _strip(p: MultiPoly) -> MultiPoly:
+    """p divided by its integer content, with a positive leading base
+    coefficient."""
+    return _memoized(_stripped, p)
+
+
+def _stripped(p: MultiPoly) -> MultiPoly:
     c = p.int_content()
     if c > 1:
         p = p.div_int(c)
@@ -491,6 +540,14 @@ def fiber_gcd(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint) -> MultiPoly
     at the fiber; the pseudo-division multipliers are fiber-nonzero, so
     the zero set over the fiber is preserved.  A constant result means
     the evaluated polynomials are coprime.
+
+    Each pseudo-remainder, and each content _strip divides out, is a
+    pure function of the polynomials it is taken of, whatever the fiber;
+    within a lifting run both come from the run's memo (see the module
+    docstring), so a pair met over many cells is divided once.  What
+    depends on the fiber, the reduction of f, g and each remainder over
+    it, runs on every call.  _reduced_gcd is the sequence alone, for
+    operands already reduced over the fiber.
     """
     a = fiber_reduce(f, var, s)
     b = fiber_reduce(g, var, s)
@@ -498,16 +555,23 @@ def fiber_gcd(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint) -> MultiPoly
         return _strip(b) if not b.is_zero() else b
     if b.is_zero():
         return _strip(a)
+    return _reduced_gcd(a, b, var, s)
+
+
+def _reduced_gcd(a: MultiPoly, b: MultiPoly, var: str,
+                 s: SamplePoint) -> MultiPoly:
+    """fiber_gcd of a and b, both nonzero and reduced over the fiber s
+    (fiber_reduce leaves them as they are); only the remainders are
+    reduced."""
     if a.degree(var) < b.degree(var):
         a, b = b, a
     while True:
         if b.degree(var) == 0:
-            return MultiPoly.one(f.order)
-        r = fiber_reduce(prem(a, b, var), var, s)
+            return MultiPoly.one(a.order)
+        r = fiber_reduce(_memoized(prem, a, b, var), var, s)
         if r.is_zero():
             return _strip(b)
-        r = _strip(r)
-        a, b = b, r
+        a, b = b, _strip(r)
 
 
 # ---------------------------------------------------------------------------
@@ -950,13 +1014,15 @@ def _simplest_pos(an: int, ad: int, bn: int, bd: int) -> tuple:
 
 
 def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
-    """Squarefree part of r, reduced over the fiber, there (r itself when
-    it is squarefree), and its dense image.  The gcd of r and r' that
-    tests squarefreeness is the divisor."""
+    """Squarefree part of r there (r itself when it is squarefree),
+    reduced over the fiber, and its dense image.  r must be reduced over
+    the fiber s and of positive degree in var, so r' is reduced there
+    too; the gcd of r and r' that tests squarefreeness is the
+    divisor."""
     if img is not None and _images_coprime(
             img, [i * c for i, c in enumerate(img)][1:]):
         return r, img
-    h = fiber_gcd(r, r.derivative(var), var, s)
+    h = _reduced_gcd(r, _memoized(MultiPoly.derivative, r, var), var, s)
     if h.degree(var) == 0:
         return r, img
     r = _fiber_quo(r, h, var, s)
@@ -966,7 +1032,7 @@ def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
 def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
     # exact over the fiber: the pseudo-remainder vanishes there, and the
     # pseudo-quotient differs from the true quotient by a nonzero constant
-    return _strip(fiber_reduce(pquo(f, g, var), var, s))
+    return _strip(fiber_reduce(_memoized(pquo, f, g, var), var, s))
 
 
 def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
@@ -1006,7 +1072,7 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
                     and _images_coprime(img_f, img_g)):
                 merged[g] = img_g
                 continue
-            h = fiber_gcd(f, g, var, s)
+            h = _reduced_gcd(f, g, var, s)
             if h.degree(var) < 1:
                 merged[g] = img_g
                 continue

@@ -47,6 +47,7 @@ from .algnum import (
     SeparabilityError,
     _cmp_root_to_rational,
     _compare_coords,
+    _int_box,
     _isolated_basis,
     _separated_ends,
     sign_at,
@@ -180,33 +181,48 @@ class SignInvarianceReport:
 
 
 def _separate_gap(coords, i):
-    """Exclusive rational bracket for the gap below/between/above the
-    ordered root coordinates; None means unbounded on that side."""
+    """Exclusive rational bracket (lo, hi) for the gap below/between/above
+    the ordered root coordinates, each end a pair (u, v) for u/v, v > 0;
+    None means unbounded on that side."""
     if 0 < i < len(coords):
         try:
             b1, q1, a2, q2 = _separated_ends(coords[i - 1], coords[i])
-            return Fraction(b1, q1), Fraction(a2, q2)
         except SeparabilityError:
             raise IntegrityError("roots %r and %r of a stack do not separate"
                                  % (coords[i - 1], coords[i]))
-    lo = coords[i - 1].box()[1] if i > 0 else None
-    hi = coords[i].box()[0] if i < len(coords) else None
+        return (b1, q1), (a2, q2)
+    lo = hi = None
+    if i > 0:
+        _, b, q = _int_box(coords[i - 1])
+        lo = b, q
+    if i < len(coords):
+        a, _, q = _int_box(coords[i])
+        hi = a, q
     return lo, hi
 
 
 def _random_in_gap(coords, i, rng) -> Fraction:
+    """Random rational in the gap i of the ordered root coordinates,
+    worked out on the integer ends of the gap; one Fraction is built,
+    for the result."""
     lo, hi = _separate_gap(coords, i)
     if lo is None and hi is None:
         return Fraction(rng.randint(-2048, 2048), 256)
     if lo is None or hi is None:
-        # beyond the outermost root, at a distance spread over a log
-        # scale from 2^-16 to 16, so sign changes close to the root's box
-        # are probed as well as far ones
-        t = Fraction(rng.randint(1, 256), 256)
-        d = t * Fraction(2) ** rng.randint(-8, 4)
-        return hi - d if lo is None else lo + d
-    t = Fraction(rng.randint(1, 255), 256)
-    return lo + t * (hi - lo)
+        # beyond the outermost root, at a distance d/2^16 = t/256 * 2^e
+        # spread over a log scale from 2^-16 to 16, so sign changes close
+        # to the root's box are probed as well as far ones
+        t = rng.randint(1, 256)
+        d = t << (rng.randint(-8, 4) + 8)
+        if lo is None:
+            (u, v), d = hi, -d
+        else:
+            u, v = lo
+        return Fraction((u << 16) + d * v, v << 16)
+    # lo + t/256 * (hi - lo)
+    t = rng.randint(1, 255)
+    (u1, v1), (u2, v2) = lo, hi
+    return Fraction(256 * u1 * v2 + t * (u2 * v1 - u1 * v2), 256 * v1 * v2)
 
 
 def _random_interior_point(cad: CAD, cell: Cell, rng) -> list:

@@ -34,6 +34,7 @@ from .algnum import (
     RationalCoordinate,
     SamplePoint,
     _fiber_image,
+    _memo_scope,
     _squarefree_with_image,
     _strip,
     fiber_gcd,
@@ -268,36 +269,39 @@ def cad_lifting(P: ProjectionLevels, final_oi: bool = False,
     the delineating-polynomial repair when zero-dimensional, and a
     not-well-oriented warning (or, with strict, an abort) otherwise.
     Every stack built is kept in the CAD's stacks; the top-level cells
-    come out of them in index order.
+    come out of them in index order.  The run binds algnum's memo of
+    fiber-independent algebra for its duration only.
     """
-    root = Cell((), SamplePoint(()), ())
-    stacks = {(): generate_stack(root, P.level(1))}
-    current = stacks[()].cells
-    warnings: list = []
-    delineations: list = []
-    for i in range(2, P.n + 1):
-        level_polys = P.level(i)
-        check_null = P.method == "mccallum" and (i < P.n or final_oi)
-        nxt: list = []
-        for cell in current:
-            q = []
-            for p in level_polys:
-                if not is_nullified(p, cell):
-                    q.append(p)
-                    continue
-                if not check_null:
-                    continue
-                if cell.dimension() == 0:
-                    d = minimal_delineating_polynomial(p, cell.sample)
-                    if d is not None:
-                        q.append(d)
-                        delineations.append((cell.index, p, d))
-                else:
-                    if strict:
-                        raise NotWellOrientedError("input not well-oriented")
-                    warnings.append((cell.index, p))
-            stacks[cell.index] = generate_stack(cell, q)
-            nxt.extend(stacks[cell.index].cells)
-        current = nxt
-    return CAD(P.order, P.method, final_oi, tuple(current),
-               tuple(warnings), tuple(delineations), P, stacks)
+    with _memo_scope():
+        root = Cell((), SamplePoint(()), ())
+        stacks = {(): generate_stack(root, P.level(1))}
+        current = stacks[()].cells
+        warnings: list = []
+        delineations: list = []
+        for i in range(2, P.n + 1):
+            level_polys = P.level(i)
+            check_null = P.method == "mccallum" and (i < P.n or final_oi)
+            nxt: list = []
+            for cell in current:
+                q = []
+                for p in level_polys:
+                    if not is_nullified(p, cell):
+                        q.append(p)
+                        continue
+                    if not check_null:
+                        continue
+                    if cell.dimension() == 0:
+                        d = minimal_delineating_polynomial(p, cell.sample)
+                        if d is not None:
+                            q.append(d)
+                            delineations.append((cell.index, p, d))
+                    else:
+                        if strict:
+                            raise NotWellOrientedError(
+                                "input not well-oriented")
+                        warnings.append((cell.index, p))
+                stacks[cell.index] = generate_stack(cell, q)
+                nxt.extend(stacks[cell.index].cells)
+            current = nxt
+        return CAD(P.order, P.method, final_oi, tuple(current),
+                   tuple(warnings), tuple(delineations), P, stacks)

@@ -9,7 +9,7 @@ descent, sample points with private copies of their roots, the
 flat-scan reading of a CAD's stacks, a builder of CADs from hand-made
 cells, the fiber squarefree part, bisection, split points, root
 comparison and gap samples on Fraction boxes, and the oracle's probes
-signed on Fractions."""
+drawn and signed on Fractions."""
 
 from __future__ import annotations
 
@@ -509,6 +509,26 @@ def fraction_probe_signs(monkeypatch):
         return algnum._sgn(p.evaluate(env))
 
     monkeypatch.setattr(cadcore, "sign_at", evaluate_when_rational)
+
+
+def reference_random_in_gap(coords, i, rng) -> Fraction:
+    """The oracle's random rational in the gap i of the ordered root
+    coordinates, on Fractions, as it was drawn before the probes were
+    worked out on the integer ends of the gaps."""
+    if 0 < i < len(coords):
+        b1, q1, a2, q2 = algnum._separated_ends(coords[i - 1], coords[i])
+        lo, hi = Fraction(b1, q1), Fraction(a2, q2)
+    else:
+        lo = coords[i - 1].box()[1] if i > 0 else None
+        hi = coords[i].box()[0] if i < len(coords) else None
+    if lo is None and hi is None:
+        return Fraction(rng.randint(-2048, 2048), 256)
+    if lo is None or hi is None:
+        t = Fraction(rng.randint(1, 256), 256)
+        d = t * Fraction(2) ** rng.randint(-8, 4)
+        return hi - d if lo is None else lo + d
+    t = Fraction(rng.randint(1, 255), 256)
+    return lo + t * (hi - lo)
 
 
 def sequential_substitution_signs(monkeypatch):

@@ -31,6 +31,7 @@ from helpers import (
     force_sorted_stack_roots,
     fraction_probe_signs,
     random_poly,
+    reference_random_in_gap,
     uncached_base_stack,
 )
 from test_cli import _random_problem
@@ -137,7 +138,36 @@ def test_separate_gap_is_bounded():
     lo, hi = cadcore._separate_gap(
         [RootOfCoordinate(X1**2 - 2, IsolatingInterval(0, 3)),
          RootOfCoordinate(X1**2 - 3, IsolatingInterval(0, 3))], 1)
-    assert F(141, 100) < lo < hi < F(174, 100)
+    assert lo[1] > 0 and hi[1] > 0
+    assert F(141, 100) < F(*lo) < F(*hi) < F(174, 100)
+
+
+def test_random_in_gap_matches_fraction_reference():
+    # every gap of every stack met while probing the full-dimensional
+    # cells: the probe worked out on integer ends is the rational the
+    # Fraction route draws, from the same draws of the generator
+    problems = [([CIRCLE], O2), ([X1**2 + 1], O1), ([X1**2 - 2], O1)]
+    problems += [parse_input(_random_problem(seed))[::-1]
+                 for seed in (0, 3, 8)]
+    kinds = set()
+    for polys, order in problems:
+        cad = cad_full(polys, order)
+        for cell in cad.cells:
+            if cell.dimension() != order.n:
+                continue
+            vals = []
+            for j, entry in enumerate(cell.index):
+                coords = cadcore._stack_roots(cad, cell.index[:j], vals)
+                i = (entry - 1) // 2
+                kinds.add((i > 0, i < len(coords)))
+                for seed in range(3):
+                    r1, r2 = random.Random(seed), random.Random(seed)
+                    got = cadcore._random_in_gap(coords, i, r1)
+                    assert got == reference_random_in_gap(coords, i, r2)
+                    assert r1.getstate() == r2.getstate()
+                vals.append(got)
+    assert kinds == {(False, False), (False, True), (True, False),
+                     (True, True)}
 
 
 def test_sign_invariance_circle():
@@ -172,8 +202,9 @@ def test_sign_invariance_signs_only_probed_cells(monkeypatch):
 
 
 def test_sign_invariance_matches_fraction_probes(monkeypatch):
-    # the oracle signs its probes by sign_at; evaluating them on
-    # Fractions gives the same reports, counterexamples included, on
+    # the oracle draws its probes on integers and signs them by sign_at;
+    # drawing and evaluating them on Fractions gives the same reports,
+    # counterexamples included, on
     # seeds 0-39 without 17 under both operators, for the inputs alone
     # and with x - 1 and x^2 - 3 planted (156 runs)
     reports = []
@@ -188,6 +219,8 @@ def test_sign_invariance_matches_fraction_probes(monkeypatch):
                 got = verify_sign_invariance(cad, checked, 2, seed)
                 with monkeypatch.context() as m:
                     fraction_probe_signs(m)
+                    m.setattr(cadcore, "_random_in_gap",
+                              reference_random_in_gap)
                     want = verify_sign_invariance(cad, checked, 2, seed)
                 assert got == want, (seed, method)
                 reports.append(got)

@@ -558,6 +558,62 @@ def test_output_depends_on_the_input_alone(monkeypatch):
             assert _rendered(text, cfg) == want, (text, cfg.method)
 
 
+def test_back_to_back_builds_render_the_same_json():
+    # a lifting run leaves no memo behind it: the second build in the
+    # same process renders the golden bytes again
+    order, polys = parse_input(GOLDEN_EXTRA["sphere-saddle"][0])
+    outs = [render_output(cad_full(polys, order), "json") for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[1].encode()).hexdigest() \
+        == GOLDEN_JSON["sphere-saddle"]
+
+
+def test_reduced_gcd_matches_fiber_gcd(monkeypatch):
+    # every pair the separable basis hands to the reduced-operand gcd, on
+    # the golden problems and on seeds 0-39 without 17 under both
+    # operators: the operands are reduced over the fiber, and the gcd is
+    # fiber_gcd's node, with the run's memo bound and with none
+    reduced = algnum._reduced_gcd
+    checked, inside = [], []
+
+    def checking(a, b, var, s):
+        got = reduced(a, b, var, s)
+        if inside:
+            return got  # fiber_gcd's own call, from the check below
+        assert algnum.fiber_reduce(a, var, s) is a
+        assert algnum.fiber_reduce(b, var, s) is b
+        inside.append(True)
+        try:
+            memo_bound = algnum._run_memo.get() is not None
+            want = [algnum.fiber_gcd(a, b, var, s)]
+            token = algnum._run_memo.set(None)
+            try:
+                want += [reduced(a, b, var, s),
+                         algnum.fiber_gcd(a, b, var, s)]
+            finally:
+                algnum._run_memo.reset(token)
+        finally:
+            inside.pop()
+        assert all(w.node == got.node for w in want), (a, b, s)
+        algebraic = any(c.point_value() is None for c in s.coords)
+        checked.append((memo_bound, algebraic, got.degree(var) >= 1))
+        return got
+
+    monkeypatch.setattr(algnum, "_reduced_gcd", checking)
+    runs = [(GOLDEN_EXTRA[nm][0], RunConfig()) if nm in GOLDEN_EXTRA
+            else _EXAMPLES[nm][:2] for nm in sorted(GOLDEN_JSON)]
+    runs += [(_random_problem(seed), RunConfig(method=method))
+             for seed in range(40) if seed != 17
+             for method in ("mccallum", "collins")]
+    for text, cfg in runs:
+        order, polys = parse_input(text)
+        cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
+    # 1380 pairs, 563 over algebraic fibers and 589 with a common factor
+    assert len(checked) >= 1000 and all(c[0] for c in checked)
+    assert sum(c[1] for c in checked) >= 400
+    assert sum(c[2] for c in checked) >= 400
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_json_golden_digest_on_exact_fiber_route(monkeypatch, name):
     # every interval-image decision over an algebraic fiber replaced by

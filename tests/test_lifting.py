@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from projcad import algnum, lifting
 from projcad.algnum import (
     IsolatingInterval,
     RationalCoordinate,
@@ -274,6 +275,53 @@ def test_lifting_warning_on_positive_dimensional_nullification():
     assert cad_lifting(P).warnings == ()
     with pytest.raises(NotWellOrientedError):
         cad_lifting(P, final_oi=True, strict=True)
+
+
+def test_lifting_memo_is_bound_for_the_run_only(monkeypatch):
+    # within a run every pseudo-remainder is taken with the memo bound,
+    # each pair once; the memo is unbound when the run returns or raises
+    calls = []
+    prem = algnum.prem
+
+    def recording(f, g, var):
+        calls.append((f, g, algnum._run_memo.get() is not None))
+        return prem(f, g, var)
+
+    monkeypatch.setattr(algnum, "prem", recording)
+    sphere_saddle = [X3**2 + Y3**2 + Z3**2 - 4, X3 * Y3 + Z3**2 - 1]
+    cad = cad_lifting(cad_projection(sphere_saddle, O3, "mccallum"))
+    assert len(cad.cells) == 575
+    assert algnum._run_memo.get() is None
+    assert len(calls) > 20 and all(bound for _, _, bound in calls)
+    assert len({(f, g) for f, g, _ in calls}) == len(calls)
+    # a strict run that stops at a nullified polynomial mid-lift
+    bound_at_stacks = []
+    stack = lifting.generate_stack
+
+    def watching(cell, polys):
+        bound_at_stacks.append(algnum._run_memo.get() is not None)
+        return stack(cell, polys)
+
+    monkeypatch.setattr(lifting, "generate_stack", watching)
+    P = cad_projection([Y4 * W4 + X4], O4, "mccallum")
+    with pytest.raises(NotWellOrientedError):
+        cad_lifting(P, final_oi=True, strict=True)
+    assert len(bound_at_stacks) > 1 and all(bound_at_stacks)
+    assert algnum._run_memo.get() is None
+    # outside a run every call divides afresh; within a scope, once
+    del calls[:]
+    s = _fiber(1)
+    f, g = Y2**3 - X2 * Y2 + 2, Y2**2 + X2
+    want = fiber_gcd(f, g, "y", s)
+    n = len(calls)
+    assert n > 0
+    assert fiber_gcd(f, g, "y", s) == want and len(calls) == 2 * n
+    assert not any(bound for _, _, bound in calls)
+    with algnum._memo_scope():
+        assert fiber_gcd(f, g, "y", s) == want
+        assert fiber_gcd(f, g, "y", s) == want
+    assert len(calls) == 3 * n
+    assert algnum._run_memo.get() is None
 
 
 def test_lifting_collins_never_warns():
