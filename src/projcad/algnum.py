@@ -161,9 +161,9 @@ class IsolatingInterval:
     The box [a/q, b/q] is stored as the integers (a, b, q), q > 0 and
     reduced by gcd(a, b, q); isolation and bisection only ever make a
     power-of-two q.  The constructor takes any rationals lo <= hi, and
-    lo, hi and width() are Fractions built on read.  lo ==
-    hi encodes an exactly known rational root; proper intervals never
-    have a root at either endpoint.
+    lo and hi are Fractions built on read.  lo == hi encodes an exactly
+    known rational root; proper intervals never have a root at either
+    endpoint.
     """
 
     __slots__ = ("a", "b", "q")
@@ -192,9 +192,6 @@ class IsolatingInterval:
     @property
     def hi(self) -> Fraction:
         return Fraction(self.b, self.q)
-
-    def width(self) -> Fraction:
-        return Fraction(self.b - self.a, self.q)
 
     def __eq__(self, other):
         if not isinstance(other, IsolatingInterval):
@@ -494,14 +491,7 @@ def _memoized(fn, *args):
 def _strip(p: MultiPoly) -> MultiPoly:
     """p divided by its integer content, with a positive leading base
     coefficient."""
-    return _memoized(_stripped, p)
-
-
-def _stripped(p: MultiPoly) -> MultiPoly:
-    c = p.int_content()
-    if c > 1:
-        p = p.div_int(c)
-    return p.sign_normalized()
+    return _memoized(MultiPoly.assoc_normalized, p)
 
 
 def fiber_reduce(f: MultiPoly, var: str, s: SamplePoint) -> MultiPoly:

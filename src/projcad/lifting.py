@@ -100,9 +100,6 @@ class Cell:
     def dimension(self) -> int:
         return sum(1 for k in self.index if k % 2 == 1)
 
-    def level(self) -> int:
-        return len(self.index)
-
     def __repr__(self):
         return "Cell(%s)" % (",".join(str(k) for k in self.index),)
 

@@ -69,6 +69,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+__all__ = [
+    "InexactDivisionError",
+    "MultiPoly",
+    "VarOrder",
+    "content",
+    "content_primitive_part",
+    "exact_div",
+    "finest_squarefree_basis",
+    "poly_gcd",
+    "pquo",
+    "prem",
+    "primitive_part",
+    "pseudo_division",
+    "squarefree_decomposition",
+]
+
 
 class InexactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
@@ -210,6 +226,16 @@ def _ncoeffs_in(node, level: int) -> dict:
             piece = _nmake(node[0], {e: sub})
             out[k] = _nadd(out.get(k, 0), piece) if k in out else piece
     return out
+
+
+def _nderiv(node, level: int):
+    """Derivative in the variable at `level`."""
+    if isinstance(node, int) or node[0] < level:
+        return 0
+    if node[0] == level:
+        out = {e - 1: _nmul(c, e) for e, c in node[1] if e >= 1}
+        return _nmake(level, out)
+    return _nmake(node[0], {e: _nderiv(c, level) for e, c in node[1]})
 
 
 def _nlead_base(node) -> int:
@@ -550,23 +576,9 @@ class MultiPoly:
         return MultiPoly(self.order, _nmake(lvl, dict(terms[1:])))
 
     def derivative(self, var: str | None = None) -> "MultiPoly":
-        if var is None:
-            if self.is_constant():
-                return MultiPoly.zero(self.order)
-            var = self.mvar()
-        lvl = self.order.level(var)
-        if self.level() == lvl:
-            # fast path: differentiate in the main variable
-            out = {
-                e - 1: _nmul(c, e) for e, c in self.node[1] if e >= 1
-            }
-            return MultiPoly(self.order, _nmake(lvl, out))
-        xv = MultiPoly.var(self.order, var)
-        acc = MultiPoly.zero(self.order)
-        for e, c in self.coeff_terms(var):
-            if e >= 1:
-                acc = acc + c * e * xv ** (e - 1)
-        return acc
+        """Derivative in `var` (default: the main variable)."""
+        lvl = self.level() if var is None else self.order.level(var)
+        return MultiPoly(self.order, _nderiv(self.node, lvl))
 
     # -- arithmetic
 
@@ -820,14 +832,6 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.order, _nexact_div(f.node, g.node))
 
 
-def divides(g: MultiPoly, f: MultiPoly) -> bool:
-    try:
-        exact_div(f, g)
-        return True
-    except InexactDivisionError:
-        return False
-
-
 def _npdiv(f, g, want_quo: bool):
     """(quotient, remainder) of the pseudo-division of node f by node g
     in g's main variable x; f must not involve variables above x.  The
@@ -1068,17 +1072,6 @@ def content_primitive_part(f: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Split f into (content, primitive part) with content * primpart == f."""
     c = content(f)
     return c, exact_div(f, c)
-
-
-def squarefree_part(f: MultiPoly) -> MultiPoly:
-    """Squarefree part of the primitive part of f, sign-normalized."""
-    if f.is_zero() or f.is_constant():
-        raise ValueError("squarefree part needs a nonconstant polynomial")
-    p = primitive_part(f)
-    g = poly_gcd(p, p.derivative())
-    if g.is_constant():
-        return p.sign_normalized()
-    return exact_div(p, g).sign_normalized()
 
 
 def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:

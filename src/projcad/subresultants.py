@@ -18,6 +18,13 @@ from __future__ import annotations
 
 from .polyring import MultiPoly, exact_div, prem
 
+__all__ = [
+    "discriminant",
+    "psc_chain",
+    "psd_chain",
+    "resultant",
+]
+
 
 def _check_pair(f: MultiPoly, g: MultiPoly, var: str) -> tuple[int, int]:
     if f.order != g.order:

@@ -103,6 +103,18 @@ def reference_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return quo
 
 
+def reference_derivative(f: MultiPoly, var: str) -> MultiPoly:
+    """Derivative of f in var as a sum of MultiPoly products and powers
+    over f's coefficients in var (the route the node recursion replaced
+    for variables other than the main one)."""
+    xv = MultiPoly.var(f.order, var)
+    acc = MultiPoly.zero(f.order)
+    for e, c in f.coeff_terms(var):
+        if e >= 1:
+            acc = acc + c * e * xv ** (e - 1)
+    return acc
+
+
 def reference_pseudo_division(
     f: MultiPoly, g: MultiPoly, var: str
 ) -> tuple[MultiPoly, MultiPoly]:

@@ -1,12 +1,18 @@
-"""Every exported name resolves."""
+"""Every exported name resolves, and the package re-exports exactly what
+its library modules declare."""
 
 from __future__ import annotations
 
 import importlib
 
+import projcad
+
 MODULES = ("projcad", "projcad.polyring", "projcad.subresultants",
            "projcad.projection", "projcad.algnum", "projcad.lifting",
            "projcad.cadcore", "projcad.cli")
+
+LIBRARY = ("projcad.polyring", "projcad.subresultants", "projcad.projection",
+           "projcad.algnum", "projcad.lifting", "projcad.cadcore")
 
 
 def test_all_names_resolve():
@@ -19,5 +25,18 @@ def test_all_names_resolve():
             assert hasattr(mod, attr), "%s.%s" % (name, attr)
             exporting.add(name)
     # the package and the modules that declare __all__ all took part
-    assert exporting == {"projcad", "projcad.projection", "projcad.algnum",
-                         "projcad.lifting", "projcad.cadcore", "projcad.cli"}
+    assert exporting == set(MODULES)
+
+
+def test_package_reexports_the_library_modules():
+    owner = {}
+    for name in LIBRARY:
+        mod = importlib.import_module(name)
+        for attr in mod.__all__:
+            assert attr not in owner, "%s in two modules" % attr
+            owner[attr] = mod
+    assert sorted(projcad.__all__) == sorted(owner)
+    for attr, mod in owner.items():
+        # the package's binding is the object its module defines
+        obj = getattr(projcad, attr)
+        assert obj is getattr(mod, attr) and obj.__module__ == mod.__name__, attr

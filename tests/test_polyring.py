@@ -23,13 +23,13 @@ from projcad.polyring import (
     primitive_part,
     pseudo_division,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 from helpers import (
     force_prs_gcds,
     random_nonconstant,
     random_poly,
+    reference_derivative,
     reference_exact_div,
     reference_pseudo_division,
     reference_subs_rational_cleared,
@@ -101,6 +101,21 @@ def test_derivative():
     assert f.derivative("x") == y**2 - 1
     assert f.derivative() == f.derivative("y")
     assert MultiPoly.const(O2, 5).derivative("x").is_zero()
+    # seeded random polynomials in x, y, z and in subsets of them, against
+    # the sum-of-products route: in the main variable, a lower one and one
+    # the polynomial does not involve
+    rng = random.Random(60606)
+    seen = set()
+    for vars_used in (("x", "y", "z"), ("x", "y"), ("x", "z"), ("y",)):
+        for _ in range(60):
+            f = random_poly(rng, O3, vars_used=vars_used, max_deg=3)
+            for var in O3.names:
+                if var not in f.variables():
+                    seen.add("absent")
+                else:
+                    seen.add("main" if var == f.mvar() else "lower")
+                assert f.derivative(var) == reference_derivative(f, var)
+    assert seen == {"main", "lower", "absent"}
 
 
 def test_ring_laws_random():
@@ -374,22 +389,6 @@ def test_content_primitive_part():
         assert c3 * pp3 == f
         if not pp3.is_constant():
             assert content(pp3).const_value() == 1
-
-
-def test_squarefree_part():
-    x, y = xy()
-    assert squarefree_part((x - 1) ** 2 * (x + 2)) == (x - 1) * (x + 2)
-    assert squarefree_part(x**2 - 1) == x**2 - 1
-    with pytest.raises(ValueError):
-        squarefree_part(MultiPoly.const(O2, 3))
-    rng = random.Random(5150)
-    for _ in range(100):
-        f = random_nonconstant(rng, O2, max_deg=2, n_terms=2)
-        s = squarefree_part(f * f)
-        # squarefree: gcd with derivative is constant
-        assert poly_gcd(s, s.derivative()).is_constant()
-        # same zero set: s divides f*f and f*f divides a power of s
-        assert exact_div(f * f, poly_gcd(f * f, s)) is not None
 
 
 def test_squarefree_decomposition_reconstructs():
