@@ -43,6 +43,38 @@ finest_squarefree_basis fixes one xi per call and keeps each element's
 value there, so a pair test is one integer gcd; its elements are
 primitive, so a proof of x-degree 0 means the gcd is 1.
 
+Where a gcd is wanted with both cofactors (Yun's loop in
+squarefree_decomposition and the split in finest_squarefree_basis),
+_gcd_cofactors reads all three off one integer gcd, the heuristic gcd
+itself, for two nodes at one level whose coefficients are all integers
+(every level-1 pair).  F and G are their primitive parts as dense
+coefficient lists, and R is the larger Cauchy radius of the two.  xi = 2^s with s = bitlen(2 M + 2)
++ 32, M the largest |coefficient| of F and G, so xi > 2M + 2 with a
+32-bit margin.  h = gcd(F(xi), G(xi)); H is read off the balanced
+xi-adic digits of h, with its integer content divided out (its
+leading coefficient is positive, as h is), and A and B off the digits of
+F(xi)/H(xi) and G(xi)/H(xi).  The result is accepted only when
+
+1. 2 |H|_1 max(|A|_inf, |B|_inf) < xi: then H A and F, both with
+   coefficients below xi/2, agree at xi, so H A == F as polynomials,
+   and likewise H B == G;
+2. _coprime_at(A(xi), B(xi), xi, R): the roots of A and B are among
+   those of F and G, so a common factor of positive degree would make
+   the gcd of their values at least xi - R, by the proof above.  A and
+   B are then coprime, and primitive because F and G are, so H is the
+   gcd of F and G.
+
+With c = gcd(cf, cg) of the integer contents of f and g, the result is
+h = c H, f/h = (cf/c) A and g/h = (cg/c) B: h is exactly poly_gcd's.
+
+A refused point is retried once at 2^(2s); after that the pair takes
+poly_gcd and exact division.  Every proof goes through _coprime_at.
+poly_gcd itself keeps the certificate and the PRS: the gcds it is asked
+for inside contents of multivariate PRS remainders can have degree in
+the hundreds and share a factor of nearly that degree, where the PRS
+ends in a few steps and one integer gcd of values hundreds of
+thousands of bits long costs far more.
+
 Exact and pseudo-division run on nodes, in the main variable of the
 divisor: the leading coefficient is read off the first term, x^k shifts
 exponents, the leading terms, which cancel, are dropped instead of
@@ -233,8 +265,9 @@ def _nderiv(node, level: int):
     if isinstance(node, int) or node[0] < level:
         return 0
     if node[0] == level:
-        out = {e - 1: _nmul(c, e) for e, c in node[1] if e >= 1}
-        return _nmake(level, out)
+        # the terms stay sorted and nonzero: no _nmake needed
+        terms = tuple((e - 1, _nscale(c, e)) for e, c in node[1] if e)
+        return terms[0][1] if terms[0][0] == 0 else (level, terms)
     return _nmake(node[0], {e: _nderiv(c, level) for e, c in node[1]})
 
 
@@ -995,6 +1028,68 @@ def _nodes_coprime(f, g) -> bool:
     return _images_coprime(_ncert_image(f), _ncert_image(g))
 
 
+def _balanced_digits(v: int, shift: int) -> list[int]:
+    """The balanced 2^shift-adic digits of v, lowest first: v is the sum
+    of d_i 2^(i shift), with -2^(shift-1) <= d_i < 2^(shift-1)."""
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> shift
+    return out
+
+
+def _heuristic_gcd_at(F, G, shift: int, radius: int):
+    """(H, A, B) with H A == F, H B == G and gcd(A, B) == 1, read off
+    one integer gcd at xi = 2^shift, or None when that is not proven
+    (module docstring).  F and G are primitive dense images, lowest
+    degree first, whose coefficients are below xi / 2 in absolute value
+    and whose roots are below radius."""
+    xi = 1 << shift
+    vf, vg = _value_at_pow2(F, shift), _value_at_pow2(G, shift)
+    h = math.gcd(vf, vg)
+    # h > 0, and the top balanced digit of a positive number is positive
+    H = _balanced_digits(h, shift)
+    k = math.gcd(*H)
+    H = [c // k for c in H]
+    vh = h // k
+    va, vb = vf // vh, vg // vh
+    A, B = _balanced_digits(va, shift), _balanced_digits(vb, shift)
+    if 2 * sum(map(abs, H)) * max(map(abs, A + B)) >= xi:
+        return None
+    return (H, A, B) if _coprime_at(va, vb, xi, radius) else None
+
+
+def _nheuristic_gcd(f, g):
+    """(h, f/h, g/h) as nodes, h = poly_gcd(f, g), for two nonconstant
+    nodes at one level whose coefficients in that level are all
+    integers, by the heuristic gcd of the module docstring; None for any
+    other pair, and for a pair the heuristic did not prove."""
+    if (isinstance(f, int) or isinstance(g, int) or f[0] != g[0]
+            or not all(isinstance(c, int) for _, c in f[1] + g[1])):
+        return None
+    F, G = _ncert_image(f), _ncert_image(g)
+    cf, cg = math.gcd(*F), math.gcd(*G)
+    if cf > 1:
+        F = [c // cf for c in F]
+    if cg > 1:
+        G = [c // cg for c in G]
+    radius = max(_cert_radius(F), _cert_radius(G))
+    shift = (2 * max(map(abs, F + G)) + 2).bit_length() + 32
+    out = (_heuristic_gcd_at(F, G, shift, radius)
+           or _heuristic_gcd_at(F, G, 2 * shift, radius))
+    if out is None:
+        return None
+    H, A, B = out
+    c, lvl = math.gcd(cf, cg), f[0]
+    return (_nmake(lvl, {e: c * x for e, x in enumerate(H)}),
+            _nmake(lvl, {e: cf // c * x for e, x in enumerate(A)}),
+            _nmake(lvl, {e: cg // c * x for e, x in enumerate(B)}))
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Sign-normalized gcd over the integers (primitive PRS).
 
@@ -1005,6 +1100,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     content(g)).  Otherwise (both leading coefficients vanish at the
     fixed point, the pair shares a factor, or the point is unlucky) the
     primitive PRS runs: the certificate only ever proves coprimality.
+    The heuristic gcd runs only in _gcd_cofactors (module docstring).
     """
     if f.order != g.order:
         raise ValueError("mixed variable orders")
@@ -1044,6 +1140,18 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return (c * pg.sign_normalized()).sign_normalized()
 
 
+def _gcd_cofactors(f: MultiPoly, g: MultiPoly):
+    """(h, f/h, g/h) with h = poly_gcd(f, g).
+
+    A pair the heuristic gcd proves comes with its cofactors; every
+    other pair takes poly_gcd and divides by h exactly."""
+    heu = _nheuristic_gcd(f.node, g.node)
+    if heu is not None:
+        return tuple(MultiPoly(f.order, n) for n in heu)
+    h = poly_gcd(f, g)
+    return h, exact_div(f, h), exact_div(g, h)
+
+
 def content(f: MultiPoly) -> MultiPoly:
     """Content with respect to the main variable (gcd of the coefficients)."""
     if f.is_zero():
@@ -1079,6 +1187,9 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
     The s_i are primitive, sign-normalized and pairwise coprime; constant
     factors are dropped (reconstruction holds up to an integer constant).
+    Each step of Yun's loop takes its gcd and both cofactors from
+    _gcd_cofactors, so a univariate loop (every level-1 one) divides
+    nothing: the heuristic gcd reads the quotients off its integer gcd.
     """
     if f.is_zero() or f.is_constant():
         raise ValueError("squarefree decomposition needs a nonconstant polynomial")
@@ -1090,19 +1201,16 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     # needed
     if dp.level() < p.level() or _nodes_coprime(p.node, dp.node):
         return [(p, 1)]
-    g = poly_gcd(p, dp)
+    g, c, y = _gcd_cofactors(p, dp)
     if g.is_constant():
         return [(p, 1)]
     out: list[tuple[MultiPoly, int]] = []
-    c = exact_div(p, g)
-    d = exact_div(dp, g) - c.derivative(var)
     i = 1
     while c.degree(var) > 0:
-        s = poly_gcd(c, d)
+        # y = (previous d) / s, c = (previous c) / s
+        s, c, y = _gcd_cofactors(c, y - c.derivative(var))
         if not s.is_constant():
             out.append((s.sign_normalized(), i))
-        c = exact_div(c, s)
-        d = exact_div(d, s) - c.derivative(var)
         i += 1
     return out
 
@@ -1122,7 +1230,9 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
     image it divides, so the pieces of a split inherit that: g = gcd(p, b)
     from p or b, p/g from p and b/g from b.  A pair at one level where
     either side survived is proven coprime by one integer gcd of two
-    cached values; every other pair runs poly_gcd.
+    cached values; every other pair is split by _gcd_cofactors, which
+    gives g, p/g and b/g together (from the heuristic gcd when the pair
+    is univariate).
     """
     items: list[MultiPoly] = []
     seen = set()
@@ -1161,15 +1271,12 @@ def finest_squarefree_basis(polys: Iterable[MultiPoly]) -> list[MultiPoly]:
                                    and _coprime_at(vp, vb, xi, rmax)):
                 refined.append((b, vb, sb))
                 continue
-            g = poly_gcd(p, b)
+            g, p, qb = _gcd_cofactors(p, b)
             if g.is_constant():
                 refined.append((b, vb, sb))
                 continue
-            g = g.assoc_normalized()
-            p = exact_div(p, g)
             if not p.is_constant():
                 vp = value(p)
-            qb = exact_div(b, g).assoc_normalized()
             refined.append((g, value(g), sp or sb))
             if not qb.is_constant():
                 refined.append((qb, value(qb), sb))

@@ -1,15 +1,15 @@
 """Shared helpers for the test suite: deterministic random polynomials,
 reference division, substitution and interval evaluation on MultiPoly
-and Fractions, the determinant route to resultants and psc chains, the
-PRS route for every gcd, the gcd-first and the
-sequential-substitution sign routes, the exact route over algebraic
-fibers, the symbolic Descartes transform on MultiPoly, the sorted route
-for stack roots at query fibers, a base stack isolated afresh on every
-descent, sample points with private copies of their roots, the
-flat-scan reading of a CAD's stacks, a builder of CADs from hand-made
-cells, the fiber squarefree part, bisection, split points, root
-comparison and gap samples on Fraction boxes, and the oracle's probes
-drawn and signed on Fractions."""
+and Fractions, the division-based Yun loop, the determinant route to
+resultants and psc chains, the PRS route for every gcd, the gcd-first
+and the sequential-substitution sign routes, the exact route over
+algebraic fibers, the symbolic Descartes transform on MultiPoly, the
+sorted route for stack roots at query fibers, a base stack isolated
+afresh on every descent, sample points with private copies of their
+roots, the flat-scan reading of a CAD's stacks, a builder of CADs from
+hand-made cells, the fiber squarefree part, bisection, split points,
+root comparison and gap samples on Fraction boxes, and the oracle's
+probes drawn and signed on Fractions."""
 
 from __future__ import annotations
 
@@ -115,6 +115,31 @@ def reference_derivative(f: MultiPoly, var: str) -> MultiPoly:
     return acc
 
 
+def reference_squarefree_decomposition(f: MultiPoly) -> list:
+    """Yun decomposition of f's primitive part by poly_gcd and exact
+    division (the loop the gcd-with-cofactors route replaced)."""
+    p = polyring.primitive_part(f).sign_normalized()
+    var = p.mvar()
+    dp = p.derivative(var)
+    if dp.level() < p.level() or polyring._nodes_coprime(p.node, dp.node):
+        return [(p, 1)]
+    g = polyring.poly_gcd(p, dp)
+    if g.is_constant():
+        return [(p, 1)]
+    out = []
+    c = exact_div(p, g)
+    d = exact_div(dp, g) - c.derivative(var)
+    i = 1
+    while c.degree(var) > 0:
+        s = polyring.poly_gcd(c, d)
+        if not s.is_constant():
+            out.append((s.sign_normalized(), i))
+        c = exact_div(c, s)
+        d = exact_div(d, s) - c.derivative(var)
+        i += 1
+    return out
+
+
 def reference_pseudo_division(
     f: MultiPoly, g: MultiPoly, var: str
 ) -> tuple[MultiPoly, MultiPoly]:
@@ -211,12 +236,15 @@ def psc_chain_minors(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
 
 
 def force_prs_gcds(monkeypatch):
-    """Switch off the coprimality certificate.
+    """Switch off the coprimality certificate and the heuristic gcd.
 
-    poly_gcd then runs the primitive PRS on every pair that shares its
-    main variable, finest_squarefree_basis and squarefree_decomposition
-    send each pair the certificate would have settled to poly_gcd, and
-    algnum sends each pair of dense fiber images to the fiber gcd.
+    The heuristic gcd accepts a result only through the certificate's
+    coprimality test, so it never accepts one.  poly_gcd then runs the
+    primitive PRS on every pair that shares its main variable,
+    finest_squarefree_basis and squarefree_decomposition send each pair
+    the certificate would have settled to the PRS and divide by the gcd
+    exactly, and algnum sends each pair of dense fiber images to the
+    fiber gcd.
     """
     monkeypatch.setattr(polyring, "_coprime_at", lambda vf, vg, xi, r: False)
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projcad import polyring
 from projcad.polyring import (
@@ -32,9 +35,11 @@ from helpers import (
     reference_derivative,
     reference_exact_div,
     reference_pseudo_division,
+    reference_squarefree_decomposition,
     reference_subs_rational_cleared,
 )
 
+O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
 O3 = VarOrder(["x", "y", "z"])
 
@@ -367,6 +372,92 @@ def test_gcd_random_differential(names):
     assert checked >= 25
 
 
+def _from_dense(coeffs):
+    """The polynomial in x with dense coefficients, lowest degree
+    first."""
+    x = MultiPoly.var(O1, "x")
+    p = MultiPoly.zero(O1)
+    for c in reversed(coeffs):
+        p = p * x + c
+    return p
+
+
+def _univariate(min_degree):
+    """Dense coefficients, lowest degree first, of a polynomial of degree
+    min_degree to 8 with coefficients up to 2^64 in absolute value."""
+    coeff = st.integers(-(1 << 64), 1 << 64)
+    return st.builds(lambda low, top: low + [top],
+                     st.lists(coeff, min_size=min_degree, max_size=8),
+                     coeff.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_univariate(0), _univariate(0), _univariate(1), st.integers(1, 2),
+       st.integers(1, 2))
+def test_gcd_cofactors_match_prs(a, b, m, i, j):
+    # a common factor m planted in both, and repeated once i or j is 2
+    a, b, m = map(_from_dense, (a, b, m))
+    f, g = a * m**i, b * m**j
+    h, fq, gq = polyring._gcd_cofactors(f, g)
+    assert h * fq == f and h * gq == g
+    assert h == prs_gcd(f, g) == poly_gcd(f, g)
+    exact_div(h, m)  # raises unless m divides h
+    with pytest.MonkeyPatch.context() as mp:
+        force_prs_gcds(mp)
+        want = reference_squarefree_decomposition(f)
+    assert squarefree_decomposition(f) == want
+
+
+@pytest.mark.parametrize("names, max_deg", [(("x",), 3), (("x", "y"), 2),
+                                            (("x", "y", "z"), 1)])
+def test_squarefree_decomposition_matches_division_yun(names, max_deg):
+    # planted repeated factors at levels 1, 2 and 3, against the
+    # division-based Yun loop, also with every gcd on the PRS; the degrees
+    # are kept low where the multivariate PRS would take seconds
+    rng = random.Random(2718 + len(names))
+    repeated = 0
+    for _ in range(30):
+        a, b, c = (random_nonconstant(rng, O3, vars_used=names,
+                                      max_deg=max_deg, n_terms=2)
+                   for _ in range(3))
+        f = a * b**2 * c**3
+        parts = squarefree_decomposition(f)
+        assert parts == reference_squarefree_decomposition(f)
+        with pytest.MonkeyPatch.context() as mp:
+            force_prs_gcds(mp)
+            assert reference_squarefree_decomposition(f) == parts
+            assert squarefree_decomposition(f) == parts
+        repeated += any(k > 1 for _, k in parts)
+    assert repeated >= 20
+
+
+def test_heuristic_gcd_retries_at_doubled_point():
+    # A and B are coprime, but A(2^60) and B(2^60) share a prime factor
+    # above 2^60, so the first point is refused and the second proves
+    # the gcd x + 1
+    A = [3501512, -9088383, 15789165]
+    B = [65809609, 56776649, 21600657]
+    F = [3501512, -5586871, 6700782, 15789165]
+    G = [65809609, 122586258, 78377306, 21600657]
+    f, g = _from_dense(F), _from_dense(G)
+    x = MultiPoly.var(O1, "x")
+    assert f == (x + 1) * _from_dense(A) and g == (x + 1) * _from_dense(B)
+    assert prs_gcd(_from_dense(A), _from_dense(B)) == MultiPoly.one(O1)
+    shift = (2 * max(map(abs, F + G)) + 2).bit_length() + 32
+    assert shift == 60
+    radius = max(polyring._cert_radius(F), polyring._cert_radius(G))
+    va = polyring._value_at_pow2(A, shift)
+    vb = polyring._value_at_pow2(B, shift)
+    assert math.gcd(va, vb) > 1 << shift
+    assert polyring._heuristic_gcd_at(F, G, shift, radius) is None
+    assert polyring._heuristic_gcd_at(F, G, 2 * shift, radius) == ([1, 1],
+                                                                   A, B)
+    h, fq, gq = polyring._gcd_cofactors(f, g)
+    assert (h, fq, gq) == (x + 1, _from_dense(A), _from_dense(B))
+    assert polyring._nheuristic_gcd(f.node, g.node) is not None
+    assert h == prs_gcd(f, g)
+
+
 def test_content_primitive_part():
     x, y = xy()
     c, pp = content_primitive_part(6 * x**2 + 4 * x)
@@ -420,19 +511,19 @@ def test_finest_squarefree_basis_frozen():
 def test_finest_squarefree_basis_order_and_pair_count(monkeypatch):
     x, y = xy()
     polys = [x**2 - 1, x + 3, x**2 + 5 * x + 6, x - 1]
-    # the only split comes after several coprime pairs; no pair of
-    # nonconstant polynomials is gcd'd twice
+    # the splits come after several coprime pairs; no pair of
+    # nonconstant polynomials is split twice
     pairs = []
-    real_gcd = polyring.poly_gcd
+    real_split = polyring._gcd_cofactors
 
-    def counting_gcd(f, g):
+    def counting_split(f, g):
         if not (f.is_constant() or g.is_constant()):
             pairs.append(frozenset((f, g)))
-        return real_gcd(f, g)
+        return real_split(f, g)
 
-    monkeypatch.setattr(polyring, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(polyring, "_gcd_cofactors", counting_split)
     assert finest_squarefree_basis(polys) == sorted([x - 1, x + 1, x + 2, x + 3])
-    assert len(pairs) == len(set(pairs))
+    assert pairs and len(pairs) == len(set(pairs))
     monkeypatch.undo()
     rng = random.Random(97)
     for _ in range(20):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from projcad import polyring, subresultants
 from projcad.cli import parse_input
 from projcad.polyring import (
     InexactDivisionError,
@@ -290,6 +291,17 @@ QUADRIC_PINNED = ("d4f7f6c9b9e497d8",
                    [16, 5, 3], [42, 6, 3], [17, 6, 3], [33, 6, 3]])
 
 
+def _digest_bases(digest, method, P) -> list:
+    """Feed every basis element of the projection P to digest; return
+    the elements."""
+    elements = []
+    for lvl, basis in enumerate(P.by_level, 1):
+        for p in basis:
+            digest.update(("%s %d %s\n" % (method, lvl, p)).encode())
+            elements.append(p)
+    return elements
+
+
 def _quadric_projections():
     """(digest, basis sizes, every basis element) of the eight
     projections of the quadric triples."""
@@ -300,10 +312,7 @@ def _quadric_projections():
         for method in ("mccallum", "collins"):
             P = cad_projection(polys, order, method)
             sizes.append([len(b) for b in P.by_level])
-            for lvl, basis in enumerate(P.by_level, 1):
-                for p in basis:
-                    digest.update(("%s %d %s\n" % (method, lvl, p)).encode())
-                    elements.append(p)
+            elements += _digest_bases(digest, method, P)
     return digest.hexdigest()[:16], sizes, elements
 
 
@@ -316,3 +325,38 @@ def test_quadric_projections_match_prs_route(monkeypatch):
         assert content(p).const_value() == 1
     force_prs_gcds(monkeypatch)
     assert _quadric_projections()[:2] == QUADRIC_PINNED
+
+
+def test_quadric_projections_take_no_level1_prem(monkeypatch):
+    # every level-1 gcd the projections need has its cofactors read off
+    # the heuristic gcd, so no pseudo-division runs at level 1; the PRS
+    # route runs many
+    level1 = []
+    real_prem = polyring.prem
+
+    def counting_prem(f, g, var):
+        if g.level() == 1:
+            level1.append(var)
+        return real_prem(f, g, var)
+
+    monkeypatch.setattr(polyring, "prem", counting_prem)
+    monkeypatch.setattr(subresultants, "prem", counting_prem)
+    assert _quadric_projections()[:2] == QUADRIC_PINNED
+    assert level1 == []
+    force_prs_gcds(monkeypatch)
+    assert _quadric_projections()[:2] == QUADRIC_PINNED
+    assert level1
+
+
+def test_cubic_pair_mccallum_projection_pinned():
+    # digest and basis sizes recorded with every gcd on the PRS; the
+    # level-1 basis has 21 elements of degree up to 69
+    order, polys = parse_input(
+        "vars: x, y, z\n"
+        "3*x^3*y^2 - 7*z^3*y + 11*x*z^2 - 5\n"
+        "2*z^3 - 9*x^2*y^3*z + 4*y - 13*x^3\n")
+    P = cad_projection(polys, order, "mccallum")
+    digest = hashlib.sha256()
+    _digest_bases(digest, "mccallum", P)
+    assert digest.hexdigest()[:16] == "c2bbd6ab746f0d87"
+    assert [len(b) for b in P.by_level] == [21, 5, 2]
