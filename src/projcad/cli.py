@@ -238,18 +238,6 @@ def _coord_text(coord, strs: dict):
         _poly_str(coord.defining, strs), *coord.isolated)
 
 
-def _square_factor(k: int) -> int:
-    # largest m with m^2 | k
-    m = 1
-    d = 2
-    while d * d <= k:
-        while k % (d * d) == 0:
-            k //= d * d
-            m *= d
-        d += 1
-    return m
-
-
 def _root_expr(ref, var: str) -> str:
     """Readable expression for the ordinal-th root of ref's polynomial,
     with radicals for low degrees and ordinal wording otherwise."""
@@ -282,11 +270,10 @@ def _root_expr(ref, var: str) -> str:
                 r = math.isqrt(dv) if dv >= 0 else -1
                 if r * r == dv:
                     return str(Fraction(-b_v + sign * r, 2 * a_v))
-            elif b_v == 0:
-                m = _square_factor(disc.int_content())
-                if m == 2 * a_v:
-                    inner = disc.div_int(m * m)
-                    return "%ssqrt(%s)" % ("-" if sign < 0 else "", inner)
+            elif b_v == 0 and disc.int_content() % (4 * a_v * a_v) == 0:
+                # roots are +-sqrt(disc)/(2a) with a > 0
+                inner = disc.div_int(4 * a_v * a_v)
+                return "%ssqrt(%s)" % ("-" if sign < 0 else "", inner)
     return "root %d of %s" % (ref.ordinal, p)
 
 

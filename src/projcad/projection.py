@@ -1,12 +1,12 @@
 """Projection phase of CAD construction.
 
 Two projection operators over a squarefree basis at one level, plus the
-top-down sweep that turns an input set into per-level bases.  The Collins
-operator collects coefficients, principal subresultant coefficients of
-reducta pairs, and psc chains of each reductum against its derivative.
-The McCallum operator collects coefficients, discriminants and pairwise
-resultants; it is smaller but requires the nullification handling done
-at lifting time.
+top-down sweep that turns an input set into per-level bases.  Collins's
+operator is PROJ1 ∪ PROJ2: per element, coefficients and psc chains of
+each reductum against its derivative; per pair of distinct elements, psc
+chains of each reductum of one against each reductum of the other.
+McCallum's collects coefficients, discriminants and pairwise resultants;
+it is smaller but needs the nullification handling done at lifting time.
 
 Coefficient scans are truncated: walking from the leading coefficient
 down, the first nonzero constant coefficient ends the scan, because
@@ -18,6 +18,7 @@ leading coefficient never drops degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable
 
 from .polyring import (
@@ -105,20 +106,19 @@ def proj_mccallum(basis: Iterable[MultiPoly], var=None) -> set:
 
 
 def proj_collins(basis: Iterable[MultiPoly], var=None) -> set:
-    """Coefficients plus psc chains of reducta (each against its own
-    derivative, and over distinct pairs).  Expects a finest squarefree
-    basis."""
+    """Collins's PROJ1 ∪ PROJ2, nonconstant elements only: per element f,
+    its coefficients and the psd chain of each reductum; per pair f < g
+    of distinct elements, the psc chains of each reductum of f against
+    each reductum of g.  Expects a finest squarefree basis."""
     B, var = _prep(basis, var)
+    reds = [reducta_chain(f, var) for f in B]
     out = set()
-    red = set()
-    for f in B:
+    for f, rf in zip(B, reds):
         out.update(truncated_coefficients(f, var))
-        red.update(reducta_chain(f, var))
-    reds = sorted(red)
-    for g in reds:
-        out.update(psd_chain(g, var))
-    for i, g in enumerate(reds):
-        for h in reds[i + 1:]:
+        for g in rf:
+            out.update(psd_chain(g, var))
+    for rf, rg in combinations(reds, 2):
+        for g, h in product(rf, rg):
             out.update(psc_chain(g, h, var))
     return {p for p in out if not p.is_constant()}
 

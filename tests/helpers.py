@@ -8,8 +8,9 @@ sorted route for stack roots at query fibers, a base stack isolated
 afresh on every descent, sample points with private copies of their
 roots, the flat-scan reading of a CAD's stacks, a builder of CADs from
 hand-made cells, the fiber squarefree part, bisection, split points,
-root comparison and gap samples on Fraction boxes, and the oracle's
-probes drawn and signed on Fractions."""
+root comparison and gap samples on Fraction boxes, the oracle's probes
+drawn and signed on Fractions, and the Collins operator over one pool
+of all reducta."""
 
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ from projcad.polyring import (
     _nint_div,
     exact_div,
 )
-from projcad.subresultants import _check_pair
+from projcad.projection import _prep, reducta_chain, truncated_coefficients
+from projcad.subresultants import _check_pair, psc_chain, psd_chain
 
 
 def random_poly(
@@ -166,6 +168,25 @@ def reference_pseudo_division(
         quo = quo * m
         rem = rem * m
     return quo, rem
+
+
+def pooled_proj_collins(basis, var=None) -> set:
+    """The Collins operator over one pool of all reducta of a basis: every
+    two distinct reducta are paired, also two of the same element, so the
+    set holds PROJ1 and PROJ2 and psc chains no theorem asks for."""
+    B, var = _prep(basis, var)
+    out = set()
+    red = set()
+    for f in B:
+        out.update(truncated_coefficients(f, var))
+        red.update(reducta_chain(f, var))
+    reds = sorted(red)
+    for g in reds:
+        out.update(psd_chain(g, var))
+    for i, g in enumerate(reds):
+        for h in reds[i + 1:]:
+            out.update(psc_chain(g, h, var))
+    return {p for p in out if not p.is_constant()}
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:

@@ -181,6 +181,18 @@ x = 1:
 """
 
 
+def test_piecewise_radical_over_a_long_content():
+    # the discriminant's content is 4*(2^61 - 1), with 2^61 - 1 prime:
+    # trial division for its largest square factor would take about
+    # 10^9 steps
+    out, _, code = run_compute(RunConfig(output="piecewise"),
+                               "vars: y, x\nx^2 - 2305843009213693951*y\n")
+    assert code == 0
+    lines = out.splitlines()
+    assert "  x = -sqrt(2305843009213693951*y)" in lines
+    assert "  x = sqrt(2305843009213693951*y)" in lines
+
+
 def test_text_output():
     out, _, _ = run_compute(RunConfig(output="text"), CIRCLE)
     lines = out.splitlines()
@@ -453,6 +465,15 @@ def test_final_oi_over_rational_points(seed, cells):
     assert run_compute(cfg, text) == ("%d\n" % cells, "", 0)
     order, polys = parse_input(text)
     cad = cad_full(polys, order, final_oi=True)
+    assert verify_sign_invariance(cad, polys, samples_per_cell=1)
+
+
+def test_collins_pairs_reducta_of_distinct_elements_only():
+    # with the psc chains of two reducta of one element, which no
+    # theorem asks for, this CAD has 347 cells
+    order, polys = parse_input(_random_problem(45))
+    cad = cad_full(polys, order, "collins")
+    assert len(cad.cells) == 247
     assert verify_sign_invariance(cad, polys, samples_per_cell=1)
 
 

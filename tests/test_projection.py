@@ -27,7 +27,7 @@ from projcad.projection import (
     truncated_coefficients,
 )
 
-from helpers import force_prs_gcds
+from helpers import force_prs_gcds, pooled_proj_collins
 
 O2 = VarOrder(["x", "y"])
 O3 = VarOrder(["x", "y", "z"])
@@ -86,6 +86,21 @@ def test_proj_collins_frozen():
     assert proj_collins([y + x]) == set()
 
 
+def test_proj_collins_of_one_element_is_its_proj1():
+    # coefficients and the psd chain of each reductum; the pooled
+    # operator also pairs f with its own reductum
+    x, y = _vars(O2)
+    f = x * y**2 + (x + 1) * y + x - 2
+    reds = reducta_chain(f, "y")
+    assert len(reds) == 2
+    want = set(truncated_coefficients(f, "y"))
+    for g in reds:
+        want.update(subresultants.psd_chain(g, "y"))
+    assert proj_collins([f]) == {p for p in want if not p.is_constant()}
+    assert pooled_proj_collins([f]) - proj_collins([f]) == {
+        x**3 - 4 * x**2 + 4 * x}
+
+
 def test_proj_errors():
     x, y = _vars(O2)
     with pytest.raises(ValueError):
@@ -132,6 +147,24 @@ def test_mccallum_within_collins_up_to_lc_factors():
                 (f.lc("y") * p).assoc_normalized() in norm for f in B
             )
             assert hit, "McCallum element %s missing from Collins set" % p
+
+
+def test_collins_within_pooled_reducta_pairs():
+    # bases with nonconstant leading coefficients have reducta chains
+    # longer than one, where pooling them adds psc chains; a chain of two
+    # reducta taken in the other order may differ in sign
+    rng = random.Random(1975)
+    done = smaller = 0
+    while done < 100:
+        B = _random_level2_basis(rng)
+        if not B or any(f.lc("y").is_constant() for f in B):
+            continue
+        done += 1
+        PROJ, pooled = ({p.sign_normalized() for p in op(B)}
+                        for op in (proj_collins, pooled_proj_collins))
+        assert PROJ <= pooled
+        smaller += PROJ < pooled
+    assert smaller
 
 
 def test_cad_projection_circle():
