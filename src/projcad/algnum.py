@@ -92,8 +92,12 @@ Each real root is one RootOfCoordinate, shared by every sample point
 over it; refinement shrinks its box in place, which moves no decision
 and nothing printed: the output shows the interval isolation found from
 a root bound fixed by the polynomial and the fiber (_root_bound_of).
-Every comparison of a root, with another root (_compare_coords) or with
-a rational (_cmp_root_to_rational), is made here.  Every refinement
+Every comparison of a root is made here.  A root is placed against a
+rational by its box alone when the rational lies outside it, and else
+by one sign of its defining polynomial, with no box narrowed
+(_cmp_root_to_rational through _root_side, the test bisection takes at
+each midpoint too).  A root is placed against another root by bisecting
+both boxes until they come apart (_compare_coords).  Every refinement
 loop has a step budget and raises ArithmeticError (SeparabilityError
 when two roots will not separate) once it is spent.
 """
@@ -223,10 +227,13 @@ class RootOfCoordinate:
     isolation found, as a pair of Fractions, which the output prints.
     The working box `interval` starts there and shrinks in place, for
     every sample point sharing the root; the defining polynomial, being
-    squarefree over the fiber, changes sign exactly once inside it, which
-    bisection relies on.  Bisection and every comparison read the box as
-    the integers (a, b, q) it stores, q a power of two for every root
-    isolation makes; point_value() and box() build Fractions.
+    squarefree over the fiber, changes sign exactly once inside it and
+    vanishes at neither end, which _root_side relies on.  `_sign_lo` is
+    the defining polynomial's sign just below the root, None until first
+    needed and fixed for the root's life.  Bisection and every comparison
+    read the box as the integers (a, b, q) it stores, q a power of two
+    for every root isolation makes; point_value() and box() build
+    Fractions.
 
     `enclosure` is the defining polynomial's interval image over the
     prefix (see _coeff_enclosure), or None.  Bisection signs the defining
@@ -408,26 +415,36 @@ def _fiber_sign(f: MultiPoly, prefix: tuple, enc, u: int, v: int) -> int:
         prefix + (RationalCoordinate(Fraction(u, v)),)))
 
 
+def _root_side(coord: RootOfCoordinate, u: int, v: int) -> int:
+    """+1, 0 or -1 as the root lies above, at or below u/v (v > 0), a
+    rational in the root's closed, proper box.
+
+    The defining polynomial is squarefree over the fiber, changes sign
+    exactly once inside the box and vanishes at neither end (Collins and
+    Akritas, SYMSAC 1976).  So its sign at u/v is 0 when u/v is the
+    root, the sign just below the root (_sign_lo, taken at the box's low
+    end on first use) when u/v lies below it, and the other sign above.
+    """
+    s = _defining_sign(coord, u, v)
+    if s == 0:
+        return 0
+    if coord._sign_lo is None:
+        iv = coord.interval
+        coord._sign_lo = _defining_sign(coord, iv.a, iv.q)
+    return 1 if s == coord._sign_lo else -1
+
+
 def _bisect_once(coord: RootOfCoordinate):
-    """One bisection step, at the midpoint (a + b)/(2q) of the box;
-    collapses to a point on an exact hit."""
+    """One bisection step: the box keeps the half on the root's side of
+    its midpoint (a + b)/(2q), and collapses to it on an exact hit."""
     iv = coord.interval
     a, b, q = iv.a, iv.b, iv.q
     if a == b:
         return
     m, q2 = a + b, 2 * q
-    sm = _defining_sign(coord, m, q2)
-    if sm == 0:
-        iv._set(m, m, q2)
-        coord._sign_lo = 0
-        return
-    if coord._sign_lo is None:
-        coord._sign_lo = _defining_sign(coord, a, q)
-    if coord._sign_lo * sm < 0:
-        iv._set(2 * a, m, q2)
-    else:
-        iv._set(m, 2 * b, q2)
-        coord._sign_lo = sm
+    side = _root_side(coord, m, q2)
+    # [a, m] for a root below m, [m, b] above it, and m itself at it
+    iv._set(2 * a if side < 0 else m, 2 * b if side > 0 else m, q2)
 
 
 def refine(coord, width):
@@ -930,19 +947,16 @@ def _compare_coords(c1, c2) -> int:
 
 
 def _cmp_root_to_rational(coord, x: Fraction) -> int:
-    """-1/0/+1 for coord < x / coord == x / coord > x, exact."""
+    """-1/0/+1 for coord < x / coord == x / coord > x, exact: from the
+    box alone when x lies outside it, else by one sign (_root_side); no
+    box is narrowed."""
     a, b, q = _int_box(coord)
     u, v = x.numerator, x.denominator
     if u * q < a * v:
         return 1
     if u * q > b * v:
         return -1
-    if a == b or _defining_sign(coord, u, v) == 0:
-        return 0
-    # x is in the closed box but is not the root; the separation budget
-    # grows with x's bit length, so an x close to the root gets the steps
-    # it needs
-    return _compare_coords(coord, RationalCoordinate(x))
+    return 0 if a == b else _root_side(coord, u, v)
 
 
 def _separated_ends(c1, c2) -> tuple:

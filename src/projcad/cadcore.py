@@ -21,10 +21,12 @@ it owns sections, its roots fill its sections in turn, in the order the
 CAD lists them.  Any other stack's roots come sorted.  The base stack's
 fiber is empty, so its roots are those lifting isolated there: every
 descent reads them off the section cells of the CAD's stack tree, the
-cells' own objects, whose working boxes its comparisons narrow.
-algnum makes every root comparison, with a rational
-(_cmp_root_to_rational) or with another root (_compare_coords,
-_separated_ends); this module refines no box itself.
+cells' own objects.  algnum makes every root comparison.  locate_point
+places each root against a rational coordinate (_cmp_root_to_rational)
+by one sign, and narrows no box.  The oracle separates neighbouring
+roots (_separated_ends) by bisecting their shared working boxes, never
+their isolating intervals, and a stack read sorted orders its roots by
+bisection too (_compare_coords); this module refines no box itself.
 
 locate_point requires its comparisons against a stack's roots to read
 below, then at most one equal, then above; a stack out of order, a

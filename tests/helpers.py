@@ -8,9 +8,10 @@ sorted route for stack roots at query fibers, a base stack isolated
 afresh on every descent, sample points with private copies of their
 roots, the flat-scan reading of a CAD's stacks, a builder of CADs from
 hand-made cells, the fiber squarefree part, bisection, split points,
-root comparison and gap samples on Fraction boxes, the oracle's probes
-drawn and signed on Fractions, and the Collins operator over one pool
-of all reducta."""
+root comparison and gap samples on Fraction boxes, a root placed
+against a rational by bisection and by a Fraction sign, the oracle's
+probes drawn and signed on Fractions, and the Collins operator over one
+pool of all reducta."""
 
 from __future__ import annotations
 
@@ -704,6 +705,48 @@ def reference_compare_coords(r1: FractionBox, r2: FractionBox) -> int:
             return 1
         _reference_bisect_all((r1, r2))
     raise algnum.SeparabilityError("separability violated")
+
+
+def bisecting_cmp_root_to_rational(coord, x: Fraction) -> int:
+    """-1/0/+1 for coord < x / coord == x / coord > x, by the route one
+    sign replaced: the closed-box tests and a zero test at x, then, for
+    an x inside the box that is not the root, the root-against-root
+    comparison with x as a rational coordinate, which bisects the root's
+    working box in place, within the separation budget, until it leaves
+    x."""
+    a, b, q = algnum._int_box(coord)
+    u, v = x.numerator, x.denominator
+    if u * q < a * v:
+        return 1
+    if u * q > b * v:
+        return -1
+    if a == b or algnum._defining_sign(coord, u, v) == 0:
+        return 0
+    return algnum._compare_coords(coord, algnum.RationalCoordinate(x))
+
+
+def bisecting_point_location(monkeypatch):
+    """Make locate_point place each root against the point's coordinate
+    by bisection (bisecting_cmp_root_to_rational) instead of by one
+    sign."""
+    monkeypatch.setattr(cadcore, "_cmp_root_to_rational",
+                        bisecting_cmp_root_to_rational)
+
+
+def fraction_root_side(coord, x: Fraction) -> int:
+    """+1/0/-1 as a coordinate lies above, at or below x, a rational in
+    its closed box: for a root, from the signs of its defining polynomial
+    at x and at the box's low end, evaluated on Fractions; every
+    coordinate below the root must be rational."""
+    if isinstance(coord, algnum.RationalCoordinate):
+        return (coord.value > x) - (coord.value < x)
+    f = coord.defining
+    env = {f.order.name(i + 1): c.point_value()
+           for i, c in enumerate(coord.prefix)}
+    sx, slo = (f.evaluate({**env, f.mvar(): t}) for t in (x, coord.box()[0]))
+    if sx == 0:
+        return 0
+    return 1 if (sx > 0) == (slo > 0) else -1
 
 
 def reference_gap_sample(r1: FractionBox, r2: FractionBox) -> Fraction:

@@ -19,6 +19,7 @@ from projcad.algnum import (
     SeparabilityError,
     _bisect_once,
     _box_enclosure,
+    _cmp_root_to_rational,
     _coeff_enclosure,
     _compare_coords,
     _enclosure_sign,
@@ -30,6 +31,7 @@ from projcad.algnum import (
     _nonroot_split,
     _point_enclosure,
     _root_bound,
+    _root_side,
     _sign_variations,
     _simplest_in_open,
     _split_point,
@@ -47,10 +49,12 @@ from projcad.polyring import MultiPoly, VarOrder, poly_gcd
 
 from helpers import (
     FractionBox,
+    bisecting_cmp_root_to_rational,
     copying_extend,
     fiber_squarefree_part,
     force_exact_fiber_decisions,
     force_gcd_first_signs,
+    fraction_root_side,
     random_nonconstant,
     random_poly,
     reference_box_eval,
@@ -1043,3 +1047,89 @@ def test_integer_boxes_match_fraction_reference(shape1, shape2, seed):
     assert _simplest_in_open(b1.numerator * t, b1.denominator * t,
                              a2.numerator, a2.denominator) == (
         reference_simplest_in_open(b1, a2))
+
+
+def _near(k: int, den: int) -> list:
+    # the dyadic rationals of denominator den on either side of sqrt(k)
+    below = math.isqrt(k * den * den)
+    return [F(below, den), F(below + 1, den)]
+
+
+def _level2_root():
+    # the positive root sqrt(3) of y^2 - x - 1 over x = 2, as lifting
+    # isolates it, with its dense image
+    s = SamplePoint((RationalCoordinate(F(2)),))
+    sections, _, _ = roots_over_cell([Y2**2 - X2 - 1], s)
+    return sections[1]
+
+
+def _collapsed_two():
+    two = RootOfCoordinate(X**2 - 4, IsolatingInterval(1, 3))
+    refine(two, 1)
+    return two
+
+
+# a maker of fresh coordinates, and the rationals to place them against
+_ROOT_CASES = {
+    "sqrt2": (lambda: RootOfCoordinate(X**2 - 2, IsolatingInterval(1, 2)),
+              [F(1), F(2), F(3, 2)]
+              + [x for k in (1, 2, 10, 100, 600, 4000)
+                 for x in _near(2, 2**k)]),
+    "rational-root-of-reducible": (
+        lambda: RootOfCoordinate((X - 2) * (X**2 - 3),
+                                 IsolatingInterval(F(7, 4), 3)),
+        [F(7, 4), F(15, 8), F(2), F(5, 2), F(3)]),
+    "rational-root-of-split-square": (
+        lambda: RootOfCoordinate(X**2 - 4, IsolatingInterval(1, 3)),
+        [F(1), F(2), F(3), F(199, 100), F(201, 100)]),
+    "collapsed": (_collapsed_two, [F(2)]),
+    "rational": (lambda: RationalCoordinate(F(2)), [F(2)]),
+    "level2-rational-fiber": (
+        _level2_root,
+        [x for k in (0, 1, 3, 20, 300) for x in _near(3, 2**k)]),
+    "level2-rational-fiber-no-image": (
+        lambda: RootOfCoordinate(Y2**2 - X2, IsolatingInterval(1, 2),
+                                 (RationalCoordinate(F(3)),)),
+        [F(1), F(2)] + [x for k in (1, 5, 200) for x in _near(3, 2**k)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_root_against_rational_by_one_sign(monkeypatch, case):
+    # one sign of the defining polynomial places a root against every
+    # rational in its closed box: the answer is the Fraction sign's and
+    # the bisecting route's, no box moves, and at most two signs are
+    # taken (at x and at the box's low end)
+    make, xs = _ROOT_CASES[case]
+    signs = []
+    defining_sign = algnum._defining_sign
+
+    def counting(coord, u, v):
+        signs.append((u, v))
+        return defining_sign(coord, u, v)
+
+    def no_bisection(coord):
+        raise AssertionError("a box was bisected")
+
+    lo, hi = make().box()
+    xs = [x for x in xs if lo <= x <= hi]
+    assert xs
+    cases = [(x, fraction_root_side(make(), x)) for x in xs]
+    # rationals outside the box are placed from the box alone
+    cases += [(lo - 1, 1), (hi + F(1, 3), -1)]
+    for x, want in cases:
+        c = make()
+        with monkeypatch.context() as m:
+            m.setattr(algnum, "_defining_sign", counting)
+            m.setattr(algnum, "_bisect_once", no_bisection)
+            signs.clear()
+            assert _cmp_root_to_rational(c, x) == want, x
+            assert len(signs) <= (2 if lo <= x <= hi and lo < hi else 0)
+        assert c.box() == (lo, hi)
+        if lo < hi and lo <= x <= hi:
+            c = make()
+            assert _root_side(c, x.numerator, x.denominator) == want
+            assert c.box() == (lo, hi)
+        assert bisecting_cmp_root_to_rational(make(), x) == want, x
+    if case == "sqrt2":
+        assert all((x * x > 2) - (x * x < 2) == -want for x, want in cases)

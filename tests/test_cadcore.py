@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from projcad import cadcore
+from projcad import algnum, cadcore
 from projcad.algnum import _cmp_root_to_rational, refine
 from projcad.cadcore import (
     IntegrityError,
@@ -23,9 +23,10 @@ from projcad.lifting import CAD, Bound, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
 from projcad.algnum import (IsolatingInterval, RationalCoordinate,
                             RootOfCoordinate, SamplePoint, sign_at)
-from projcad.cli import parse_input
+from projcad.cli import _EXAMPLES, RunConfig, parse_input
 
 from helpers import (
+    bisecting_point_location,
     cad_from_cells,
     flat_stack_maps,
     force_sorted_stack_roots,
@@ -34,7 +35,7 @@ from helpers import (
     reference_random_in_gap,
     uncached_base_stack,
 )
-from test_cli import _random_problem
+from test_cli import GOLDEN_EXTRA, GOLDEN_JSON, _random_problem
 
 O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
@@ -104,19 +105,30 @@ def _sqrt2():
     return RootOfCoordinate(X1**2 - 2, IsolatingInterval(1, 2))
 
 
-def test_cmp_root_to_rational_is_bounded():
+def test_cmp_root_to_rational_is_bounded(monkeypatch):
     # a rational at an end of a proper isolating interval is not the
     # root, which lies inside: it is decided from the box as it stands
     root = _sqrt2()
     assert _cmp_root_to_rational(root, F(1)) == 1
     assert _cmp_root_to_rational(root, F(2)) == -1
     assert root.box() == (1, 2)
-    # a rational within 2^-600 of sqrt(2) needs more steps than the fixed
-    # budget; its long denominator buys them
+    # a rational within 2^-600 of sqrt(2) is decided by the signs of the
+    # defining polynomial at it and at the box's low end, with no
+    # bisection
+    signs, bisections = [], []
+    defining_sign = algnum._defining_sign
     k = 600
     below = F(math.isqrt(2 * 4**k), 2**k)
-    assert _cmp_root_to_rational(_sqrt2(), below) == 1
-    assert _cmp_root_to_rational(_sqrt2(), below + F(1, 2**k)) == -1
+    with monkeypatch.context() as m:
+        m.setattr(algnum, "_defining_sign", lambda c, u, v: (
+            signs.append((u, v)) or defining_sign(c, u, v)))
+        m.setattr(algnum, "_bisect_once", bisections.append)
+        for x, want in ((below, 1), (below + F(1, 2**k), -1)):
+            signs.clear()
+            root = _sqrt2()
+            assert _cmp_root_to_rational(root, x) == want
+            assert len(signs) <= 2 and root.box() == (1, 2)
+    assert bisections == []
     # exact ties: a rational coordinate, a root found at a point inside
     # its box, and a root whose box has collapsed
     assert _cmp_root_to_rational(RationalCoordinate(F(2)), F(2)) == 0
@@ -126,6 +138,79 @@ def test_cmp_root_to_rational_is_bounded():
     refine(two, 1)
     assert two.box() == (2, 2)
     assert _cmp_root_to_rational(two, F(2)) == 0
+
+
+def _points_on_sections(cad, pt):
+    # pt with one coordinate moved onto each rational root of the stack
+    # over pt's cell below it
+    cell = locate_point(pt, cad)
+    out = []
+    for j in range(cad.order.n):
+        for c in cadcore._stack_roots(cad, cell.index[:j], pt[:j]):
+            if c.point_value() is not None:
+                out.append(pt[:j] + (c.point_value(),) + pt[j + 1:])
+    return out
+
+
+def _location_problems():
+    runs = [(GOLDEN_EXTRA[nm][0], RunConfig()) if nm in GOLDEN_EXTRA
+            else _EXAMPLES[nm][:2] for nm in sorted(GOLDEN_JSON)]
+    runs += [(_random_problem(seed), RunConfig(method=method))
+             for seed in range(40) if seed != 17
+             for method in ("mccallum", "collins")]
+    return runs
+
+
+def test_locate_point_matches_bisecting_route(monkeypatch):
+    # locate_point places roots against rationals by one sign; placing
+    # them by bisection finds the same cells, on the golden problems and
+    # on seeds 0-39 without 17 under both operators, at every all-rational
+    # sample, at seeded random points and at points moved onto sections.
+    # No comparison with a rational bisects or opens a separation budget
+    rng = random.Random(25)
+    inside = []
+    cmp_root_to_rational = cadcore._cmp_root_to_rational
+
+    def watched(coord, x):
+        inside.append(True)
+        try:
+            return cmp_root_to_rational(coord, x)
+        finally:
+            inside.pop()
+
+    def forbidden(fn):
+        def check(*args):
+            assert not inside, fn.__name__
+            return fn(*args)
+        return check
+
+    on_sections = located = 0
+    for text, cfg in _location_problems():
+        order, polys = parse_input(text)
+        cad = cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
+        n = order.n
+        pts = [tuple(co.point_value() for co in c.sample.coords)
+               for c in cad.cells]
+        pts = [pt for pt in pts if None not in pt]
+        drawn = [tuple(F(rng.randint(-4 * q, 4 * q), q)
+                       for q in (rng.randint(1, 8) for _ in range(n)))
+                 for _ in range(12)]
+        pts += drawn
+        for pt in drawn:
+            pts += _points_on_sections(cad, pt)
+        with monkeypatch.context() as m:
+            m.setattr(cadcore, "_cmp_root_to_rational", watched)
+            for name in ("_bisect_once", "_separation_budget"):
+                m.setattr(algnum, name, forbidden(getattr(algnum, name)))
+            got = [locate_point(pt, cad).index for pt in pts]
+        twin = copy.deepcopy(cad)
+        with monkeypatch.context() as m:
+            bisecting_point_location(m)
+            want = [locate_point(pt, twin).index for pt in pts]
+        assert got == want, text
+        located += len(got)
+        on_sections += sum(1 for idx in got if any(e % 2 == 0 for e in idx))
+    assert located > 8000 and on_sections > 5000
 
 
 def test_separate_gap_is_bounded():
@@ -494,11 +579,15 @@ def test_base_stack_is_read_off_the_tree(monkeypatch):
     boxes = [c.box() for c in own]
     for pt in ((0, 0), (2, 1), (F(-7, 5), F(1, 3)), (F(-141, 100), 0)):
         locate_point(pt, cad)
+    # locating places each root against a rational by one sign and
+    # leaves every working box as it was
+    assert [c.box() for c in own] == boxes
     assert verify_sign_invariance(cad, [X2**2 + Y2**2 - 2]).ok
     assert calls and () not in calls
-    # the comparisons narrowed the shared working boxes, never the
-    # isolating intervals
-    assert [c.box() for c in own] != boxes
+    # the oracle's gap separation may narrow the shared working boxes,
+    # never the isolating intervals
+    assert all(i[0] <= c.box()[0] <= c.box()[1] <= i[1]
+               for c, i in zip(own, [(-4, 0), (0, 4)]))
     assert [c.isolated for c in own] == [(-4, 0), (0, 4)]
     # a deep copy owns its tree: bisecting one copy's base sections
     # leaves the other's roots as they were
