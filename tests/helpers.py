@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: deterministic random polynomials,
-reference division, substitution and interval evaluation on MultiPoly
-and Fractions, the division-based Yun loop, the determinant route to
+node arithmetic on distributed monomials, reference division,
+substitution and interval evaluation on MultiPoly and Fractions, the
+division-based Yun loop, the determinant route to
 resultants and psc chains, the PRS route for every gcd, the gcd-first
 and the sequential-substitution sign routes, the exact route over
 algebraic fibers, the symbolic Descartes transform on MultiPoly, the
@@ -62,6 +63,60 @@ def random_nonconstant(rng, order, **kw) -> MultiPoly:
         p = random_poly(rng, order, **kw)
         if not p.is_constant():
             return p
+
+
+def distributed_node(terms: dict):
+    """The canonical node of {exponent vector: int}, the vectors of one
+    length with the smallest variable first, built from the definition
+    of the canonical form alone: the terms are grouped by their exponent
+    of the highest variable they involve, and no polyring kernel runs."""
+    terms = {v: c for v, c in terms.items() if c}
+    top = max((i + 1 for v in terms for i, e in enumerate(v) if e),
+              default=0)
+    if not top:
+        return sum(terms.values())
+    groups: dict = {}
+    for v, c in terms.items():
+        groups.setdefault(v[top - 1], {})[v[:top - 1] + (0,) + v[top:]] = c
+    return (top, tuple((e, distributed_node(groups[e]))
+                       for e in sorted(groups, reverse=True)))
+
+
+def distributed_sum(polys) -> dict:
+    """The sum of distributed polynomials {exponent vector: int}."""
+    out: dict = {}
+    for p in polys:
+        for v, c in p.items():
+            out[v] = out.get(v, 0) + c
+    return out
+
+
+def distributed_mul(a: dict, b: dict) -> dict:
+    """The product of two distributed polynomials, monomial by monomial."""
+    out: dict = {}
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            v = tuple(x + y for x, y in zip(va, vb))
+            out[v] = out.get(v, 0) + ca * cb
+    return out
+
+
+def is_canonical(node) -> bool:
+    """Whether a node is canonical: an int, or (level, terms) with terms a
+    nonempty tuple of (exponent, node) pairs, exponents strictly
+    descending and the top one >= 1 (so no lone term of exponent 0), no
+    zero coefficient, and every coefficient canonical and of strictly
+    lower level."""
+    if isinstance(node, int):
+        return True
+    lvl, terms = node
+    if not (isinstance(terms, tuple) and terms and terms[0][0] >= 1):
+        return False
+    exps = [e for e, _ in terms]
+    return (exps == sorted(set(exps), reverse=True) and exps[-1] >= 0
+            and all(c != 0 and is_canonical(c)
+                    and (isinstance(c, int) or c[0] < lvl)
+                    for _, c in terms))
 
 
 def reference_exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -15,7 +15,11 @@ from projcad.polyring import (
     InexactDivisionError,
     MultiPoly,
     VarOrder,
+    _nadd,
+    _nmul,
     _npoint_subs,
+    _npow,
+    _nsum,
     content,
     content_primitive_part,
     exact_div,
@@ -29,7 +33,11 @@ from projcad.polyring import (
 )
 
 from helpers import (
+    distributed_mul,
+    distributed_node,
+    distributed_sum,
     force_prs_gcds,
+    is_canonical,
     random_nonconstant,
     random_poly,
     reference_derivative,
@@ -89,6 +97,55 @@ def test_structural_accessors():
     assert f.variables() == ("x", "y")
 
 
+def test_lc_matches_coeff_terms():
+    # in the main variable lc reads the leading term; every other case
+    # goes through coeff_terms
+    rng = random.Random(3131)
+    polys = [MultiPoly.zero(O3), MultiPoly.const(O3, -7)]
+    polys += [random_poly(rng, O3, vars_used=names, max_deg=3)
+              for names in (("x",), ("x", "y"), ("x", "y", "z"), ("y", "z"))
+              for _ in range(40)]
+    seen = set()
+    for f in polys:
+        for var in (None,) + O3.names:
+            terms = f.coeff_terms(var)
+            want = terms[0][1] if terms else MultiPoly.zero(O3)
+            assert f.lc(var) == want
+            if f.is_constant():
+                seen.add("constant")
+            elif var is None or var == f.mvar():
+                seen.add("main")
+            elif O3.level(var) < f.level():
+                seen.add("lower")
+    assert seen == {"constant", "main", "lower"}
+
+
+def test_npow_squares_only_while_bits_remain(monkeypatch):
+    # k.bit_length() - 1 squarings and popcount(k) products, counted at
+    # recursion depth 0; no square is left unused
+    x, y = xy()
+    a = (y - x + 2).node
+    powers = [1]
+    for _ in range(40):
+        powers.append(_nmul(powers[-1], a))
+    real, depth, calls = polyring._nmul, [0], [0]
+
+    def counting_nmul(u, v):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(u, v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polyring, "_nmul", counting_nmul)
+    for k in range(41):
+        calls[0] = 0
+        assert _npow(a, k) == powers[k]
+        want = k.bit_length() - 1 + bin(k).count("1") if k else 0
+        assert calls[0] == want, k
+
+
 def test_reductum():
     x, y = xy()
     f = 3 * x**2 + 2 * x + 1
@@ -137,6 +194,55 @@ def test_ring_laws_random():
         assert a * MultiPoly.one(O3) == a
 
 
+# distributed polynomials in x, y, z involving variables up to a drawn
+# level: sparse exponents up to 80 and coefficients up to 2^100
+_EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, 80))
+_COEFF = st.one_of(st.integers(-3, 3), st.integers(-2**100, 2**100))
+
+
+@st.composite
+def _distributed(draw):
+    level = draw(st.integers(1, 3))
+    vectors = st.tuples(*[_EXPONENT] * level, *[st.just(0)] * (3 - level))
+    return draw(st.dictionaries(vectors, _COEFF, max_size=5))
+
+
+def _negated(p: dict) -> dict:
+    return {v: -c for v, c in p.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_distributed(), min_size=3, max_size=5),
+       st.integers(-2**100, 2**100))
+def test_node_kernels_match_distributed_reference(polys, k):
+    a, b, c = polys[:3]
+    A, B, C = (distributed_node(p) for p in (a, b, c))
+    nodes = [distributed_node(p) for p in polys] + [k]
+    every = distributed_sum(polys + [{(0, 0, 0): k}])
+    ab = distributed_mul(a, b)
+    checks = [
+        (_nmul(A, B), ab),
+        (_nmul(A, k), distributed_mul(a, {(0, 0, 0): k})),
+        (_nadd(A, B), distributed_sum([a, b])),
+        (_nsum(nodes), every),
+        # sums and products that cancel to c (of any level, a constant
+        # or 0), to k and to 0
+        (_nadd(A, distributed_node(distributed_sum([_negated(a), c]))), c),
+        (_nadd(_nmul(A, B), distributed_node(
+            distributed_sum([_negated(ab), {(0, 0, 0): k}]))), {(0, 0, 0): k}),
+        (_nsum(nodes + [distributed_node(_negated(every))]), {}),
+        (_nsum([_nmul(A, B), distributed_node(_negated(ab)), C]), c),
+        # (a + c)(a - c): the cross terms cancel inside the product
+        (_nmul(distributed_node(distributed_sum([a, c])),
+               distributed_node(distributed_sum([a, _negated(c)]))),
+         distributed_sum([distributed_mul(a, a),
+                          _negated(distributed_mul(c, c))])),
+    ]
+    for got, want in checks:
+        assert is_canonical(got)
+        assert got == distributed_node(want)
+
+
 def test_exact_division():
     x, y = xy()
     f = (x + y) * (x - y) * (2 * x + 3)
@@ -180,7 +286,8 @@ def _division_outcome(fn, *args):
 def test_division_kernels_match_reference(names):
     rng = random.Random(2013 + len(names))
     var = names[-1]
-    counts = {"exact": 0, "inexact": 0, "zero_rem": 0, "short": 0}
+    counts = {"exact": 0, "inexact": 0, "zero_rem": 0, "short": 0,
+              "sparse_exact": 0, "sparse_inexact": 0}
     for _ in range(120):
         g = random_nonconstant(rng, O3, vars_used=names, max_deg=2,
                                n_terms=3)
@@ -217,6 +324,27 @@ def test_division_kernels_match_reference(names):
         assert exact_div(a * k, c) == a
         assert (_division_outcome(exact_div, a, c)
                 == _division_outcome(reference_exact_div, a, c))
+        # sparse level-1 divisors of degree up to 60 with large
+        # coefficients, which divide on lists of ints: pseudo-division of
+        # level-1 dividends of degree up to 80, and exact division of
+        # those and of a multiple in every variable of names
+        gx = random_nonconstant(rng, O3, vars_used=("x",), max_deg=60,
+                                max_coeff=2**70, n_terms=3)
+        ax = random_poly(rng, O3, vars_used=("x",), max_deg=20,
+                         max_coeff=2**40, n_terms=3)
+        fx = random_poly(rng, O3, vars_used=("x",), max_deg=80,
+                         max_coeff=2**70, n_terms=4)
+        for f in (fx, ax * gx, ax * gx + fx):
+            q, r = pseudo_division(f, gx, "x")
+            assert (q, r) == reference_pseudo_division(f, gx, "x")
+            assert prem(f, gx, "x") == r
+            got = _division_outcome(exact_div, f, gx)
+            assert got == _division_outcome(reference_exact_div, f, gx)
+            counts["sparse_inexact" if got is InexactDivisionError
+                   else "sparse_exact"] += 1
+        assert (_division_outcome(exact_div, a * gx + lower, gx)
+                == _division_outcome(reference_exact_div, a * gx + lower, gx))
+        assert exact_div(a * gx, gx) == a
     assert min(counts.values()) >= 10, counts
 
 

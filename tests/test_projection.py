@@ -28,6 +28,7 @@ from projcad.projection import (
 )
 
 from helpers import force_prs_gcds, pooled_proj_collins
+from test_cli import _random_problem
 
 O2 = VarOrder(["x", "y"])
 O3 = VarOrder(["x", "y", "z"])
@@ -393,3 +394,22 @@ def test_cubic_pair_mccallum_projection_pinned():
     _digest_bases(digest, "mccallum", P)
     assert digest.hexdigest()[:16] == "c2bbd6ab746f0d87"
     assert [len(b) for b in P.by_level] == [21, 5, 2]
+
+
+def test_random_projections_pinned():
+    # the bases of both operators over the CLI's random problems, seeds
+    # 0-159: the digest of every element and the total basis size per
+    # level, recorded before the level-1 kernels of polyring
+    digest = hashlib.sha256()
+    totals = {}
+    for seed in range(160):
+        order, polys = parse_input(_random_problem(seed))
+        for method in ("mccallum", "collins"):
+            P = cad_projection(polys, order, method)
+            _digest_bases(digest, method, P)
+            for lvl, basis in enumerate(P.by_level, 1):
+                totals[method, lvl] = totals.get((method, lvl), 0) + len(basis)
+    assert digest.hexdigest()[:16] == "9238c17ad5ece413"
+    assert totals == {("mccallum", 1): 266, ("mccallum", 2): 257,
+                      ("mccallum", 3): 224, ("collins", 1): 640,
+                      ("collins", 2): 278, ("collins", 3): 224}
