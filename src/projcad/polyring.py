@@ -77,9 +77,11 @@ thousands of bits long costs far more.
 
 Node arithmetic has flat kernels for level-1 nodes, whose coefficients
 are all ints: a product of two is one convolution into a dict of ints
-and one sort by exponent, a sum adds int to int inline, and exact and
-pseudo-division by a level-1 divisor run on dense lists of ints
-(_iexact_div, _ipdiv).  Above level 1, a product of two nodes at one
+and one sort by exponent, a sum merges the two term lists and adds int
+to int inline, and exact division by a level-1 divisor runs on dense
+lists of ints (_iexact_div).  Pseudo-division by a level-1 divisor
+keeps the node loop: the project benchmark makes no such call, and
+the lift benchmark spends 0.25% of a pass in it.  Above level 1, a product of two nodes at one
 level collects its partial products by exponent and sums each group
 once (_nsum, merged level by level), not one _nadd per product, and a
 product with a lower factor builds its terms directly: their order is
@@ -201,6 +203,9 @@ def _nis_zero(node) -> bool:
 
 
 def _nadd(a, b):
+    """a + b.  Two nodes at one level merge their descending term lists:
+    _nsum([a, b]) gives the same node, but made the psc chains of the
+    project benchmark about 13% slower."""
     if isinstance(a, int):
         if isinstance(b, int):
             return a + b
@@ -255,21 +260,16 @@ def _nsum(nodes: list):
         else:
             for e, c in n[1]:
                 groups.setdefault(e, []).append(c)
-    return _nterms(top, _nsummed(top, groups))
+    return _nterms(top, _nsummed(groups))
 
 
-def _nsummed(level: int, groups: dict) -> list:
+def _nsummed(groups: dict) -> list:
     """The nonzero terms, by descending exponent, of {exponent: list of
-    nodes below level}, each list summed once."""
+    nodes}, each list summed once."""
     out = []
     for e in sorted(groups, reverse=True):
         g = groups[e]
-        if len(g) == 1:
-            c = g[0]
-        elif level == 1:
-            c = sum(g)
-        else:
-            c = _nsum(g)
+        c = g[0] if len(g) == 1 else _nsum(g)
         if not _nis_zero(c):
             out.append((e, c))
     return out
@@ -316,7 +316,7 @@ def _nmul(a, b):
     for e1, c1 in ta:
         for e2, c2 in tb:
             groups.setdefault(e1 + e2, []).append(_nmul(c1, c2))
-    return (lvl, tuple(_nsummed(lvl, groups)))
+    return (lvl, tuple(_nsummed(groups)))
 
 
 def _npow(a, k: int):
@@ -1005,37 +1005,6 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.order, _nexact_div(f.node, g.node))
 
 
-def _ipdiv(r: list, g: list, want_quo: bool):
-    """_npdiv on dense integer polynomials, lowest degree first, with
-    len(r) >= len(g) and a nonzero leading coefficient of g: (quotient or
-    None, remainder) as lists; r is overwritten."""
-    dg = len(g) - 1
-    lcg = g[dg]
-    unit = lcg == 1
-    quo = [0] * (len(r) - dg) if want_quo else None
-    lazy = len(r) - dg
-    for d in range(len(r) - 1, dg - 1, -1):
-        t = r[d]
-        if not t:
-            continue
-        lazy -= 1
-        s = d - dg
-        if not unit:
-            r[:s] = [a * lcg for a in r[:s]]
-            if want_quo:
-                quo[s + 1:] = [a * lcg for a in quo[s + 1:]]
-        if want_quo:
-            quo[s] = t
-        r[s:d] = [lcg * a - t * b for a, b in zip(r[s:d], g)]
-    rem = r[:dg]
-    if lazy and not unit:
-        m = lcg**lazy
-        rem = [a * m for a in rem]
-        if want_quo:
-            quo = [a * m for a in quo]
-    return quo, rem
-
-
 def _npdiv(f, g, want_quo: bool):
     """(quotient, remainder) of the pseudo-division of node f by node g
     in g's main variable x; f must not involve variables above x.  The
@@ -1046,14 +1015,11 @@ def _npdiv(f, g, want_quo: bool):
     multiplies the rest by lc(g) and subtracts t * x^k * g without its
     leading term, by shifting exponents.  Steps whose leading term is
     already 0 are skipped, and their powers of lc(g) are applied once at
-    the end.  A level-1 g runs the same steps on lists of ints (_ipdiv).
+    the end.
     """
     lvl, gterms = g
     if _nlevel(f) < lvl or f[1][0][0] < gterms[0][0]:
         return 0, f
-    if lvl == 1:
-        quo, rem = _ipdiv(_ndense(f), _ndense(g), want_quo)
-        return (_nsparse(1, quo) if want_quo else None), _nsparse(1, rem)
     dg, lcg = gterms[0]
     rest = [(e - dg, _nneg(c)) for e, c in gterms[1:]]
     unit = lcg == 1
@@ -1153,10 +1119,7 @@ def _ncert_value(node) -> int:
 def _ncert_image(node) -> list[int]:
     """Dense image in Z[x] of a node in its main variable x, lowest
     degree first, with every lower variable at its _cert_point."""
-    out = [0] * (node[1][0][0] + 1)
-    for e, c in node[1]:
-        out[e] = _ncert_value(c)
-    return out
+    return [_ncert_value(c) for c in _ndense(node)]
 
 
 def _cert_radius(img):
@@ -1257,9 +1220,9 @@ def _nheuristic_gcd(f, g):
         return None
     H, A, B = out
     c, lvl = math.gcd(cf, cg), f[0]
-    return (_nmake(lvl, {e: c * x for e, x in enumerate(H)}),
-            _nmake(lvl, {e: cf // c * x for e, x in enumerate(A)}),
-            _nmake(lvl, {e: cg // c * x for e, x in enumerate(B)}))
+    return (_nsparse(lvl, [c * x for x in H]),
+            _nsparse(lvl, [cf // c * x for x in A]),
+            _nsparse(lvl, [cg // c * x for x in B]))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:

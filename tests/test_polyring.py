@@ -325,8 +325,8 @@ def test_division_kernels_match_reference(names):
         assert (_division_outcome(exact_div, a, c)
                 == _division_outcome(reference_exact_div, a, c))
         # sparse level-1 divisors of degree up to 60 with large
-        # coefficients, which divide on lists of ints: pseudo-division of
-        # level-1 dividends of degree up to 80, and exact division of
+        # coefficients: pseudo-division of level-1 dividends of degree
+        # up to 80, and exact division, which runs on lists of ints, of
         # those and of a multiple in every variable of names
         gx = random_nonconstant(rng, O3, vars_used=("x",), max_deg=60,
                                 max_coeff=2**70, n_terms=3)
