@@ -27,7 +27,7 @@ from typing import Optional
 
 from .algnum import RationalCoordinate, SeparabilityError
 from .cadcore import IntegrityError, cad_full
-from .lifting import CAD, NotWellOrientedError, RootRef
+from .lifting import CAD, NotWellOrientedError
 from .polyring import MultiPoly, VarOrder
 
 __all__ = [
@@ -277,31 +277,29 @@ def _root_expr(ref, var: str) -> str:
     return "root %d of %s" % (ref.ordinal, p)
 
 
-def _bound_side(side, var):
-    if isinstance(side, RootRef):
-        return _root_expr(side, var)
-    return str(side)
-
-
-def _condition(bound, var: str) -> str:
-    if bound.kind == "eq":
-        return "%s = %s" % (var, _bound_side(bound.lo, var))
-    lo, hi = bound.lo, bound.hi
+def _condition(roots: tuple, k: int, var: str) -> str:
+    # the stack's k-th cell: an even k is the section of roots[k/2 - 1],
+    # an odd k the sector between its neighbours' roots
+    if k % 2 == 0:
+        return "%s = %s" % (var, _root_expr(roots[k // 2 - 1], var))
+    lo = _root_expr(roots[k // 2 - 1], var) if k > 1 else None
+    hi = _root_expr(roots[k // 2], var) if k // 2 < len(roots) else None
     if lo is None and hi is None:
         return "%s free" % var
     if lo is None:
-        return "%s < %s" % (var, _bound_side(hi, var))
+        return "%s < %s" % (var, hi)
     if hi is None:
-        return "%s < %s" % (_bound_side(lo, var), var)
-    return "%s < %s < %s" % (_bound_side(lo, var), var, _bound_side(hi, var))
+        return "%s < %s" % (lo, var)
+    return "%s < %s < %s" % (lo, var, hi)
 
 
 def _piecewise_lines(cad: CAD, prefix: tuple, out):
     depth = len(prefix)
     var = cad.order.name(depth + 1)
     pad = "  " * depth
-    for c in cad.stacks[prefix].cells:
-        label = _condition(c.bounds[depth], var)
+    stack = cad.stacks[prefix]
+    for c in stack.cells:
+        label = _condition(stack.roots, c.index[-1], var)
         if depth + 1 == cad.order.n:
             out.append(pad + label)
         else:

@@ -8,11 +8,12 @@ root functions) alternate with the sectors between them, so a stack
 always has odd length, and a cell's index records its position in each
 stack on the way up: even entries pin a coordinate to a root, odd
 entries leave it ranging in a band.  A stack comes from one call of
-roots_over_cell; each section's RootRef is the basis polynomial owning
-its root and that root's rank among the polynomial's roots.  Every
-stack is kept in the finished CAD, keyed by its base cell's index:
-that tree is what queries descend, and the cells of the top level,
-met in index order, are its leaves.
+roots_over_cell.  A cell is its index and its sample point; the stack
+holds what cuts it, one RootRef per section, bottom to top: the basis
+polynomial owning the section's root and that root's rank among the
+polynomial's roots.  Every stack is kept in the finished CAD, keyed by
+its base cell's index: that tree is what queries descend, and the
+cells of the top level, met in index order, are its leaves.
 
 A polynomial that vanishes identically over a base cell contributes no
 sections there and is set aside.  With the smaller projection operator
@@ -45,7 +46,6 @@ from .polyring import MultiPoly, VarOrder, _npoint_subs, primitive_part
 from .projection import ProjectionLevels
 
 __all__ = [
-    "Bound",
     "CAD",
     "Cell",
     "NotWellOrientedError",
@@ -66,7 +66,7 @@ class NotWellOrientedError(RuntimeError):
 @dataclass(frozen=True)
 class RootRef:
     """The ordinal-th real root (1-based, increasing) of a polynomial
-    over the base cell a bound belongs to."""
+    over the base cell of the stack it cuts."""
 
     poly: MultiPoly
     ordinal: int
@@ -76,26 +76,11 @@ class RootRef:
 
 
 @dataclass(frozen=True)
-class Bound:
-    """Constraint on one coordinate of a cell.
-
-    kind "eq" pins the coordinate to `lo` (a rational or a RootRef);
-    kind "range" keeps it strictly between `lo` and `hi`, where either
-    side may be None for an unbounded band.
-    """
-
-    kind: str
-    lo: object = None
-    hi: object = None
-
-
-@dataclass(frozen=True)
 class Cell:
     """One cell of a decomposition of R^k."""
 
     index: tuple
     sample: SamplePoint
-    bounds: tuple
 
     def dimension(self) -> int:
         return sum(1 for k in self.index if k % 2 == 1)
@@ -106,8 +91,14 @@ class Cell:
 
 @dataclass(frozen=True)
 class Stack:
+    """The cells over a base cell and the RootRef of each section,
+    both bottom to top: roots[j] pins the section at stack position
+    2j + 2, and each sector lies between its neighbouring sections'
+    refs, unbounded past either end."""
+
     base: Cell
     cells: tuple
+    roots: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +109,8 @@ def generate_stack(cell: Cell, polys) -> Stack:
     """Decompose the line over `cell` at the roots of `polys`.
 
     Returns the odd-length stack of sector/section cells, each indexed
-    by its 1-based position and carrying an extended sample point.
+    by its 1-based position and carrying an extended sample point, and
+    the RootRef of each section.
     """
     s = cell.sample
     sections, samples, owners = roots_over_cell(polys, s)
@@ -130,32 +122,22 @@ def generate_stack(cell: Cell, polys) -> Stack:
         seen[owner] = seen.get(owner, 0) + 1
         refs.append(RootRef(owner, seen[owner]))
     cells = []
-    k = len(sections)
-    for j in range(k + 1):
-        lo = refs[j - 1] if j > 0 else None
-        hi = refs[j] if j < k else None
-        cells.append(Cell(
-            cell.index + (2 * j + 1,),
-            s.extend(RationalCoordinate(samples[j])),
-            cell.bounds + (Bound("range", lo, hi),),
-        ))
-        if j < k:
-            cells.append(Cell(
-                cell.index + (2 * j + 2,),
-                s.extend(sections[j]),
-                cell.bounds + (Bound("eq", refs[j]),),
-            ))
-    return Stack(cell, tuple(cells))
+    for j, sample in enumerate(samples):
+        cells.append(Cell(cell.index + (2 * j + 1,),
+                          s.extend(RationalCoordinate(sample))))
+        if j < len(sections):
+            cells.append(Cell(cell.index + (2 * j + 2,),
+                              s.extend(sections[j])))
+    return Stack(cell, tuple(cells), tuple(refs))
 
 
 # ---------------------------------------------------------------------------
 # nullification
 
 
-def is_nullified(p: MultiPoly, cell) -> bool:
-    """True iff p vanishes identically over the cell, i.e. every
-    coefficient in its main variable is zero at the sample point."""
-    s = cell.sample if isinstance(cell, Cell) else cell
+def is_nullified(p: MultiPoly, s: SamplePoint) -> bool:
+    """True iff p vanishes identically over the cell sampled at s, i.e.
+    every coefficient in its main variable is zero at s."""
     if p.is_zero():
         return True
     if p.is_constant():
@@ -163,7 +145,8 @@ def is_nullified(p: MultiPoly, cell) -> bool:
     return fiber_reduce(p, p.mvar(), s).is_zero()
 
 
-def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
+def minimal_delineating_polynomial(p: MultiPoly,
+                                   s: SamplePoint) -> Optional[MultiPoly]:
     """Replacement for a polynomial nullified at a single point.
 
     Takes the least m for which some order-m partial derivative of p
@@ -177,8 +160,6 @@ def minimal_delineating_polynomial(p: MultiPoly, s) -> Optional[MultiPoly]:
     content dropped divides the leading coefficient, which is nonzero
     over the point, so the roots there stay the same.
     """
-    if isinstance(s, Cell):
-        s = s.sample
     if not is_nullified(p, s):
         raise ValueError("polynomial is not nullified at the sample point")
     var = p.mvar()
@@ -242,7 +223,7 @@ class CAD:
         stack = self.stacks.get(tuple(prefix))
         if stack is None:
             return ()
-        return tuple(c.bounds[-1].lo.poly for c in stack.cells[1::2])
+        return tuple(r.poly for r in stack.roots)
 
     def cell_at(self, index) -> Optional[Cell]:
         """The cell carrying this index, or None."""
@@ -270,7 +251,7 @@ def cad_lifting(P: ProjectionLevels, final_oi: bool = False,
     fiber-independent algebra for its duration only.
     """
     with _memo_scope():
-        root = Cell((), SamplePoint(()), ())
+        root = Cell((), SamplePoint(()))
         stacks = {(): generate_stack(root, P.level(1))}
         current = stacks[()].cells
         warnings: list = []
@@ -282,7 +263,7 @@ def cad_lifting(P: ProjectionLevels, final_oi: bool = False,
             for cell in current:
                 q = []
                 for p in level_polys:
-                    if not is_nullified(p, cell):
+                    if not is_nullified(p, cell.sample):
                         q.append(p)
                         continue
                     if not check_null:

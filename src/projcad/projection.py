@@ -69,18 +69,18 @@ def reducta_chain(f: MultiPoly, var: str) -> list:
     return out
 
 
-def _prep(basis, var):
+def _prep(basis):
+    # the sorted basis and its common main variable (None when empty)
     B = sorted(set(basis))
     if not B:
-        return B, var
+        return B, None
     order = B[0].order
     for f in B:
         if f.order != order:
             raise ValueError("mixed variable orders in basis")
         if f.is_constant():
             raise ValueError("constant polynomial in basis")
-    if var is None:
-        var = order.name(B[0].level())
+    var = order.name(B[0].level())
     for f in B:
         if f.mvar() != var:
             raise ValueError("basis element with main variable %r, expected %r"
@@ -90,10 +90,10 @@ def _prep(basis, var):
     return B, var
 
 
-def proj_mccallum(basis: Iterable[MultiPoly], var=None) -> set:
+def proj_mccallum(basis: Iterable[MultiPoly]) -> set:
     """Coefficients, discriminants and pairwise resultants of a level
     basis, nonconstant ones only.  Expects a finest squarefree basis."""
-    B, var = _prep(basis, var)
+    B, var = _prep(basis)
     out = set()
     for f in B:
         out.update(truncated_coefficients(f, var))
@@ -105,12 +105,12 @@ def proj_mccallum(basis: Iterable[MultiPoly], var=None) -> set:
     return {p for p in out if not p.is_constant()}
 
 
-def proj_collins(basis: Iterable[MultiPoly], var=None) -> set:
+def proj_collins(basis: Iterable[MultiPoly]) -> set:
     """Collins's PROJ1 ∪ PROJ2, nonconstant elements only: per element f,
     its coefficients and the psd chain of each reductum; per pair f < g
     of distinct elements, the psc chains of each reductum of f against
     each reductum of g.  Expects a finest squarefree basis."""
-    B, var = _prep(basis, var)
+    B, var = _prep(basis)
     reds = [reducta_chain(f, var) for f in B]
     out = set()
     for f, rf in zip(B, reds):
@@ -188,7 +188,7 @@ def cad_projection(F: Iterable[MultiPoly], order: VarOrder,
             continue
         basis = finest_squarefree_basis(sorted(buckets[ell]))
         by_level[ell - 1] = tuple(basis)
-        for p in sorted(op(basis, order.name(ell))):
+        for p in sorted(op(basis)):
             file_poly(p)
     if buckets[1]:
         by_level[0] = tuple(finest_squarefree_basis(sorted(buckets[1])))

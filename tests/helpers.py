@@ -226,11 +226,11 @@ def reference_pseudo_division(
     return quo, rem
 
 
-def pooled_proj_collins(basis, var=None) -> set:
+def pooled_proj_collins(basis) -> set:
     """The Collins operator over one pool of all reducta of a basis: every
     two distinct reducta are paired, also two of the same element, so the
     set holds PROJ1 and PROJ2 and psc chains no theorem asks for."""
-    B, var = _prep(basis, var)
+    B, var = _prep(basis)
     out = set()
     red = set()
     for f in B:
@@ -452,47 +452,64 @@ def private_copies(monkeypatch):
 
 def flat_stack_maps(cells) -> tuple:
     """(sections, by_index) read off a flat cell list by scanning it:
-    index prefix -> section polynomials of the stack over it, in order,
-    and index -> cell (the first cell carrying it).  The reference for
-    CAD.section_polys and CAD.cell_at, which read the stack tree."""
+    index prefix -> number of sections of the stack over it, and
+    index -> cell (the first cell carrying it).  The reference for
+    the lengths of CAD.section_polys and for CAD.cell_at, which read
+    the stack tree."""
     by_index: dict = {}
     for c in cells:
         by_index.setdefault(c.index, c)
-    owner: dict = {}
+    sections: dict = {}
     for c in cells:
         for j, entry in enumerate(c.index):
-            if entry % 2 == 0:
-                owner.setdefault((c.index[:j], entry), c.bounds[j].lo.poly)
-    sections: dict = {}
-    for prefix, _ in owner:
-        if prefix in sections:
-            continue
-        polys = []
-        while (prefix, 2 * len(polys) + 2) in owner:
-            polys.append(owner[prefix, 2 * len(polys) + 2])
-        sections[prefix] = tuple(polys)
+            prefix = c.index[:j]
+            sections[prefix] = max(sections.get(prefix, 0), entry // 2)
     return sections, by_index
 
 
-def cad_from_cells(order: VarOrder, cells, method: str = "mccallum",
-                   final_oi: bool = False):
+def check_stack_refs(cad) -> int:
+    """Assert what the RootRefs of every stack of a CAD claim, and
+    return the number of refs checked: one ref per section; each
+    polynomial's ordinals run 1..m bottom to top; a ref's polynomial
+    vanishes at its section's sample and at neither neighbouring
+    sector's sample; section_polys reads the refs' polynomials."""
+    checked = 0
+    for prefix, stack in cad.stacks.items():
+        cells, roots = stack.cells, stack.roots
+        assert [c.index for c in cells] == [
+            prefix + (k,) for k in range(1, 2 * len(roots) + 2)], prefix
+        seen: dict = {}
+        for j, ref in enumerate(roots):
+            seen[ref.poly] = seen.get(ref.poly, 0) + 1
+            assert ref.ordinal == seen[ref.poly], (prefix, j)
+            below, section, above = cells[2 * j:2 * j + 3]
+            assert algnum.sign_at(ref.poly, section.sample) == 0
+            assert algnum.sign_at(ref.poly, below.sample) != 0
+            assert algnum.sign_at(ref.poly, above.sample) != 0
+            checked += 1
+        assert cad.section_polys(prefix) == tuple(r.poly for r in roots)
+    return checked
+
+
+def cad_from_cells(order: VarOrder, cells, roots: dict,
+                   method: str = "mccallum", final_oi: bool = False):
     """A CAD over hand-made top-level cells, with the stack tree they
     imply: the cell over each index prefix is cut from the first
-    top-level cell under it (its index, sample point and bounds
-    truncated), and each stack lists the cells over its prefix in
-    index order."""
+    top-level cell under it (its index and sample point truncated),
+    each stack lists the cells over its prefix in index order, and
+    roots maps every prefix to its stack's RootRefs."""
     members: dict = {}
     for c in cells:
         for k in range(1, len(c.index) + 1):
             sub = c.index[:k]
-            cell = c if k == len(c.index) else Cell(
-                sub, c.sample.prefix(k), c.bounds[:k])
+            cell = c if k == len(c.index) else Cell(sub, c.sample.prefix(k))
             members.setdefault(sub[:-1], {}).setdefault(sub[-1], cell)
     stacks = {}
     for prefix, over in members.items():
         base = (members[prefix[:-1]][prefix[-1]] if prefix
-                else Cell((), algnum.SamplePoint(()), ()))
-        stacks[prefix] = Stack(base, tuple(over[k] for k in sorted(over)))
+                else Cell((), algnum.SamplePoint(())))
+        stacks[prefix] = Stack(base, tuple(over[k] for k in sorted(over)),
+                               roots[prefix])
     return CAD(order, method, final_oi, tuple(cells), stacks=stacks)
 
 

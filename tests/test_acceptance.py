@@ -143,8 +143,9 @@ def test_criterion_5_warning_and_strict_exit(capfd):
         assert idx == (2, 2, 1)
         cell = next(c for c in cad.cells if c.index[:3] == idx)
         assert [co.point_value() for co in cell.sample.coords[:2]] == [0, 0]
-        b = cell.bounds[2]
-        assert b.kind == "range" and b.lo is None and b.hi is None
+        # z is free over that point: its stack is one sector, no roots
+        stack = cad.stacks[idx[:2]]
+        assert len(stack.cells) == 1 and stack.roots == ()
         _, err, code = run_compute(
             RunConfig(final_oi=True, strict=True),
             "vars: x, y, z, w\ny*w + x\n")
@@ -189,11 +190,11 @@ def test_criterion_7_structural_properties(capfd):
             assert rep.ok, (name, rep.problems)
             indices = [c.index for c in cad.cells]
             assert len(set(indices)) == len(indices)
-            for c in cad.cells:
-                for d, entry in enumerate(c.index):
-                    # odd entries are sectors, even entries sections
-                    assert (entry % 2 == 1) \
-                        == (c.bounds[d].kind == "range")
+            for prefix, stack in cad.stacks.items():
+                # sectors and sections alternate: one more sector than
+                # the roots that cut the stack
+                assert [c.index for c in stack.cells] == [
+                    prefix + (k,) for k in range(1, 2 * len(stack.roots) + 2)]
             for c in cad.cells:
                 vals = [co.point_value() for co in c.sample.coords]
                 if None in vals:

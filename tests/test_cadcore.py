@@ -19,7 +19,7 @@ from projcad.cadcore import (
     locate_point,
     verify_sign_invariance,
 )
-from projcad.lifting import CAD, Bound, Cell, NotWellOrientedError, RootRef
+from projcad.lifting import CAD, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
 from projcad.algnum import (IsolatingInterval, RationalCoordinate,
                             RootOfCoordinate, SamplePoint, sign_at)
@@ -28,6 +28,7 @@ from projcad.cli import _EXAMPLES, RunConfig, parse_input
 from helpers import (
     bisecting_point_location,
     cad_from_cells,
+    check_stack_refs,
     flat_stack_maps,
     force_sorted_stack_roots,
     fraction_probe_signs,
@@ -358,7 +359,7 @@ def test_cylindricity_univariate():
 
 def _dummy_cell(idx):
     return Cell(idx, SamplePoint(
-        tuple(RationalCoordinate(F(0)) for _ in idx)), ())
+        tuple(RationalCoordinate(F(0)) for _ in idx)))
 
 
 def test_stack_maps():
@@ -370,10 +371,24 @@ def test_stack_maps():
     assert cad.cell_at((3, 3)).index == (3, 3)
     assert cad.cell_at((3, 7)) is None
     # a CAD assembled by hand from the same cells answers the same way
-    again = cad_from_cells(cad.order, cad.cells, cad.method, cad.final_oi)
+    roots = {prefix: stack.roots for prefix, stack in cad.stacks.items()}
+    again = cad_from_cells(cad.order, cad.cells, roots, cad.method,
+                           cad.final_oi)
     assert again.section_polys((3,)) == cad.section_polys((3,))
     for pt in ((0, 0), (-2, 5), (1, 0), (F(1, 2), F(7, 8))):
         assert locate_point(pt, again).index == locate_point(pt, cad).index
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_stack_refs_pin_their_sections(name):
+    # every stack of the golden CADs: one RootRef per section, each
+    # polynomial's ordinals 1..m bottom to top, zero at the section and
+    # nonzero at both neighbouring sectors, and section_polys reads them
+    text, cfg = (GOLDEN_EXTRA[name][0], RunConfig()) if name in GOLDEN_EXTRA \
+        else _EXAMPLES[name][:2]
+    order, polys = parse_input(text)
+    cad = cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
+    assert check_stack_refs(cad) > 0
 
 
 def _crossing_cad():
@@ -386,16 +401,11 @@ def _crossing_cad():
 def _two_section_cad(below, above):
     # hand-built: over the single sector x in R the stack claims one root
     # of `below` under one root of `above`
-    lower, upper = RootRef(below, 1), RootRef(above, 1)
-    band = Bound("range", None, None)
-    tops = (Bound("range", None, lower), Bound("eq", lower),
-            Bound("range", lower, upper), Bound("eq", upper),
-            Bound("range", upper, None))
     fiber = SamplePoint((RationalCoordinate(F(0)),
                          RationalCoordinate(F(0))))
-    cells = tuple(Cell((1, k + 1), fiber, (band, b))
-                  for k, b in enumerate(tops))
-    return cad_from_cells(O2, cells)
+    cells = tuple(Cell((1, k), fiber) for k in range(1, 6))
+    roots = {(): (), (1,): (RootRef(below, 1), RootRef(above, 1))}
+    return cad_from_cells(O2, cells, roots)
 
 
 def test_broken_stack_raises_integrity_error(monkeypatch):
@@ -601,8 +611,7 @@ def test_base_stack_is_read_off_the_tree(monkeypatch):
 
 def test_locate_point_without_stacks_raises_integrity_error():
     # a CAD built without its stack tree has no base stack to descend
-    cell = Cell((1,), SamplePoint((RationalCoordinate(F(0)),)),
-                (Bound("range"),))
+    cell = Cell((1,), SamplePoint((RationalCoordinate(F(0)),)))
     cad = CAD(VarOrder(["x"]), "mccallum", False, (cell,))
     with pytest.raises(IntegrityError, match="no base stack"):
         locate_point((0,), cad)
@@ -618,8 +627,10 @@ def _tree_leaves(cad, prefix=()):
 
 def _check_tree_against_flat_scan(cad):
     # every prefix and index the cells carry, and a few they do not,
-    # read the same off the tree as off a scan of the flat cell list
+    # read the same off the tree as off a scan of the flat cell list,
+    # and the refs of every stack pin its sections
     sections, by_index = flat_stack_maps(cad.cells)
+    check_stack_refs(cad)
     assert tuple(_tree_leaves(cad)) == cad.cells
     assert all(len(c.index) == cad.order.n for c in cad.cells)
     prefixes = {c.index[:j] for c in cad.cells
@@ -630,8 +641,8 @@ def _check_tree_against_flat_scan(cad):
             probes.update({idx[:-1] + (idx[-1] + 2,), idx[:-1] + (0,),
                            idx + (1,)})
     for pre in probes:
-        assert cad.section_polys(pre) == sections.get(pre, ())
-        assert cad.section_polys(list(pre)) == sections.get(pre, ())
+        assert len(cad.section_polys(pre)) == sections.get(pre, 0)
+        assert cad.section_polys(list(pre)) == cad.section_polys(pre)
         assert cad.cell_at(pre) is by_index.get(pre)
         assert cad.cell_at(list(pre)) is by_index.get(pre)
     return len(probes)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -422,6 +423,48 @@ def test_json_golden_digest(name):
     if cells is not None:
         assert len(json.loads(out)["cells"]) == cells
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON[name]
+
+
+# sha256 of the piecewise and the text output of the same problems: the
+# piecewise labels read the stack tree's root references, the text lines
+# the cells' indices and sample points
+GOLDEN_PIECEWISE_TEXT = {
+    "circle": (
+        "82b94987ff43c2442317305ec25675a52930e7cc43e33cb4d215fd48754b7a46",
+        "874e4bd774f1ebc0700c13d4ecaf0f4e4cb437f58a9efa78973950e5e8d64f58"),
+    "zy-x2": (
+        "d5448037e2420eed6c9dcc72446b578d96d12406e95bc4e3da4b03af358f08e2",
+        "dc40426377196962e93d01d9463ef121f5a97ee824d481c7b584245ff222ba26"),
+    "zy-x2-oi": (
+        "1e9540f999aec9697354da93bf7de686ee44e99e6dd6d81415c91eaa8969d300",
+        "4b151ade87c85037eac37f80436f6637fb403d9c6826ed1b323b92f448dd95f1"),
+    "w-example": (
+        "2eabc71bfdd3db4b98b67983e46c3499c335fc7494a905725066dc1793350aa7",
+        "2653ad131ac8c60dbdd73efadd72b30b6baeee3824fd4e9ec57e212a9afec286"),
+    "warn-4var": (
+        "7ccaac7ab36c452d980ad9742bffd77f99fd8fcc551769b6ad3c583c12050e74",
+        "be63448292cff135691fe34ecb51f24de2f5fb570a4d78676172169f8519cccc"),
+    "sphere-plane": (
+        "794dc31bb8667fd0a8714d6e7d0af9e82806ad5a47338fe41a555f7065f1d1aa",
+        "e11504774f3ba78d07f3256ea5a8000df5990185fb65309ffb3a156bbeca15b9"),
+    "sphere-saddle": (
+        "0971fce37a1e2270f03da698ffe0acacf023ecd8e1068dd68e1369970e2ba378",
+        "16999c073f7b67c4274706d953c1d977fe0763ba76233037298dd587180a9133"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_piecewise_and_text_golden_digest(name):
+    if name in GOLDEN_EXTRA:
+        text, cfg = GOLDEN_EXTRA[name][0], RunConfig()
+    else:
+        text, cfg, _ = _EXAMPLES[name]
+    got = []
+    for fmt in ("piecewise", "text"):
+        out, err, code = run_compute(replace(cfg, output=fmt), text)
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == GOLDEN_PIECEWISE_TEXT[name]
 
 
 @pytest.mark.parametrize("exc", [

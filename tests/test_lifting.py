@@ -17,7 +17,6 @@ from projcad.algnum import (
     sign_at,
 )
 from projcad.lifting import (
-    Bound,
     Cell,
     NotWellOrientedError,
     RootRef,
@@ -47,7 +46,7 @@ def _fiber(*vals):
 
 
 def _root_cell():
-    return Cell((), SamplePoint(()), ())
+    return Cell((), SamplePoint(()))
 
 
 # ---------------------------------------------------------------------------
@@ -104,25 +103,23 @@ def test_make_separable_nullified_rejected():
 
 
 def test_generate_stack_circle_sector():
-    base = Cell((3,), _fiber(0), (Bound("range", -1, 1),))
+    base = Cell((3,), _fiber(0))
     stack = generate_stack(base, [CIRCLE])
     assert len(stack.cells) == 5
     assert [c.index for c in stack.cells] == [
         (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)]
     # sections pin y to the circle's roots, sectors sit strictly between
+    assert stack.roots == (RootRef(CIRCLE, 1), RootRef(CIRCLE, 2))
     for c in stack.cells:
         assert len(c.sample) == 2
-        b = c.bounds[-1]
         if c.index[-1] % 2 == 0:
-            assert b.kind == "eq"
             assert sign_at(CIRCLE, c.sample) == 0
         else:
-            assert b.kind == "range"
             assert sign_at(CIRCLE, c.sample) != 0
 
 
 def test_generate_stack_circle_tangent_fiber():
-    base = Cell((2,), _fiber(-1), (Bound("eq", -1),))
+    base = Cell((2,), _fiber(-1))
     stack = generate_stack(base, [CIRCLE])
     assert len(stack.cells) == 3
     mid = stack.cells[1]
@@ -130,10 +127,9 @@ def test_generate_stack_circle_tangent_fiber():
     assert mid.sample.coords[1].point_value() == 0
     # the circle degenerates to y^2 here; the stored section polynomial
     # is the fiber-local squarefree representative
-    b = mid.bounds[-1]
-    assert b.kind == "eq" and isinstance(b.lo, RootRef)
-    assert b.lo.ordinal == 1
-    assert sign_at(b.lo.poly, mid.sample) == 0
+    ref, = stack.roots
+    assert ref.ordinal == 1
+    assert sign_at(ref.poly, mid.sample) == 0
 
 
 def test_generate_stack_split_pieces_own_their_sections():
@@ -142,15 +138,13 @@ def test_generate_stack_split_pieces_own_their_sections():
     # each piece counts its own roots
     f = (Y2 - X2 - 1) * (Y2**2 - 2)
     g = (Y2 - X2 - 1) * (Y2 + 3)
-    base = Cell((3,), _fiber(0), (Bound("range", None, None),))
+    base = Cell((3,), _fiber(0))
     stack = generate_stack(base, [f, g])
-    refs = [c.bounds[-1].lo for c in stack.cells if c.index[-1] % 2 == 0]
     h, q = Y2 - X2 - 1, Y2**2 - 2
-    assert refs == [RootRef(Y2 + 3, 1), RootRef(q, 1), RootRef(h, 1),
-                    RootRef(q, 2)]
-    for c in stack.cells:
-        if c.index[-1] % 2 == 0:
-            assert sign_at(c.bounds[-1].lo.poly, c.sample) == 0
+    assert stack.roots == (RootRef(Y2 + 3, 1), RootRef(q, 1),
+                           RootRef(h, 1), RootRef(q, 2))
+    for ref, c in zip(stack.roots, stack.cells[1::2]):
+        assert sign_at(ref.poly, c.sample) == 0
 
 
 def test_generate_stack_no_polynomials():
@@ -158,20 +152,15 @@ def test_generate_stack_no_polynomials():
     assert len(stack.cells) == 1
     c = stack.cells[0]
     assert c.index == (1,)
-    assert c.bounds == (Bound("range", None, None),)
+    assert stack.roots == ()
     assert c.sample.coords[0].point_value() == 0
 
 
 def test_generate_stack_root_refs_count_per_polynomial():
     base = _root_cell()
     stack = generate_stack(base, [X3**2 - 2])
-    eqs = [c.bounds[0] for c in stack.cells if c.index[0] % 2 == 0]
-    assert [b.lo.ordinal for b in eqs] == [1, 2]
-    assert all(b.lo.poly == X3**2 - 2 for b in eqs)
-    # sector bounds chain through the same refs
-    assert stack.cells[0].bounds[0] == Bound("range", None, eqs[0].lo)
-    assert stack.cells[2].bounds[0] == Bound("range", eqs[0].lo, eqs[1].lo)
-    assert stack.cells[4].bounds[0] == Bound("range", eqs[1].lo, None)
+    assert stack.roots == (RootRef(X3**2 - 2, 1), RootRef(X3**2 - 2, 2))
+    assert len(stack.cells) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +172,6 @@ def test_is_nullified_frozen():
     assert is_nullified(Z3 * Y3 - X3, _fiber(0, 0))
     assert not is_nullified(Z3 * Y3 - X3**2, _fiber(0, 1))
     assert not is_nullified(Z3 * Y3 - X3**2, _fiber(1, 0))
-
-
-def test_is_nullified_accepts_cell():
-    cell = Cell((2, 2), _fiber(0, 0), (Bound("eq", F(0)), Bound("eq", F(0))))
-    assert is_nullified(Z3 * Y3 - X3**2, cell)
 
 
 def test_minimal_delineating_frozen():
@@ -340,9 +324,9 @@ def test_lifting_univariate():
 
 
 def test_cell_dimension_counts_odd_entries():
-    assert Cell((1, 2, 3), SamplePoint(()), ()).dimension() == 2
-    assert Cell((2, 2), SamplePoint(()), ()).dimension() == 0
-    assert Cell((), SamplePoint(()), ()).dimension() == 0
+    assert Cell((1, 2, 3), SamplePoint(())).dimension() == 2
+    assert Cell((2, 2), SamplePoint(())).dimension() == 0
+    assert Cell((), SamplePoint(())).dimension() == 0
 
 
 def test_lifting_cells_sorted_and_cylindrical():
@@ -362,15 +346,15 @@ def test_lifting_cells_sorted_and_cylindrical():
 
 
 def test_lifting_samples_satisfy_pinned_bounds():
+    # each coordinate of a top-level sample lies on the root pinning its
+    # section, or off the roots of both sections next to its sector
     cad = cad_lifting(cad_projection([CIRCLE], O2, "mccallum"))
     for c in cad.cells:
-        for j, b in enumerate(c.bounds):
-            coord = c.sample.coords[j]
-            if b.kind == "eq":
-                assert c.index[j] % 2 == 0
-                if isinstance(b.lo, RootRef):
-                    assert sign_at(b.lo.poly, c.sample.prefix(j + 1)) == 0
-                else:
-                    assert coord.point_value() == b.lo
+        for j, k in enumerate(c.index):
+            roots = cad.stacks[c.index[:j]].roots
+            at = c.sample.prefix(j + 1)
+            if k % 2 == 0:
+                assert sign_at(roots[k // 2 - 1].poly, at) == 0
             else:
-                assert c.index[j] % 2 == 1
+                for ref in roots[max(k // 2 - 1, 0):k // 2 + 1]:
+                    assert sign_at(ref.poly, at) != 0
