@@ -7,16 +7,19 @@ tests; interval arithmetic runs on integers (every enclosure at one
 common positive scale) and decides a sign only when its enclosure
 excludes 0, so nothing depends on floating point.
 
-Boxes are integers too.  An IsolatingInterval stores [a/q, b/q] as
-(a, b, q), and every box isolation makes has a power-of-two q: the root
-bound is 2^k, split points are a/q + (b-a)/q * num/2^t, and bisection
-takes the midpoint (a + b)/(2q).  Points are passed as (u, v) for u/v,
-boxes are compared with each other and with rationals by
-cross-multiplication, and the simplest rational in a gap between two
-roots comes from a continued-fraction descent on integers.  A Fraction
-is built only at the edges: a sector sample, the point value of a
-collapsed box, the interval the output prints, and the point handed to
-an exact fallback.
+Boxes are integers too.  A RootOfCoordinate holds its working box
+[a/q, b/q] as the integers a, b and q.  Descartes/bisection emits
+(a, b, q) triples and each root is built straight from its triple;
+every box isolation makes has a power-of-two q: the root bound is 2^k,
+split points are a/q + (b-a)/q * num/2^t, and bisection takes the
+midpoint (a + b)/(2q).  Points are passed as (u, v) for u/v, boxes are
+compared with each other and with rationals by cross-multiplication,
+and the simplest rational in a gap between two roots comes from a
+continued-fraction descent on integers.  A Fraction is built only at
+the edges: a sector sample, the point value of a collapsed box, the
+interval the output prints (a root's `isolated` pair, the form
+isolate_real_roots returns too), and the point handed to an exact
+fallback.
 
 _fiber_basis is the one place a fiber basis is built: each polynomial
 is reduced over the fiber, flattened to its squarefree part there if
@@ -126,7 +129,6 @@ from .polyring import (
 )
 
 __all__ = [
-    "IsolatingInterval",
     "RationalCoordinate",
     "RootOfCoordinate",
     "SamplePoint",
@@ -159,55 +161,6 @@ def _reduced(a: int, b: int, q: int) -> tuple:
     return (a // g, b // g, q // g) if g > 1 else (a, b, q)
 
 
-class IsolatingInterval:
-    """Rational interval containing exactly one root of its polynomial.
-
-    The box [a/q, b/q] is stored as the integers (a, b, q), q > 0 and
-    reduced by gcd(a, b, q); isolation and bisection only ever make a
-    power-of-two q.  The constructor takes any rationals lo <= hi, and
-    lo and hi are Fractions built on read.  lo == hi encodes an exactly
-    known rational root; proper intervals never have a root at either
-    endpoint.
-    """
-
-    __slots__ = ("a", "b", "q")
-
-    def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        q = math.lcm(lo.denominator, hi.denominator)
-        self._set(lo.numerator * (q // lo.denominator),
-                  hi.numerator * (q // hi.denominator), q)
-
-    @classmethod
-    def _of(cls, a: int, b: int, q: int) -> "IsolatingInterval":
-        iv = cls.__new__(cls)
-        iv._set(a, b, q)
-        return iv
-
-    def _set(self, a: int, b: int, q: int):
-        self.a, self.b, self.q = _reduced(a, b, q)
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.b, self.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, IsolatingInterval):
-            return NotImplemented
-        return (self.a, self.b, self.q) == (other.a, other.b, other.q)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "IsolatingInterval(lo=%r, hi=%r)" % (self.lo, self.hi)
-
-
 @dataclass(frozen=True)
 class RationalCoordinate:
     value: Fraction
@@ -220,20 +173,23 @@ class RationalCoordinate:
 
 
 class RootOfCoordinate:
-    """Coordinate pinned as the unique root of `defining` in `interval`.
+    """Coordinate pinned as the unique root of `defining` in an isolating
+    interval, given as a pair of rationals lo <= hi.
 
     `prefix` holds the lower coordinates the defining polynomial's
     coefficients are evaluated over.  `isolated` is the interval
     isolation found, as a pair of Fractions, which the output prints.
-    The working box `interval` starts there and shrinks in place, for
-    every sample point sharing the root; the defining polynomial, being
-    squarefree over the fiber, changes sign exactly once inside it and
-    vanishes at neither end, which _root_side relies on.  `_sign_lo` is
-    the defining polynomial's sign just below the root, None until first
-    needed and fixed for the root's life.  Bisection and every comparison
-    read the box as the integers (a, b, q) it stores, q a power of two
-    for every root isolation makes; point_value() and box() build
-    Fractions.
+    The working box [a/q, b/q] starts there and shrinks in place, for
+    every sample point sharing the root.  It is stored as the integers
+    a, b and q, q > 0 and reduced by gcd(a, b, q); isolation and
+    bisection only ever make a power-of-two q, and a == b marks a box
+    collapsed onto an exactly known rational root.  The defining
+    polynomial, being squarefree over the fiber, changes sign exactly
+    once inside a proper box and vanishes at neither end, which
+    _root_side relies on.  `_sign_lo` is the defining polynomial's sign
+    just below the root, None until first needed and fixed for the
+    root's life.  Bisection and every comparison read the integers;
+    point_value() and box() build Fractions.
 
     `enclosure` is the defining polynomial's interval image over the
     prefix (see _coeff_enclosure), or None.  Bisection signs the defining
@@ -244,28 +200,45 @@ class RootOfCoordinate:
     enclosure of the dense image, which always decides.
     """
 
-    __slots__ = ("defining", "interval", "isolated", "prefix", "enclosure",
-                 "_sign_lo")
+    __slots__ = ("defining", "a", "b", "q", "isolated", "prefix",
+                 "enclosure", "_sign_lo")
 
-    def __init__(self, defining: MultiPoly, interval: IsolatingInterval,
-                 prefix=(), enclosure: Optional[tuple] = None):
+    def __init__(self, defining: MultiPoly, interval: tuple, prefix=(),
+                 enclosure: Optional[tuple] = None):
+        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        if lo > hi:
+            raise ValueError("interval endpoints out of order")
+        # over the least common denominator the triple is reduced
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._init(defining, lo.numerator * (q // lo.denominator),
+                   hi.numerator * (q // hi.denominator), q, prefix,
+                   enclosure)
+
+    @classmethod
+    def _of(cls, defining: MultiPoly, a: int, b: int, q: int, prefix,
+            enclosure) -> "RootOfCoordinate":
+        """The root in the box [a/q, b/q]: a <= b, q > 0 and the triple
+        reduced by gcd(a, b, q), as _vca emits it."""
+        root = cls.__new__(cls)
+        root._init(defining, a, b, q, prefix, enclosure)
+        return root
+
+    def _init(self, defining, a, b, q, prefix, enclosure):
         self.defining = defining
-        self.interval = interval
-        self.isolated = (interval.lo, interval.hi)
+        self.a, self.b, self.q = a, b, q
+        self.isolated = self.box()
         self.prefix = tuple(prefix)
         self.enclosure = enclosure
         self._sign_lo = None
 
     def point_value(self) -> Optional[Fraction]:
-        iv = self.interval
-        return Fraction(iv.a, iv.q) if iv.a == iv.b else None
+        return Fraction(self.a, self.q) if self.a == self.b else None
 
     def box(self):
-        return (self.interval.lo, self.interval.hi)
+        return (Fraction(self.a, self.q), Fraction(self.b, self.q))
 
     def __repr__(self):
-        return "RootOf(%s, (%s, %s))" % (
-            self.defining, self.interval.lo, self.interval.hi)
+        return "RootOf(%s, (%s, %s))" % ((self.defining,) + self.box())
 
 
 class SamplePoint:
@@ -329,9 +302,8 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     pref = s.prefix(j - 1)
     g = fiber_gcd(r, coord.defining, var, pref)
     if g.degree(var) >= 1:
-        iv = coord.interval
-        slo = _fiber_sign(g, pref.coords, None, iv.a, iv.q)
-        shi = _fiber_sign(g, pref.coords, None, iv.b, iv.q)
+        slo = _fiber_sign(g, pref.coords, None, coord.a, coord.q)
+        shi = _fiber_sign(g, pref.coords, None, coord.b, coord.q)
         if slo * shi < 0:
             return 0
     return _interval_sign(r, s)
@@ -343,8 +315,7 @@ def _int_box(coord) -> tuple:
     if isinstance(coord, RationalCoordinate):
         v = coord.value
         return v.numerator, v.numerator, v.denominator
-    iv = coord.interval
-    return iv.a, iv.b, iv.q
+    return coord.a, coord.b, coord.q
 
 
 def _box_enclosure(node, coords) -> tuple:
@@ -390,7 +361,7 @@ def _bisect_all(coords) -> bool:
     there is none."""
     progressed = False
     for c in coords:
-        if isinstance(c, RootOfCoordinate) and c.interval.a != c.interval.b:
+        if isinstance(c, RootOfCoordinate) and c.a != c.b:
             _bisect_once(c)
             progressed = True
     return progressed
@@ -429,22 +400,21 @@ def _root_side(coord: RootOfCoordinate, u: int, v: int) -> int:
     if s == 0:
         return 0
     if coord._sign_lo is None:
-        iv = coord.interval
-        coord._sign_lo = _defining_sign(coord, iv.a, iv.q)
+        coord._sign_lo = _defining_sign(coord, coord.a, coord.q)
     return 1 if s == coord._sign_lo else -1
 
 
 def _bisect_once(coord: RootOfCoordinate):
     """One bisection step: the box keeps the half on the root's side of
     its midpoint (a + b)/(2q), and collapses to it on an exact hit."""
-    iv = coord.interval
-    a, b, q = iv.a, iv.b, iv.q
+    a, b, q = coord.a, coord.b, coord.q
     if a == b:
         return
     m, q2 = a + b, 2 * q
     side = _root_side(coord, m, q2)
     # [a, m] for a root below m, [m, b] above it, and m itself at it
-    iv._set(2 * a if side < 0 else m, 2 * b if side > 0 else m, q2)
+    coord.a, coord.b, coord.q = _reduced(2 * a if side < 0 else m,
+                                         2 * b if side > 0 else m, q2)
 
 
 def refine(coord, width):
@@ -462,11 +432,10 @@ def refine(coord, width):
                          % (width,))
     if isinstance(coord, RationalCoordinate):
         return coord
-    iv = coord.interval
     u, v = width.numerator, width.denominator
-    while (iv.b - iv.a) * v > u * iv.q:
+    while (coord.b - coord.a) * v > u * coord.q:
         _bisect_once(coord)
-        if iv.a == iv.b:
+        if coord.a == coord.b:
             break
     return coord
 
@@ -830,7 +799,7 @@ def _vca(f, var, s, enc, a, b, q, out):
     if v == 0:
         return
     if v == 1:
-        out.append(IsolatingInterval._of(a, b, q))
+        out.append((a, b, q))
         return
     m, mq = _nonroot_split(f, var, s, a, b, q, enc)
     k = mq // q
@@ -864,14 +833,16 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
         if len(img) == 2:
             return [RationalCoordinate(Fraction(-img[0], img[1]))], B
         g = _strip(f)
-    ivs = []
-    _vca(g, var, s, enc, -B, B, 1, ivs)
-    return [RootOfCoordinate(g, iv, s.coords, enc) for iv in ivs], B
+    boxes = []
+    _vca(g, var, s, enc, -B, B, 1, boxes)
+    return [RootOfCoordinate._of(g, a, b, q, s.coords, enc)
+            for a, b, q in boxes], B
 
 
 def isolate_real_roots(f: MultiPoly):
     """Isolating intervals for all real roots of a univariate integer
-    polynomial, in increasing order; endpoints are never roots."""
+    polynomial, in increasing order, as (lo, hi) pairs of Fractions: the
+    form of RootOfCoordinate.isolated.  Endpoints are never roots."""
     if f.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(f.variables()) > 1:
@@ -884,9 +855,9 @@ def isolate_real_roots(f: MultiPoly):
     s = SamplePoint(())
     enc = _point_enclosure(_fiber_image(f, var, s))
     B = _root_bound_of(f, var, s, enc)
-    ivs = []
-    _vca(f, var, s, enc, -B, B, 1, ivs)
-    return ivs
+    boxes = []
+    _vca(f, var, s, enc, -B, B, 1, boxes)
+    return [(Fraction(a, q), Fraction(b, q)) for a, b, q in boxes]
 
 
 # ---------------------------------------------------------------------------
@@ -1041,8 +1012,10 @@ def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
 
 def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
     """Separable basis of the polynomials over the fiber s: reduced
-    there, squarefree and pairwise coprime there, with the same zero set.
-    Maps each element to its dense image (None when it has none)."""
+    there, squarefree and pairwise coprime there, with the same roots.
+    A polynomial that is a nonzero constant there, or vanishes
+    identically there, has no roots and is set aside.  Maps each element
+    to its dense image (None when it has none)."""
     order = polys[0].order
     work = []
     for p in polys:
@@ -1056,10 +1029,8 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
             r = fiber_reduce(p, var, s)
         else:
             r = _truncated(p, len(img) - 1)
-        if r.is_zero():
-            raise ValueError(
-                "polynomial vanishes identically over the cell: %s" % (p,))
         if r.degree(var) < 1:
+            # a nonzero constant there, or 0: no roots
             continue
         if img is None:
             # reduction may have removed every algebraic coordinate
@@ -1110,9 +1081,9 @@ def roots_over_cell(polys, s: SamplePoint):
     is a root of.  Polynomials sharing roots at s are split, not
     rejected.  len(samples) == len(sections) + 1, the first sample below
     every root and the last above; with no roots the single sample is 0.
-    Polynomials that degenerate to a nonzero constant over the fiber
-    contribute nothing; identically vanishing ones are a contract
-    violation.
+    Polynomials that degenerate to a nonzero constant over the fiber, or
+    vanish identically there, contribute nothing; whether a vanishing
+    one needs a replacement is lifting's question (is_nullified).
     """
     ps = sorted(set(polys))
     if not ps:

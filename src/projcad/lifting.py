@@ -16,13 +16,14 @@ its base cell's index: that tree is what queries descend, and the
 cells of the top level, met in index order, are its leaves.
 
 A polynomial that vanishes identically over a base cell contributes no
-sections there and is set aside.  With the smaller projection operator
-this is also a correctness concern anywhere below the final lift (or
-during it, when an order-invariant result was requested): over a
-single point the vanished polynomial is replaced by a minimal
-delineating polynomial added to that one stack's input; over anything
-bigger a warning is recorded, or in strict mode the computation stops.
-The larger operator's theory needs none of this.
+sections there: the stack's fiber basis sets it aside, as it does a
+nonzero constant.  With the smaller projection operator this is also a
+correctness concern anywhere below the final lift (or during it, when
+an order-invariant result was requested): over a single point the
+vanished polynomial is replaced by a minimal delineating polynomial
+added to that one stack's input; over anything bigger a warning is
+recorded, or in strict mode the computation stops.  The larger
+operator's theory needs none of this.
 """
 
 from __future__ import annotations
@@ -241,10 +242,12 @@ def cad_lifting(P: ProjectionLevels, final_oi: bool = False,
                 strict: bool = False) -> CAD:
     """Build the cell decomposition of R^n from projection levels.
 
-    Any polynomial vanishing identically over a base cell is excluded
-    from that cell's stack.  On the mccallum path below the final lift
-    (or everywhere, with final_oi) such a cell additionally triggers
-    the delineating-polynomial repair when zero-dimensional, and a
+    Every level polynomial goes to every stack at its level, and one
+    vanishing identically over the base cell adds no sections: the
+    stack's fiber basis sets it aside.  On the mccallum path below the
+    final lift (or everywhere, with final_oi) each polynomial is also
+    tested for that (is_nullified), and a vanishing one triggers the
+    delineating-polynomial repair over a zero-dimensional cell, and a
     not-well-oriented warning (or, with strict, an abort) otherwise.
     Every stack built is kept in the CAD's stacks; the top-level cells
     come out of them in index order.  The run binds algnum's memo of
@@ -261,12 +264,12 @@ def cad_lifting(P: ProjectionLevels, final_oi: bool = False,
             check_null = P.method == "mccallum" and (i < P.n or final_oi)
             nxt: list = []
             for cell in current:
-                q = []
+                # the stack's fiber basis sets aside every polynomial
+                # that vanishes over the cell; only a repair or a warning
+                # needs to know which
+                q = list(level_polys)
                 for p in level_polys:
-                    if not is_nullified(p, cell.sample):
-                        q.append(p)
-                        continue
-                    if not check_null:
+                    if not check_null or not is_nullified(p, cell.sample):
                         continue
                     if cell.dimension() == 0:
                         d = minimal_delineating_polynomial(p, cell.sample)

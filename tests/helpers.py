@@ -424,10 +424,8 @@ def uncached_base_stack(monkeypatch):
 def _copy_coord(coord, prefix):
     if isinstance(coord, algnum.RationalCoordinate):
         return coord
-    twin = algnum.RootOfCoordinate(
-        coord.defining,
-        algnum.IsolatingInterval(coord.interval.lo, coord.interval.hi),
-        prefix, coord.enclosure)
+    twin = algnum.RootOfCoordinate(coord.defining, coord.box(), prefix,
+                                   coord.enclosure)
     twin.isolated = coord.isolated
     return twin
 
@@ -618,10 +616,10 @@ def _reference_sign_at(q: MultiPoly, s) -> int:
     pref = s.prefix(j - 1)
     g = algnum.fiber_gcd(r, coord.defining, var, pref)
     if g.degree(var) >= 1:
-        iv = coord.interval
-        slo = algnum.sign_at(reference_subs_rational_cleared(g, var, iv.lo),
+        lo, hi = coord.box()
+        slo = algnum.sign_at(reference_subs_rational_cleared(g, var, lo),
                              pref)
-        shi = algnum.sign_at(reference_subs_rational_cleared(g, var, iv.hi),
+        shi = algnum.sign_at(reference_subs_rational_cleared(g, var, hi),
                              pref)
         if slo * shi < 0:
             return 0

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from projcad import algnum
 from projcad.algnum import (
-    IsolatingInterval,
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
@@ -92,7 +91,7 @@ def _int_ends(a: Fraction, b: Fraction) -> tuple:
 
 def _sqrt2_coord(order=O1):
     x = MultiPoly.var(order, "x")
-    return RootOfCoordinate(x**2 - 2, IsolatingInterval(1, 2))
+    return RootOfCoordinate(x**2 - 2, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +103,13 @@ def test_isolate_sqrt2():
     assert len(ivs) == 2
     # the root bound, the least power of two B with |-2| <= (B - 1) * 1,
     # is 4 and frames the initial search
-    assert (ivs[0].lo, ivs[0].hi) == (F(-4), F(0))
-    assert (ivs[1].lo, ivs[1].hi) == (F(0), F(4))
+    assert ivs == [(F(-4), F(0)), (F(0), F(4))]
     f = X**2 - 2
-    for iv in ivs:
+    for lo, hi in ivs:
         # endpoints are never roots, and the single interior root shows
         # up as a sign change
-        lo = f.evaluate({"x": iv.lo})
-        hi = f.evaluate({"x": iv.hi})
+        lo = f.evaluate({"x": lo})
+        hi = f.evaluate({"x": hi})
         assert lo != 0 and hi != 0 and (lo < 0) != (hi < 0)
 
 
@@ -119,12 +117,12 @@ def test_isolate_cubic():
     f = X**3 - X
     ivs = isolate_real_roots(f)
     assert len(ivs) == 3
-    for iv, root in zip(ivs, (F(-1), F(0), F(1))):
-        assert iv.lo < root < iv.hi
-        assert f.evaluate({"x": iv.lo}) != 0
-        assert f.evaluate({"x": iv.hi}) != 0
+    for (lo, hi), root in zip(ivs, (F(-1), F(0), F(1))):
+        assert lo < root < hi
+        assert f.evaluate({"x": lo}) != 0
+        assert f.evaluate({"x": hi}) != 0
     # strictly ordered and disjoint
-    assert ivs[0].hi <= ivs[1].lo and ivs[1].hi <= ivs[2].lo
+    assert ivs[0][1] <= ivs[1][0] and ivs[1][1] <= ivs[2][0]
 
 
 def test_isolate_no_real_roots():
@@ -141,6 +139,33 @@ def test_isolate_errors():
         isolate_real_roots((X - 1) ** 2)
 
 
+def test_isolate_real_roots_matches_lifted_roots():
+    # one form of an isolating interval: the (lo, hi) Fraction pairs
+    # isolate_real_roots returns are the isolated intervals of the roots
+    # lifting makes over the empty fiber, in order.  Linear f is left
+    # out: lifting returns its exact rational root
+    rng = random.Random(1976)
+    checked = 0
+    while checked < 40:
+        f = random_poly(rng, O1, max_deg=6, max_coeff=9, n_terms=5)
+        if f.degree("x") < 2 \
+                or not poly_gcd(f, f.derivative("x")).is_constant():
+            continue
+        sections, _, _ = roots_over_cell([f], SamplePoint(()))
+        ivs = isolate_real_roots(f)
+        assert ivs == [c.isolated for c in sections]
+        assert all(type(v) is F for iv in ivs for v in iv)
+        checked += 1
+
+
+def test_root_rejects_interval_out_of_order():
+    with pytest.raises(ValueError, match="out of order"):
+        RootOfCoordinate(X**2 - 2, (2, 1))
+    c = RootOfCoordinate(X**2 - 2, (F(1), F(3, 2)))
+    assert c.isolated == c.box() == (1, F(3, 2))
+    assert _int_box(c) == (2, 3, 2)
+
+
 def test_isolate_random_against_sampling():
     # independent check: every isolating interval shows a sign change,
     # and dense rational sampling of the gaps finds no further changes
@@ -153,15 +178,15 @@ def test_isolate_random_against_sampling():
         if not poly_gcd(f, f.derivative("x")).is_constant():
             continue
         ivs = isolate_real_roots(f)
-        for iv in ivs:
-            lo = f.evaluate({"x": iv.lo})
-            hi = f.evaluate({"x": iv.hi})
+        for lo, hi in ivs:
+            lo = f.evaluate({"x": lo})
+            hi = f.evaluate({"x": hi})
             assert lo != 0 and hi != 0 and (lo < 0) != (hi < 0)
         coeffs = [c.const_value() for _, c in f.coeff_terms("x")]
         bound = 1 + max(F(abs(c), abs(coeffs[0])) for c in coeffs)
         cuts = [-bound]
         for iv in ivs:
-            cuts.extend([iv.lo, iv.hi])
+            cuts.extend(iv)
         cuts.append(bound)
         # between consecutive intervals the sign must be locked
         for gap_lo, gap_hi in zip(cuts[::2], cuts[1::2]):
@@ -183,9 +208,10 @@ def test_isolate_random_against_sampling():
 def test_refine_sqrt2():
     c = _sqrt2_coord()
     refine(c, F(1, 1024))
-    assert c.interval.hi - c.interval.lo <= F(1, 1024)
+    lo, hi = c.box()
+    assert hi - lo <= F(1, 1024)
     # still brackets the root
-    assert c.interval.lo ** 2 < 2 < c.interval.hi ** 2
+    assert lo ** 2 < 2 < hi ** 2
 
 
 def test_refine_rational_passthrough():
@@ -200,12 +226,12 @@ def test_refine_monotone():
     refine(b, F(1, 64))
     # bisection is deterministic, so staged refinement lands on the
     # same interval as going straight to the target width
-    assert (a.interval.lo, a.interval.hi) == (b.interval.lo, b.interval.hi)
+    assert a.box() == b.box()
 
 
 def test_refine_collapses_on_exact_hit():
     # 0 is a root of x^3 - x and the midpoint of (-1/2, 1/2)
-    c = RootOfCoordinate(X**3 - X, IsolatingInterval(F(-1, 2), F(1, 2)))
+    c = RootOfCoordinate(X**3 - X, (F(-1, 2), F(1, 2)))
     refine(c, F(1, 10**6))
     assert c.point_value() == 0
 
@@ -250,7 +276,7 @@ def test_sign_at_reducible_defining():
     # the defining polynomial is a product; the zero test must pick out
     # which factor the isolated root belongs to
     d = (X**2 - 2) * (X**2 - 3)
-    c = RootOfCoordinate(d, IsolatingInterval(F(27, 20), F(29, 20)))
+    c = RootOfCoordinate(d, (F(27, 20), F(29, 20)))
     s = SamplePoint((c,))
     assert sign_at(X**2 - 2, s) == 0
     assert sign_at(X**2 - 3, s) == -1
@@ -288,7 +314,7 @@ def test_sign_at_decided_by_boxes_skips_gcd(monkeypatch):
     # the box of x^2 - 3 excludes 0, the box of x^2 - 2 does not: only
     # the zero goes through the gcd with the reducible defining polynomial
     d = (X**2 - 2) * (X**2 - 3)
-    c = RootOfCoordinate(d, IsolatingInterval(F(27, 20), F(29, 20)))
+    c = RootOfCoordinate(d, (F(27, 20), F(29, 20)))
     s = SamplePoint((c,))
     assert sign_at(X**2 - 3, s) == -1
     assert calls == []
@@ -386,7 +412,7 @@ def test_box_enclosures_match_fraction_reference(nvars):
         kinds_seen.update(kinds)
         boxes = {lvl: _random_box(rng, k)
                  for lvl, k in enumerate(kinds, start=1)}
-        coords = [RootOfCoordinate(X3, IsolatingInterval(*boxes[lvl]))
+        coords = [RootOfCoordinate(X3, boxes[lvl])
                   for lvl in range(1, nvars + 1)]
         lo, hi, k = _box_enclosure(f.node, coords)
         assert k > 0
@@ -564,9 +590,19 @@ def test_roots_over_cell_separability_violation():
     assert samples == [F(-2), F(0), F(2)]
 
 
+def test_roots_over_cell_sets_vanishing_aside():
+    # (x - 1)*y vanishes identically over x = 1: it adds no roots, and
+    # the roots +-sqrt(2) of y^2 - x - 1 come out as they do without it
+    s = _rational_fiber(1)
+    vanishing = (X2 - 1) * Y2
+    assert roots_over_cell([vanishing], s) == ([], [F(0)], [])
+    got = roots_over_cell([Y2**2 - X2 - 1, vanishing], s)
+    want = roots_over_cell([Y2**2 - X2 - 1], s)
+    assert [c.isolated for c in got[0]] == [c.isolated for c in want[0]]
+    assert got[1:] == want[1:] and len(got[0]) == 2
+
+
 def test_roots_over_cell_errors():
-    with pytest.raises(ValueError):
-        roots_over_cell([X2 * Y2], _rational_fiber(0))
     with pytest.raises(ValueError):
         roots_over_cell([X2**2 - 2], _rational_fiber(0))
 
@@ -602,11 +638,11 @@ def test_refinement_and_queries_leave_the_output_alone():
     roots = list({id(c): c for cell in cad.cells for c in cell.sample.coords
                   if isinstance(c, RootOfCoordinate)}.values())
     # isolation and bisection make power-of-two denominators only
-    assert all(_is_power_of_two(c.interval.q) for c in roots)
+    assert all(_is_power_of_two(c.q) for c in roots)
     for c in roots:
         refine(c, F(1, 2**20))
     assert all(c.box() != c.isolated for c in roots)
-    assert all(_is_power_of_two(c.interval.q) for c in roots)
+    assert all(_is_power_of_two(c.q) for c in roots)
     rng = random.Random(3)
     for _ in range(24):
         locate_point(tuple(F(rng.randint(-12, 12), 8) for _ in "xyz"), cad)
@@ -737,8 +773,8 @@ def test_interval_sign_is_bounded():
     s = SamplePoint((_sqrt2_coord(),))
     with pytest.raises(ArithmeticError, match="not decided after 512"):
         _interval_sign(X**2 - 2, s)
-    iv = s.coords[0].interval
-    assert iv.hi - iv.lo == F(1, 2**512)
+    lo, hi = s.coords[0].box()
+    assert hi - lo == F(1, 2**512)
 
 
 def test_interval_route_carries_enclosure(monkeypatch):
@@ -978,7 +1014,7 @@ def _coord_maker(rng, shape, k):
     enc = None
     if rng.random() < 0.5:
         enc = _point_enclosure(_fiber_image(f, "x", SamplePoint(())))
-    return lambda: RootOfCoordinate(f, IsolatingInterval(lo, hi), (), enc)
+    return lambda: RootOfCoordinate(f, (lo, hi), (), enc)
 
 
 def _is_power_of_two(q: int) -> bool:
@@ -1064,23 +1100,23 @@ def _level2_root():
 
 
 def _collapsed_two():
-    two = RootOfCoordinate(X**2 - 4, IsolatingInterval(1, 3))
+    two = RootOfCoordinate(X**2 - 4, (1, 3))
     refine(two, 1)
     return two
 
 
 # a maker of fresh coordinates, and the rationals to place them against
 _ROOT_CASES = {
-    "sqrt2": (lambda: RootOfCoordinate(X**2 - 2, IsolatingInterval(1, 2)),
+    "sqrt2": (lambda: RootOfCoordinate(X**2 - 2, (1, 2)),
               [F(1), F(2), F(3, 2)]
               + [x for k in (1, 2, 10, 100, 600, 4000)
                  for x in _near(2, 2**k)]),
     "rational-root-of-reducible": (
         lambda: RootOfCoordinate((X - 2) * (X**2 - 3),
-                                 IsolatingInterval(F(7, 4), 3)),
+                                 (F(7, 4), 3)),
         [F(7, 4), F(15, 8), F(2), F(5, 2), F(3)]),
     "rational-root-of-split-square": (
-        lambda: RootOfCoordinate(X**2 - 4, IsolatingInterval(1, 3)),
+        lambda: RootOfCoordinate(X**2 - 4, (1, 3)),
         [F(1), F(2), F(3), F(199, 100), F(201, 100)]),
     "collapsed": (_collapsed_two, [F(2)]),
     "rational": (lambda: RationalCoordinate(F(2)), [F(2)]),
@@ -1088,7 +1124,7 @@ _ROOT_CASES = {
         _level2_root,
         [x for k in (0, 1, 3, 20, 300) for x in _near(3, 2**k)]),
     "level2-rational-fiber-no-image": (
-        lambda: RootOfCoordinate(Y2**2 - X2, IsolatingInterval(1, 2),
+        lambda: RootOfCoordinate(Y2**2 - X2, (1, 2),
                                  (RationalCoordinate(F(3)),)),
         [F(1), F(2)] + [x for k in (1, 5, 200) for x in _near(3, 2**k)]),
 }

@@ -21,8 +21,8 @@ from projcad.cadcore import (
 )
 from projcad.lifting import CAD, Cell, NotWellOrientedError, RootRef
 from projcad.polyring import MultiPoly, VarOrder
-from projcad.algnum import (IsolatingInterval, RationalCoordinate,
-                            RootOfCoordinate, SamplePoint, sign_at)
+from projcad.algnum import (RationalCoordinate, RootOfCoordinate,
+                            SamplePoint, sign_at)
 from projcad.cli import _EXAMPLES, RunConfig, parse_input
 
 from helpers import (
@@ -103,7 +103,7 @@ def test_locate_point_near_algebraic_section():
 
 
 def _sqrt2():
-    return RootOfCoordinate(X1**2 - 2, IsolatingInterval(1, 2))
+    return RootOfCoordinate(X1**2 - 2, (1, 2))
 
 
 def test_cmp_root_to_rational_is_bounded(monkeypatch):
@@ -133,7 +133,7 @@ def test_cmp_root_to_rational_is_bounded(monkeypatch):
     # exact ties: a rational coordinate, a root found at a point inside
     # its box, and a root whose box has collapsed
     assert _cmp_root_to_rational(RationalCoordinate(F(2)), F(2)) == 0
-    two = RootOfCoordinate(X1**2 - 4, IsolatingInterval(1, 3))
+    two = RootOfCoordinate(X1**2 - 4, (1, 3))
     assert _cmp_root_to_rational(two, F(2)) == 0
     assert two.box() == (1, 3)
     refine(two, 1)
@@ -222,8 +222,8 @@ def test_separate_gap_is_bounded():
     assert time.perf_counter() - t0 < 1
     # distinct roots do, and the gap lies between their boxes
     lo, hi = cadcore._separate_gap(
-        [RootOfCoordinate(X1**2 - 2, IsolatingInterval(0, 3)),
-         RootOfCoordinate(X1**2 - 3, IsolatingInterval(0, 3))], 1)
+        [RootOfCoordinate(X1**2 - 2, (0, 3)),
+         RootOfCoordinate(X1**2 - 3, (0, 3))], 1)
     assert lo[1] > 0 and hi[1] > 0
     assert F(141, 100) < F(*lo) < F(*hi) < F(174, 100)
 
@@ -419,6 +419,15 @@ def test_broken_stack_raises_integrity_error(monkeypatch):
                         lambda coords, i, rng: F(1))
     with pytest.raises(IntegrityError, match="2 sections but 1 roots"):
         cadcore._random_interior_point(cad, cad.cells[2], random.Random(0))
+
+
+def test_section_vanishing_at_query_fiber_raises_integrity_error():
+    # (x - 1)*y vanishes identically over x = 1: the fiber basis sets it
+    # aside, and the stack's count of roots there falls short
+    cad = _two_section_cad((X2 - 1) * Y2, Y2 - 1)
+    assert locate_point((0, 5), cad).index == (1, 5)
+    with pytest.raises(IntegrityError, match="2 sections but 1 roots"):
+        locate_point((1, 5), cad)
 
 
 def test_out_of_order_stack_raises_integrity_error():

@@ -8,7 +8,6 @@ import pytest
 
 from projcad import algnum, lifting
 from projcad.algnum import (
-    IsolatingInterval,
     RationalCoordinate,
     RootOfCoordinate,
     SamplePoint,
@@ -93,9 +92,15 @@ def test_make_separable_splits_partial_overlap():
         assert sign_at(p, _fiber(5, c.point_value())) == 0
 
 
-def test_make_separable_nullified_rejected():
-    with pytest.raises(ValueError):
-        roots_over_cell([X2 * Y2], _fiber(0))
+def test_make_separable_sets_nullified_aside():
+    # x*y vanishes identically over x = 0: the circle's stack there is
+    # the one it has without x*y
+    assert roots_over_cell([X2 * Y2], _fiber(0)) == ([], [F(0)], [])
+    got = roots_over_cell([CIRCLE, X2 * Y2], _fiber(0))
+    want = roots_over_cell([CIRCLE], _fiber(0))
+    assert [c.isolated for c in got[0]] == [c.isolated for c in want[0]]
+    assert [c.point_value() for c in got[0]] == [-1, 1]
+    assert got[1:] == want[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +197,7 @@ def test_minimal_delineating_algebraic_point():
     # nullified exactly at (sqrt(2), 0); the replacement must vanish
     # only at z = 0 over that fiber
     p = Y3 * Z3**2 + (X3**2 - 2) * Z3
-    sqrt2 = RootOfCoordinate(X3**2 - 2, IsolatingInterval(1, 2))
+    sqrt2 = RootOfCoordinate(X3**2 - 2, (1, 2))
     s = SamplePoint((sqrt2, RationalCoordinate(F(0))))
     assert is_nullified(p, s)
     d = minimal_delineating_polynomial(p, s)
