@@ -435,8 +435,6 @@ def refine(coord, width):
     u, v = width.numerator, width.denominator
     while (coord.b - coord.a) * v > u * coord.q:
         _bisect_once(coord)
-        if coord.a == coord.b:
-            break
     return coord
 
 

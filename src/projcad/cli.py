@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     try:
         with open(ns.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
     cfg = RunConfig(ns.method, ns.final_oi, ns.strict, ns.output, ns.info)

@@ -81,14 +81,15 @@ and one sort by exponent, a sum merges the two term lists and adds int
 to int inline, and exact division by a level-1 divisor runs on dense
 lists of ints (_iexact_div).  Pseudo-division by a level-1 divisor
 keeps the node loop: the project benchmark makes no such call, and
-the lift benchmark spends 0.25% of a pass in it.  Above level 1, a product of two nodes at one
-level collects its partial products by exponent and sums each group
-once (_nsum, merged level by level), not one _nadd per product, and a
-product with a lower factor builds its terms directly: their order is
-kept, and over an integral domain no zero appears.  The kernels do the
-schoolbook work on Python ints.  Packing polynomials into integers by
-Kronecker substitution is left out: on large psc chains it measured
-3.2 times slower, as CPython divides big ints in quadratic time.
+the lift benchmark spends 0.25% of a pass in it.  Above level 1, a
+product of two nodes at one level adds each partial product into the
+slot of its exponent with _nadd, the one routine that adds two nodes,
+and a product with a lower factor builds its terms directly: their
+order is kept, and over an integral domain no zero appears.  The
+kernels do the schoolbook work on Python ints.  Packing polynomials
+into integers by Kronecker substitution is left out: on large psc
+chains it measured 3.2 times slower, as CPython divides big ints in
+quadratic time.
 
 Exact and pseudo-division run on nodes, in the main variable of the
 divisor: the leading coefficient is read off the first term, x^k shifts
@@ -203,9 +204,8 @@ def _nis_zero(node) -> bool:
 
 
 def _nadd(a, b):
-    """a + b.  Two nodes at one level merge their descending term lists:
-    _nsum([a, b]) gives the same node, but made the psc chains of the
-    project benchmark about 13% slower."""
+    """a + b.  Two nodes at one level merge their descending term
+    lists."""
     if isinstance(a, int):
         if isinstance(b, int):
             return a + b
@@ -246,35 +246,6 @@ def _nadd(a, b):
     return _nterms(lvl, out)
 
 
-def _nsum(nodes: list):
-    """The sum of a nonempty list of nodes: the terms of the top level
-    are grouped by exponent, lower nodes join exponent 0, and each group
-    is summed once, one level down."""
-    top = max(map(_nlevel, nodes))
-    if not top:
-        return sum(nodes)
-    groups: dict = {}
-    for n in nodes:
-        if isinstance(n, int) or n[0] < top:
-            groups.setdefault(0, []).append(n)
-        else:
-            for e, c in n[1]:
-                groups.setdefault(e, []).append(c)
-    return _nterms(top, _nsummed(groups))
-
-
-def _nsummed(groups: dict) -> list:
-    """The nonzero terms, by descending exponent, of {exponent: list of
-    nodes}, each list summed once."""
-    out = []
-    for e in sorted(groups, reverse=True):
-        g = groups[e]
-        c = g[0] if len(g) == 1 else _nsum(g)
-        if not _nis_zero(c):
-            out.append((e, c))
-    return out
-
-
 def _nneg(a):
     if isinstance(a, int):
         return -a
@@ -312,11 +283,13 @@ def _nmul(a, b):
                 out[k] = get(k, 0) + c1 * c2
         return (1, tuple(sorted((t for t in out.items() if t[1]),
                                 reverse=True)))
-    groups: dict = {}
+    out = {}
+    get = out.get
     for e1, c1 in ta:
         for e2, c2 in tb:
-            groups.setdefault(e1 + e2, []).append(_nmul(c1, c2))
-    return (lvl, tuple(_nsummed(groups)))
+            k = e1 + e2
+            out[k] = _nadd(get(k, 0), _nmul(c1, c2))
+    return _nmake(lvl, out)
 
 
 def _npow(a, k: int):
@@ -868,7 +841,9 @@ class MultiPoly:
 
 
 def _monomials(p: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
-    """Flatten to (exponent vector, int coeff), sorted for display."""
+    """Flatten to (exponent vector, int coeff), sorted for display: the
+    depth-first walk of a canonical node yields them by descending
+    exponent of the highest variable first."""
     n = p.order.n
     out: list[tuple[tuple[int, ...], int]] = []
 
@@ -884,7 +859,6 @@ def _monomials(p: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
         exps[lvl - 1] = 0
 
     go(p.node, [0] * n)
-    out.sort(key=lambda t: tuple(reversed(t[0])), reverse=True)
     return out
 
 

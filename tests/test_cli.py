@@ -106,6 +106,17 @@ def test_main_rejects_oversized_input(tmp_path, capsys):
         assert cap.err.count("\n") == 1
 
 
+def test_main_rejects_non_utf8_input(tmp_path, capsys):
+    # a byte that is not UTF-8 ends in one error line and exit 1
+    prob = tmp_path / "latin.prob"
+    prob.write_bytes(b"vars: x\nx^2 - 2 \xff\n")
+    assert main(["compute", "--input", str(prob)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ")
+    assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
+
+
 def _parsed_or_rejected(text):
     try:
         order, polys = parse_input(text)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,11 @@ from projcad.polyring import (
     InexactDivisionError,
     MultiPoly,
     VarOrder,
+    _monomials,
     _nadd,
     _nmul,
     _npoint_subs,
     _npow,
-    _nsum,
     content,
     content_primitive_part,
     exact_div,
@@ -224,14 +225,15 @@ def test_node_kernels_match_distributed_reference(polys, k):
         (_nmul(A, B), ab),
         (_nmul(A, k), distributed_mul(a, {(0, 0, 0): k})),
         (_nadd(A, B), distributed_sum([a, b])),
-        (_nsum(nodes), every),
+        (reduce(_nadd, nodes), every),
         # sums and products that cancel to c (of any level, a constant
         # or 0), to k and to 0
         (_nadd(A, distributed_node(distributed_sum([_negated(a), c]))), c),
         (_nadd(_nmul(A, B), distributed_node(
             distributed_sum([_negated(ab), {(0, 0, 0): k}]))), {(0, 0, 0): k}),
-        (_nsum(nodes + [distributed_node(_negated(every))]), {}),
-        (_nsum([_nmul(A, B), distributed_node(_negated(ab)), C]), c),
+        (reduce(_nadd, nodes + [distributed_node(_negated(every))]), {}),
+        (reduce(_nadd, [_nmul(A, B), distributed_node(_negated(ab)), C]),
+         c),
         # (a + c)(a - c): the cross terms cancel inside the product
         (_nmul(distributed_node(distributed_sum([a, c])),
                distributed_node(distributed_sum([a, _negated(c)]))),
@@ -241,6 +243,18 @@ def test_node_kernels_match_distributed_reference(polys, k):
     for got, want in checks:
         assert is_canonical(got)
         assert got == distributed_node(want)
+
+
+def test_monomials_come_in_display_order():
+    # the depth-first walk of a canonical node yields the monomials by
+    # descending exponent of the highest variable first, with no sort
+    order = VarOrder(["w", "x", "y", "z"])
+    rng = random.Random(40404)
+    for _ in range(1000):
+        p = random_poly(rng, order, max_deg=4, n_terms=8)
+        monos = _monomials(p)
+        assert monos == sorted(monos, key=lambda t: t[0][::-1],
+                               reverse=True)
 
 
 def test_exact_division():
