@@ -25,10 +25,13 @@ _fiber_basis is the one place a fiber basis is built: each polynomial
 is reduced over the fiber, flattened to its squarefree part there if
 needed, and split along its fiber gcd with every basis element it
 shares roots with.  The pieces stay polynomials in the lower variables,
-so a section can be re-evaluated anywhere over the base cell.
-_isolated_basis isolates each element once, and the element owns the
-roots it yields; roots_over_cell sorts them and adds sector samples for
-lifting, and cadcore reads a query stack's roots off them.
+so a section can be re-evaluated anywhere over the base cell.  It
+also flattens the delineating polynomial that lifting puts in place of
+a nullified one.  _isolated_basis isolates each element once, and the
+element owns the roots it yields; roots_over_cell sorts them and adds
+sector samples for lifting, and cadcore reads a query stack's roots off
+them.  _isolate is the one place real roots are isolated, for
+_isolated_basis (lifting and queries) and for isolate_real_roots.
 
 A lifting run (lifting.cad_lifting) binds one memo for as long as it
 runs (_memo_scope: a context variable, reset when the run returns or
@@ -562,7 +565,7 @@ def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
     (MultiPoly.cleared_coeffs) and the image is a positive multiple of p
     on the fiber; it is divided by its content.  None when some lower
     variable of p sits at a root, even a collapsed one; p's interval
-    image is then taken over the boxes (see _root_bound).
+    image is then taken over the boxes (see _isolate).
     """
     order = p.order
     lvl = order.level(var)
@@ -719,21 +722,6 @@ def _root_bound_of(g: MultiPoly, var: str, s: SamplePoint, enc) -> int:
 # real root isolation over a fiber
 
 
-def _root_bound(g: MultiPoly, var: str, s: SamplePoint):
-    """(B, enclosure): g's root bound at the fiber (_root_bound_of) and
-    the coefficients' enclosure over the boxes.  var is g's main
-    variable."""
-    node = g.node
-    terms = node[1]
-    if len(terms) == 1:
-        return 1, _coeff_enclosure(node, s.coords)
-    # shrink until the leading coefficient's box excludes zero, then
-    # bound the others by their current boxes
-    _interval_sign(MultiPoly(g.order, terms[0][1]), s)
-    enc = _coeff_enclosure(node, s.coords)
-    return _root_bound_of(g, var, s, enc), enc
-
-
 def _sign_variations(f: MultiPoly, var: str, s: SamplePoint,
                      a: int, b: int, q: int) -> int:
     """The exact Descartes node on (a/q, b/q): sign variations at the
@@ -815,32 +803,39 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
     Returns (coordinates in increasing order, root bound B).  f must be
     reduced over the fiber (its leading coefficient nonzero at s),
     squarefree at s and of positive degree there.  img is f's dense
-    image at s, or None off rational fibers; with it a linear f gives
-    its exact rational root.
+    image at s, or None.  The enclosure every decision is taken on is
+    the point enclosure of img, or without one the interval image of
+    _strip(f) over the boxes, once they have been shrunk until its
+    leading coefficient's excludes 0.  B is taken on it once
+    (_root_bound_of), and Descartes/bisection (_vca) searches (-B, B).
+    With img a linear f gives its exact rational root.
     """
     if img is None:
-        g = _strip(f)
-        B, enc = _root_bound(g, var, s)
+        f = _strip(f)
+        _interval_sign(MultiPoly(f.order, f.node[1][0][1]), s)
+        enc = _coeff_enclosure(f.node, s.coords)
     else:
         # the image of _strip(f), up to a positive factor: _strip
         # divides by the content and may flip the sign
-        if f.lead_base_coeff() < 0:
-            img = [-c for c in img]
-        enc = _point_enclosure(img)
-        B = _root_bound_of(f, var, s, enc)
+        enc = _point_enclosure(
+            img if f.lead_base_coeff() > 0 else [-c for c in img])
+    B = _root_bound_of(f, var, s, enc)
+    if img is not None:
         if len(img) == 2:
             return [RationalCoordinate(Fraction(-img[0], img[1]))], B
-        g = _strip(f)
+        f = _strip(f)
     boxes = []
-    _vca(g, var, s, enc, -B, B, 1, boxes)
-    return [RootOfCoordinate._of(g, a, b, q, s.coords, enc)
+    _vca(f, var, s, enc, -B, B, 1, boxes)
+    return [RootOfCoordinate._of(f, a, b, q, s.coords, enc)
             for a, b, q in boxes], B
 
 
 def isolate_real_roots(f: MultiPoly):
     """Isolating intervals for all real roots of a univariate integer
     polynomial, in increasing order, as (lo, hi) pairs of Fractions: the
-    form of RootOfCoordinate.isolated.  Endpoints are never roots."""
+    form of RootOfCoordinate.isolated.  Endpoints are never roots.  They
+    come from _isolate, the routine that isolates lifting's roots; no
+    dense image is passed, so a linear f gets an interval too."""
     if f.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(f.variables()) > 1:
@@ -850,12 +845,8 @@ def isolate_real_roots(f: MultiPoly):
     var = f.mvar()
     if not poly_gcd(f, f.derivative(var)).is_constant():
         raise ValueError("squarefree polynomial required")
-    s = SamplePoint(())
-    enc = _point_enclosure(_fiber_image(f, var, s))
-    B = _root_bound_of(f, var, s, enc)
-    boxes = []
-    _vca(f, var, s, enc, -B, B, 1, boxes)
-    return [(Fraction(a, q), Fraction(b, q)) for a, b, q in boxes]
+    roots, _ = _isolate(f, var, None, SamplePoint(()))
+    return [c.isolated for c in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -893,8 +884,6 @@ def _separation_budget(c1, c2):
 
 
 def _compare_coords(c1, c2) -> int:
-    if c1 is c2:
-        return 0
     for _ in _separation_budget(c1, c2):
         a1, b1, q1 = _int_box(c1)
         a2, b2, q2 = _int_box(c2)

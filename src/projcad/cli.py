@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algnum import RationalCoordinate, SeparabilityError
+from .algnum import RationalCoordinate
 from .cadcore import IntegrityError, cad_full
 from .lifting import CAD, NotWellOrientedError
 from .polyring import MultiPoly, VarOrder
@@ -390,8 +390,7 @@ def run_compute(cfg: RunConfig, text: str):
         out = render_output(cad, cfg.output)
     except NotWellOrientedError as e:
         return "", "error: %s\n" % e, 2
-    except (SeparabilityError, IntegrityError, ArithmeticError,
-            ValueError) as e:
+    except (IntegrityError, ArithmeticError, ValueError) as e:
         # an internal failure, not bad input: one line, no traceback.  A
         # ValueError also comes from str() of an output number longer
         # than sys.get_int_max_str_digits() allows

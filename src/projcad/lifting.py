@@ -35,9 +35,8 @@ from typing import Optional
 from .algnum import (
     RationalCoordinate,
     SamplePoint,
-    _fiber_image,
+    _fiber_basis,
     _memo_scope,
-    _squarefree_with_image,
     _strip,
     fiber_gcd,
     fiber_reduce,
@@ -182,14 +181,12 @@ def minimal_delineating_polynomial(p: MultiPoly,
             live.append(q)
         if live:
             break
-    if not live:
-        return None
     g = live[0]
     for q in live[1:]:
         g = fiber_gcd(g, q, var, s)
         if g.degree(var) == 0:
             return None
-    h = _squarefree_with_image(g, _fiber_image(g, var, s), var, s)[0]
+    h, = _fiber_basis([g], var, s)
     return _strip(primitive_part(h))
 
 

@@ -27,9 +27,10 @@ from projcad.algnum import (
     _gap_sample,
     _int_box,
     _interval_sign,
+    _isolate,
     _nonroot_split,
     _point_enclosure,
-    _root_bound,
+    _root_bound_of,
     _root_side,
     _sign_variations,
     _simplest_in_open,
@@ -137,6 +138,14 @@ def test_isolate_errors():
         isolate_real_roots(X2 * Y2)
     with pytest.raises(ValueError):
         isolate_real_roots((X - 1) ** 2)
+
+
+def test_isolate_linear_and_monomial_intervals():
+    # a linear f gets a Descartes interval from the root bound, not the
+    # exact rational a dense image would give; x and 5x have B = 1
+    assert isolate_real_roots(2 * X - 1) == [(-2, 2)]
+    assert isolate_real_roots(-3 * X + 7) == [(-4, 4)]
+    assert isolate_real_roots(X) == isolate_real_roots(5 * X) == [(-1, 1)]
 
 
 def test_isolate_real_roots_matches_lifted_roots():
@@ -729,21 +738,31 @@ def test_split_search_is_bounded():
                           _point_enclosure([1, -6, 8])) == (3, 4)
 
 
+def _bound_and_enclosure(g, var, s):
+    # the root bound and the interval image _isolate takes when it has
+    # no dense image: the leading coefficient's box is shrunk until it
+    # excludes 0, then every coefficient is enclosed over the boxes
+    _interval_sign(g.coefficient(var, g.degree(var)), s)
+    enc = _coeff_enclosure(g.node, s.coords)
+    return _root_bound_of(g, var, s, enc), enc
+
+
 def test_root_bound_is_bounded():
     # the leading coefficient x vanishes over x = 0 and no coordinate
     # there can be refined: the bound search must say so, not loop
     f = X2 * Y2**2 + Y2 + 1
     with pytest.raises(ArithmeticError, match="exact zero reached"):
-        _root_bound(f, "y", _rational_fiber(0))
+        _isolate(f, "y", None, _rational_fiber(0))
     # over x = 1 it is the least power of two B with |c_i| <= (B - 1) |lc|,
     # and the enclosure of the coefficients 1, 1, 1 is a point there
-    assert _root_bound(f, "y", _rational_fiber(1)) == (
+    assert _bound_and_enclosure(f, "y", _rational_fiber(1)) == (
         2, ((1, 1, 1), (0, 0, 0)))
+    assert _isolate(f, "y", None, _rational_fiber(1)) == ([], 2)
     # over x = sqrt(2) the leading coefficient x^2 - 2 vanishes, but the
     # box of x can be bisected forever: the search must give up
     s = SamplePoint((_sqrt2_coord(O2),))
     with pytest.raises(ArithmeticError, match="not decided after 512"):
-        _root_bound((X2**2 - 2) * Y2**2 + Y2 + 1, "y", s)
+        _isolate((X2**2 - 2) * Y2**2 + Y2 + 1, "y", None, s)
 
 
 def test_root_bound_does_not_depend_on_the_boxes(monkeypatch):
@@ -763,7 +782,7 @@ def test_root_bound_does_not_depend_on_the_boxes(monkeypatch):
             s = SamplePoint((refine(_sqrt2_coord(O2), width),))
             with monkeypatch.context() as m:
                 m.setattr(algnum, "sign_at", counting)
-                assert _root_bound(g, "y", s)[0] == want
+                assert _isolate(g, "y", None, s)[1] == want
     assert len(calls) >= 3
 
 
@@ -830,7 +849,7 @@ def test_interval_images_match_exact():
             f = _strip(fiber_reduce(p, var, s))
             if f.degree(var) < 1:
                 continue
-            B, enc = _root_bound(f, var, s)
+            B, enc = _bound_and_enclosure(f, var, s)
             img = _fiber_image(f, var, s)
             for _ in range(3):
                 a = B * F(rng.randint(-16, 15), 16)

@@ -211,6 +211,21 @@ def test_minimal_delineating_algebraic_point():
     assert minimal_delineating_polynomial(q, s) is None
 
 
+def test_minimal_delineating_flattens_a_squared_factor():
+    # over x = 0 the gcd of the surviving partials, (y - 1)^2 (y + 2) up
+    # to a constant, is flattened to its squarefree part
+    assert minimal_delineating_polynomial(
+        X2 * (Y2 - 1)**2 * (Y2 + 2), _fiber(0)) == Y2**2 + Y2 - 2
+    # over x = sqrt(2) the square of y - x is flattened at an algebraic
+    # point: the replacement has degree 1 in y and one root there, the
+    # root of y - x, which owns the one section both give
+    s = SamplePoint((RootOfCoordinate(X2**2 - 2, (1, 2)),))
+    d = minimal_delineating_polynomial((X2**2 - 2) * (Y2 - X2)**2, s)
+    assert d is not None and d.degree("y") == 1
+    sections, _, owners = roots_over_cell([d, Y2 - X2], s)
+    assert len(sections) == 1 and owners == [Y2 - X2]
+
+
 # ---------------------------------------------------------------------------
 # full lifting
 
