@@ -64,17 +64,27 @@ When every lower variable the polynomial involves sits at a rational
 coordinate, the rationals are substituted once, by integer Horner with
 every denominator cleared to one common scale.
 That gives the polynomial's dense image: a list of integers, a positive
-multiple of the polynomial on the fiber.  Its enclosure is the point
-enclosure (the image with every radius 0), on which every decision is
-taken, on integers.  Squarefreeness and coprimality there are first
-tried by polyring's coprimality certificate on the images
-(_images_coprime: one integer gcd of their values at a point above
-their roots); only a pair it does not prove goes to the fiber gcd,
-which is exact and, with every coordinate the pair involves
-rational, refines no box.  The root of a linear polynomial comes back
-as an exact rational.  A polynomial that first involves an algebraic
-coordinate but is free of it once reduced over the fiber has a dense
-image too.
+multiple of the polynomial on the fiber, on which every decision is
+taken, on integers.  A linear image is squarefree outright; any other is
+first tried against its derivative by polyring's coprimality certificate
+(_images_coprime).  For coprimality _fiber_basis fixes one xi per call,
+above the root bound of every image, and evaluates each image there
+once; a pair is then one integer gcd (polyring's _coprime_at), and a
+piece split off an element keeps the element's bound, as in
+polyring.finest_squarefree_basis.  A pair with a linear image is decided
+exactly instead, by one integer Horner of the other image at the linear
+one's root: the certificate cannot prove a pair such as y and y*x - 1 at
+a dyadic x whose denominator is xi or more, as both values at xi are
+then multiples of xi.  Only a pair neither proves goes, alone, to the
+fiber gcd, which is exact and, with every coordinate the pair involves
+rational, refines no box.  _isolate
+reads the root bound straight off the image, gives the root of a linear
+image as an exact rational, and runs Descartes/bisection on the image's
+int list (_image_vca): each node is the sign variations of _to_unit on
+it, each split point a _horner sign.  Each root keeps the image's point
+enclosure (every radius 0), on which its bisection signs are read.  A
+polynomial that first involves an algebraic coordinate but is free of it
+once reduced over the fiber has a dense image too.
 
 A sign at a sample point first substitutes every point-valued
 coordinate in one pass of integer Horner on the polynomial's nodes.
@@ -97,7 +107,9 @@ image leaves undecided) is one sign_at at the fiber extended by u/v
 Each real root is one RootOfCoordinate, shared by every sample point
 over it; refinement shrinks its box in place, which moves no decision
 and nothing printed: the output shows the interval isolation found from
-a root bound fixed by the polynomial and the fiber (_root_bound_of).
+a root bound fixed by the polynomial and the fiber (_root_bound_of, or
+_image_root_bound on a dense image), built as Fractions only when first
+read.
 Every comparison of a root is made here.  A root is placed against a
 rational by its box alone when the rational lies outside it, and else
 by one sign of its defining polynomial, with no box narrowed
@@ -120,12 +132,15 @@ from typing import Iterable, Optional
 
 from .polyring import (
     MultiPoly,
+    _cert_radius,
+    _coprime_at,
     _images_coprime,
     _nbox_cleared,
     _nbox_scales,
     _ndegrees,
     _nlevel,
     _npoint_subs,
+    _value_at_pow2,
     poly_gcd,
     pquo,
     prem,
@@ -181,7 +196,8 @@ class RootOfCoordinate:
 
     `prefix` holds the lower coordinates the defining polynomial's
     coefficients are evaluated over.  `isolated` is the interval
-    isolation found, as a pair of Fractions, which the output prints.
+    isolation found, as a pair of Fractions, which the output prints; it
+    is built on first read from that box, kept as the triple `_iso`.
     The working box [a/q, b/q] starts there and shrinks in place, for
     every sample point sharing the root.  It is stored as the integers
     a, b and q, q > 0 and reduced by gcd(a, b, q); isolation and
@@ -203,8 +219,8 @@ class RootOfCoordinate:
     enclosure of the dense image, which always decides.
     """
 
-    __slots__ = ("defining", "a", "b", "q", "isolated", "prefix",
-                 "enclosure", "_sign_lo")
+    __slots__ = ("defining", "a", "b", "q", "prefix", "enclosure",
+                 "_sign_lo", "_iso", "_isolated")
 
     def __init__(self, defining: MultiPoly, interval: tuple, prefix=(),
                  enclosure: Optional[tuple] = None):
@@ -229,10 +245,18 @@ class RootOfCoordinate:
     def _init(self, defining, a, b, q, prefix, enclosure):
         self.defining = defining
         self.a, self.b, self.q = a, b, q
-        self.isolated = self.box()
+        self._iso = (a, b, q)
+        self._isolated = None
         self.prefix = tuple(prefix)
         self.enclosure = enclosure
         self._sign_lo = None
+
+    @property
+    def isolated(self) -> tuple:
+        if self._isolated is None:
+            a, b, q = self._iso
+            self._isolated = (Fraction(a, q), Fraction(b, q))
+        return self._isolated
 
     def point_value(self) -> Optional[Fraction]:
         return Fraction(self.a, self.q) if self.a == self.b else None
@@ -629,8 +653,8 @@ def _changes(signs) -> int:
 # takes it to the enclosure (M mid, |M| rad), both computed on integers.
 # A decision is taken only when every enclosure it needs excludes 0 or is
 # exactly [0, 0]; it is then the exact decision, because the enclosures
-# contain the true values.  A dense image img has the point enclosure
-# (img, (0, ...)), on which every decision is taken; the radius
+# contain the true values.  The roots of a dense image img carry its
+# point enclosure (img, (0, ...)), which decides every sign; the radius
 # arithmetic is skipped when every radius is 0.
 
 
@@ -793,8 +817,33 @@ def _vca(f, var, s, enc, a, b, q, out):
     _vca(f, var, s, enc, *_reduced(m, b * k, mq), out)
 
 
+def _image_vca(f, var, s, img, a, b, q, out):
+    # Descartes/bisection on (a/q, b/q) for a dense image img of f at the
+    # fiber s, on integers: each node counts the sign variations of the
+    # transformed image, each split point is signed by Horner.  f, var
+    # and s only ride along, for a route that decides on f instead
+    v = _changes([c > 0 for c in _to_unit(img, q, a, b - a) if c])
+    if v == 0:
+        return
+    if v == 1:
+        out.append((a, b, q))
+        return
+    m, mq = _split_point(lambda u, w: _horner(img, u, w) != 0,
+                         len(img) - 1, a, b, q)
+    k = mq // q
+    _image_vca(f, var, s, img, *_reduced(a * k, m, mq), out)
+    _image_vca(f, var, s, img, *_reduced(m, b * k, mq), out)
+
+
 def _point_enclosure(img) -> tuple:
     return tuple(img), (0,) * len(img)
+
+
+def _image_root_bound(img) -> int:
+    """_root_bound_of on the point enclosure of a dense image: the least
+    B = 2^k, k >= 0, with |c_i| <= (B - 1) |lc| for every lower c_i."""
+    # ceil(c / l).bit_length() is the least k with c <= (2^k - 1) l
+    return 1 << (-(-max(map(abs, img[:-1])) // abs(img[-1]))).bit_length()
 
 
 def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
@@ -803,29 +852,33 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
     Returns (coordinates in increasing order, root bound B).  f must be
     reduced over the fiber (its leading coefficient nonzero at s),
     squarefree at s and of positive degree there.  img is f's dense
-    image at s, or None.  The enclosure every decision is taken on is
-    the point enclosure of img, or without one the interval image of
-    _strip(f) over the boxes, once they have been shrunk until its
-    leading coefficient's excludes 0.  B is taken on it once
-    (_root_bound_of), and Descartes/bisection (_vca) searches (-B, B).
-    With img a linear f gives its exact rational root.
+    image at s, or None.  With img, B is read off it, a linear f gives
+    its exact rational root, and Descartes/bisection (_image_vca) runs
+    on it, on integers.  Without one every decision is taken on the
+    interval image of _strip(f) over the boxes, once they have been
+    shrunk until its leading coefficient's excludes 0: B is taken on it
+    once (_root_bound_of), and _vca searches (-B, B).  Each root keeps
+    the enclosure its bisection signs are read on: that interval image,
+    or the point enclosure of img.
     """
+    boxes = []
     if img is None:
         f = _strip(f)
         _interval_sign(MultiPoly(f.order, f.node[1][0][1]), s)
         enc = _coeff_enclosure(f.node, s.coords)
+        B = _root_bound_of(f, var, s, enc)
+        _vca(f, var, s, enc, -B, B, 1, boxes)
     else:
-        # the image of _strip(f), up to a positive factor: _strip
-        # divides by the content and may flip the sign
-        enc = _point_enclosure(
-            img if f.lead_base_coeff() > 0 else [-c for c in img])
-    B = _root_bound_of(f, var, s, enc)
-    if img is not None:
+        B = _image_root_bound(img)
         if len(img) == 2:
             return [RationalCoordinate(Fraction(-img[0], img[1]))], B
+        # the image of _strip(f), up to a positive factor: _strip
+        # divides by the content and may flip the sign
+        if f.lead_base_coeff() < 0:
+            img = [-c for c in img]
         f = _strip(f)
-    boxes = []
-    _vca(f, var, s, enc, -B, B, 1, boxes)
+        _image_vca(f, var, s, img, -B, B, 1, boxes)
+        enc = _point_enclosure(img)
     return [RootOfCoordinate._of(f, a, b, q, s.coords, enc)
             for a, b, q in boxes], B
 
@@ -981,8 +1034,8 @@ def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
     the fiber s and of positive degree in var, so r' is reduced there
     too; the gcd of r and r' that tests squarefreeness is the
     divisor."""
-    if img is not None and _images_coprime(
-            img, [i * c for i, c in enumerate(img)][1:]):
+    if img is not None and (len(img) == 2 or _images_coprime(
+            img, [i * c for i, c in enumerate(img)][1:])):
         return r, img
     h = _reduced_gcd(r, _memoized(MultiPoly.derivative, r, var), var, s)
     if h.degree(var) == 0:
@@ -997,12 +1050,39 @@ def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
     return _strip(fiber_reduce(_memoized(pquo, f, g, var), var, s))
 
 
+def _proven_coprime(img_f, val_f, img_g, val_g, xi: int, bound: int) -> bool:
+    """True when two basis elements are coprime over the fiber, proven
+    from their dense images (None for none) and those images' values at
+    xi (None when the element's roots are not known to lie below bound);
+    False means "not proven".  A pair with a linear image is decided
+    exactly: it shares a root only if the other image vanishes at the
+    linear one's.  Any other pair takes the certificate (polyring's
+    _coprime_at)."""
+    if img_f is None or img_g is None:
+        return False
+    if len(img_f) == 2:
+        return _horner(img_g, -img_f[0], img_f[1]) != 0
+    if len(img_g) == 2:
+        return _horner(img_f, -img_g[0], img_g[1]) != 0
+    return (val_f is not None and val_g is not None
+            and _coprime_at(val_f, val_g, xi, bound))
+
+
 def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
     """Separable basis of the polynomials over the fiber s: reduced
     there, squarefree and pairwise coprime there, with the same roots.
     A polynomial that is a nonzero constant there, or vanishes
     identically there, has no roots and is set aside.  Maps each element
-    to its dense image (None when it has none)."""
+    to its dense image (None when it has none).
+
+    Coprimality is tested pairwise (_proven_coprime) with one xi per
+    call, as in polyring.finest_squarefree_basis: xi = 2^shift above the
+    largest Cauchy radius R of the squarefree items' images, each image
+    evaluated there once.  A piece split off an element has its roots
+    among that element's, so it keeps the bound R when the element did:
+    the gcd of a pair when either side did, each quotient when its
+    dividend did.  A pair not proven coprime takes the exact fiber gcd
+    alone."""
     order = polys[0].order
     work = []
     for p in polys:
@@ -1025,30 +1105,44 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
         # repeated roots over this fiber are harmless for the root set,
         # so flatten them here rather than reject the input
         work.append(_squarefree_with_image(r, img, var, s))
+    bound = max((_cert_radius(img) for _, img in work if img is not None),
+                default=1)
+    shift = bound.bit_length() + 32
+    xi = 1 << shift
+
+    def entry(p, bounded):
+        # (image, its value at xi or None) of a basis element
+        img = _fiber_image(p, var, s)
+        if img is None or not bounded:
+            return img, None
+        return img, _value_at_pow2(img, shift)
+
     basis: dict = {}
     for f, img_f in work:
+        val_f = _value_at_pow2(img_f, shift) if img_f is not None else None
         merged: dict = {}
-        for g, img_g in basis.items():
-            if f.degree(var) < 1 or (
-                    img_f is not None and img_g is not None
-                    and _images_coprime(img_f, img_g)):
-                merged[g] = img_g
+        for g, (img_g, val_g) in basis.items():
+            if f.degree(var) < 1 or _proven_coprime(img_f, val_f, img_g,
+                                                    val_g, xi, bound):
+                merged[g] = img_g, val_g
                 continue
             h = _reduced_gcd(f, g, var, s)
             if h.degree(var) < 1:
-                merged[g] = img_g
+                merged[g] = img_g, val_g
                 continue
             # split off the common part; both quotients stay coprime to
             # it because everything here is squarefree over the fiber
-            for piece in (h, _fiber_quo(g, h, var, s)):
+            for piece, bounded in ((h, val_f is not None or val_g is not None),
+                                   (_fiber_quo(g, h, var, s),
+                                    val_g is not None)):
                 if piece.degree(var) >= 1:
-                    merged[piece] = _fiber_image(piece, var, s)
+                    merged[piece] = entry(piece, bounded)
             f = _fiber_quo(f, h, var, s)
-            img_f = _fiber_image(f, var, s)
+            img_f, val_f = entry(f, val_f is not None)
         if f.degree(var) >= 1:
-            merged[f] = img_f
+            merged[f] = img_f, val_f
         basis = merged
-    return basis
+    return {g: img for g, (img, _) in basis.items()}
 
 
 def _isolated_basis(polys, var: str, s: SamplePoint) -> dict:

@@ -13,8 +13,10 @@ Both descents take a stack's roots at a rational fiber from algnum's
 separable basis there (_isolated_basis), built on the stack's distinct
 section polynomials, with each basis element isolated once.  The basis
 is squarefree and pairwise coprime at the fiber, which is what
-delineability asks of a stack (McCallum 1988); algnum proves it, with
-the integer image certificate and the exact fiber gcd as fallback.
+delineability asks of a stack (McCallum 1988); algnum proves it on the
+polynomials' integer images at the fiber: each pair by the coprimality
+certificate at one xi per stack, a pair with a linear image by one
+exact Horner sign, and a pair neither proves by the exact fiber gcd.
 When every section polynomial is a basis element unchanged, so reduced,
 squarefree and coprime to the others there, and has as many roots as
 it owns sections, its roots fill its sections in turn, in the order the
@@ -244,8 +246,12 @@ def verify_sign_invariance(cad: CAD, polys, samples_per_cell: int = 16,
     point of RationalCoordinates, signed by sign_at like the cell's own
     sample, and the two signs are compared.  Stops at the first
     counterexample, whose witness is the probe's Fractions in level
-    order.
+    order.  samples_per_cell must be at least 1: a sweep that probes
+    nothing proves nothing.
     """
+    if samples_per_cell < 1:
+        raise ValueError("samples_per_cell must be at least 1, got %r"
+                         % (samples_per_cell,))
     polys = sorted(set(polys))
     rng = random.Random(seed)
     points = 0

@@ -1,18 +1,19 @@
 """Shared helpers for the test suite: deterministic random polynomials,
 node arithmetic on distributed monomials, reference division,
 substitution and interval evaluation on MultiPoly and Fractions, the
-division-based Yun loop, the determinant route to
-resultants and psc chains, the PRS route for every gcd, the gcd-first
-and the sequential-substitution sign routes, the exact route over
-algebraic fibers, the symbolic Descartes transform on MultiPoly, the
-sorted route for stack roots at query fibers, a base stack isolated
+division-based Yun loop, the determinant route to resultants and psc
+chains, the PRS route for every gcd, the gcd-first and the
+sequential-substitution sign routes, the exact route over algebraic
+fibers, the symbolic Descartes transform on MultiPoly, the isolated
+fiber basis by per-pair certificates and Descartes on point enclosures,
+the sorted route for stack roots at query fibers, a base stack isolated
 afresh on every descent, sample points with private copies of their
 roots, the flat-scan reading of a CAD's stacks, a builder of CADs from
 hand-made cells, the fiber squarefree part, bisection, split points,
-root comparison and gap samples on Fraction boxes, a root placed
-against a rational by bisection and by a Fraction sign, the oracle's
-probes drawn and signed on Fractions, and the Collins operator over one
-pool of all reducta."""
+root comparison and gap samples on Fraction boxes, a root placed against
+a rational by bisection and by a Fraction sign, the oracle's probes
+drawn and signed on Fractions, and the Collins operator over one pool of
+all reducta."""
 
 from __future__ import annotations
 
@@ -321,9 +322,14 @@ def force_prs_gcds(monkeypatch):
     finest_squarefree_basis and squarefree_decomposition send each pair
     the certificate would have settled to the PRS and divide by the gcd
     exactly, and algnum sends each pair of dense fiber images to the
-    fiber gcd.
+    fiber gcd, unless one image is linear: that pair is decided by one
+    exact Horner sign, not by the certificate.
     """
-    monkeypatch.setattr(polyring, "_coprime_at", lambda vf, vg, xi, r: False)
+    def never(vf, vg, xi, r):
+        return False
+
+    monkeypatch.setattr(polyring, "_coprime_at", never)
+    monkeypatch.setattr(algnum, "_coprime_at", never)
 
 
 def force_gcd_first_signs(monkeypatch):
@@ -349,13 +355,81 @@ def force_exact_fiber_decisions(monkeypatch):
 
     Descartes nodes, split points and bisection signs then all take the
     exact symbolic step, as they did before interval images existed.
-    That holds for the point enclosures of dense images over rational
-    fibers too, which otherwise decide everything.  The enclosures are
-    still taken, because the root bound is read from them.
+    That holds for the dense images over rational fibers too, which
+    otherwise decide everything on integers: their Descartes loop
+    (_image_vca) is swapped for _vca on the image's point enclosure,
+    whose decisions are forced like every other enclosure's.  The
+    enclosures and images are still taken, because the root bound is
+    read from them.
     """
     monkeypatch.setattr(algnum, "_enclosure_variations",
                         lambda enc, a, b, q: None)
     monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, u, v: None)
+
+    def on_point_enclosure(f, var, s, img, a, b, q, out):
+        algnum._vca(f, var, s, algnum._point_enclosure(img), a, b, q, out)
+
+    monkeypatch.setattr(algnum, "_image_vca", on_point_enclosure)
+
+
+def reference_isolated_basis(polys, var: str, s) -> dict:
+    """_isolated_basis at a fiber where every polynomial has a dense
+    image, by the route the integer Descartes loop replaced: the
+    separable basis with each pair tested by the certificate on its own
+    images (_images_coprime), and sent to the exact fiber gcd when that
+    proves nothing; each element isolated by _vca on the point
+    enclosure of its image, from the bound _root_bound_of takes there,
+    a linear image giving its exact root.  Maps each element, sorted,
+    to (roots in increasing order, root bound)."""
+    work = []
+    for p in polys:
+        img = algnum._fiber_image(p, var, s)
+        r = algnum._truncated(p, len(img) - 1)
+        if r.degree(var) < 1:
+            continue
+        if not polyring._images_coprime(
+                img, [i * c for i, c in enumerate(img)][1:]):
+            h = algnum._reduced_gcd(r, r.derivative(var), var, s)
+            if h.degree(var) > 0:
+                r = algnum._fiber_quo(r, h, var, s)
+                img = algnum._fiber_image(r, var, s)
+        work.append((r, img))
+    basis: dict = {}
+    for f, img_f in work:
+        merged: dict = {}
+        for g, img_g in basis.items():
+            if f.degree(var) < 1 or polyring._images_coprime(img_f, img_g):
+                merged[g] = img_g
+                continue
+            h = algnum._reduced_gcd(f, g, var, s)
+            if h.degree(var) < 1:
+                merged[g] = img_g
+                continue
+            for piece in (h, algnum._fiber_quo(g, h, var, s)):
+                if piece.degree(var) >= 1:
+                    merged[piece] = algnum._fiber_image(piece, var, s)
+            f = algnum._fiber_quo(f, h, var, s)
+            img_f = algnum._fiber_image(f, var, s)
+        if f.degree(var) >= 1:
+            merged[f] = img_f
+        basis = merged
+    out = {}
+    for f in sorted(basis):
+        img = basis[f]
+        enc = algnum._point_enclosure(
+            img if f.lead_base_coeff() > 0 else [-c for c in img])
+        bound = algnum._root_bound_of(f, var, s, enc)
+        if len(img) == 2:
+            out[f] = [algnum.RationalCoordinate(Fraction(-img[0], img[1]))], \
+                bound
+            continue
+        g = algnum._strip(f)
+        boxes: list = []
+        algnum._vca(g, var, s, enc, -bound, bound, 1, boxes)
+        out[f] = [algnum.RootOfCoordinate(g, (Fraction(a, q), Fraction(b, q)),
+                                          s.coords, enc)
+                  for a, b, q in boxes], bound
+    return out
 
 
 def shifted_to_unit(f: MultiPoly, var: str, a: Fraction, b: Fraction):
@@ -426,7 +500,7 @@ def _copy_coord(coord, prefix):
         return coord
     twin = algnum.RootOfCoordinate(coord.defining, coord.box(), prefix,
                                    coord.enclosure)
-    twin.isolated = coord.isolated
+    twin._iso = coord._iso
     return twin
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projcad import algnum
+from projcad import algnum, polyring
 from projcad.algnum import (
     RationalCoordinate,
     RootOfCoordinate,
@@ -62,6 +62,7 @@ from helpers import (
     reference_coeff_enclosure,
     reference_compare_coords,
     reference_gap_sample,
+    reference_isolated_basis,
     reference_simplest_in_open,
     reference_split_point,
     reference_subs_rational_cleared,
@@ -960,6 +961,139 @@ def test_dense_variations_match_symbolic():
         assert _enclosure_variations(_point_enclosure(img),
                                      *_int_ends(a, b)) == want
         checked += 1
+
+
+def _poly_in_top(rng, order, d):
+    # degree d in the top variable, each coefficient a random polynomial
+    # in the lower variables, of degree at most 1 in each so that the
+    # fiber gcds stay cheap; the leading one may take either sign
+    top = MultiPoly.var(order, order.names[-1])
+    p = MultiPoly.zero(order)
+    for e in range(d + 1):
+        c = random_poly(rng, order, vars_used=order.names[:-1], max_deg=1,
+                        max_coeff=6, n_terms=2)
+        if e == d and c.is_zero():
+            c = MultiPoly.const(order, rng.choice((-1, 1)) * rng.randint(1, 6))
+        p = p + c * top**e
+    return p
+
+
+def _top_polys(rng, order):
+    # 1-3 polynomials of degree 1-5 in the top variable; some are
+    # products of shared factors of degree 1-2, squares included, so
+    # that pairs share linear and quadratic parts over every fiber
+    atoms = [_poly_in_top(rng, order, rng.randint(1, 2)) for _ in range(3)]
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.3:
+            polys.append(_poly_in_top(rng, order, rng.randint(1, 5)))
+        elif kind < 0.5:
+            polys.append(rng.choice(atoms))
+        else:
+            f, g = rng.choice(atoms), rng.choice(atoms)
+            if f.degree() + g.degree() <= 4:
+                polys.append(f * g)
+    return sorted(set(p for p in polys if not p.is_constant()))
+
+
+def _dense_fiber(rng, n):
+    # rationals, half of them dyadic, with 0 and +-1 among them
+    vals = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.15:
+            vals.append(F(rng.choice((0, 1, -1))))
+        elif r < 0.6:
+            vals.append(F(rng.randint(-64, 64), 2**rng.randint(0, 6)))
+        else:
+            vals.append(F(rng.randint(-9, 9), rng.randint(1, 7)))
+    return SamplePoint(tuple(RationalCoordinate(v) for v in vals))
+
+
+def _isolated_outcome(isolated) -> list:
+    # every element with its roots, as exact rationals or isolation-time
+    # boxes (a, b, q), and its root bound, in the order given
+    out = []
+    for f, (roots, bound) in isolated.items():
+        got = [c.value if isinstance(c, RationalCoordinate)
+               else (c.a, c.b, c.q, c.isolated, c.defining) for c in roots]
+        out.append((f, got, bound))
+    return out
+
+
+def test_integer_fiber_route_matches_reference():
+    # random integer polynomials of degree 1-5 in the top variable over
+    # random rational fibers in one and two lower variables: the basis,
+    # the roots and the bounds are those of the per-pair certificate and
+    # point-enclosure Descartes route
+    rng = random.Random(31337)
+    negative_lc = split = linear = boxed = 0
+    for trial in range(300):
+        order = O2 if trial % 2 == 0 else O3
+        var = order.names[-1]
+        polys = _top_polys(rng, order)
+        if not polys:
+            continue
+        s = _dense_fiber(rng, order.n - 1)
+        got = _isolated_outcome(algnum._isolated_basis(polys, var, s))
+        assert got == _isolated_outcome(
+            reference_isolated_basis(polys, var, s)), (polys, s)
+        imgs = [_fiber_image(p, var, s) for p in polys]
+        negative_lc += any(img and img[-1] < 0 and len(img) > 2
+                           for img in imgs)
+        # a common factor or a square split off some input
+        split += any(f not in polys for f, _, _ in got)
+        for _, roots, _ in got:
+            linear += sum(isinstance(r, Fraction) for r in roots)
+            boxed += sum(isinstance(r, tuple) for r in roots)
+    assert negative_lc >= 100 and split >= 100
+    assert linear >= 150 and boxed >= 400
+
+
+def test_linear_pair_at_dyadic_fiber_skips_the_gcd(monkeypatch):
+    # y and y*x - 1 at a dyadic x from the 8629-cell oracle sweep: the
+    # certificate at xi = 2^k cannot prove the pair coprime, since x's
+    # denominator 2^78 makes both values multiples of xi, but one Horner
+    # sign does, with no fiber gcd
+    x = F(-577515059852874347094673, 302231454903657293676544)
+    s = _rational_fiber(x)
+    pair = [Y2, Y2 * X2 - 1]
+    imgs = [_fiber_image(p, "y", s) for p in pair]
+    assert not polyring._images_coprime(*imgs)
+
+    def no_gcd(*args):
+        raise AssertionError("fiber gcd on a linear pair")
+
+    monkeypatch.setattr(algnum, "_reduced_gcd", no_gcd)
+    got = algnum._isolated_basis(pair, "y", s)
+    assert {f: [c.value for c in roots] for f, (roots, _) in got.items()} \
+        == {Y2: [0], Y2 * X2 - 1: [1 / x]}
+    # a linear pair that shares its root is split by the exact gcd
+    monkeypatch.undo()
+    got = algnum._isolated_basis([Y2, Y2 * (Y2 * X2 - 1)], "y", s)
+    assert sorted(got) == sorted(pair)
+
+
+def test_exact_fiber_decisions_reach_rational_fibers(monkeypatch):
+    # under force_exact_fiber_decisions the Descartes nodes of a dense
+    # image take the exact symbolic step too, and find the same boxes
+    # (y - 1)(4y^2 + 4y - 1) at x = 5/4
+    f = 4 * Y2**3 - 4 * X2 * Y2 + 1
+    s = _rational_fiber(F(5, 4))
+    want = _isolated_outcome(algnum._isolated_basis([f], "y", s))
+    calls = []
+    exact = algnum._sign_variations
+
+    def counting(f, var, s, a, b, q):
+        calls.append(s)
+        return exact(f, var, s, a, b, q)
+
+    force_exact_fiber_decisions(monkeypatch)
+    monkeypatch.setattr(algnum, "_sign_variations", counting)
+    assert _isolated_outcome(algnum._isolated_basis([f], "y", s)) == want
+    assert calls and all(t is s for t in calls)
+    assert len(want[0][1]) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,14 @@ def test_sign_invariance_vacuous():
     assert verify_sign_invariance(cad, []).ok
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sign_invariance_refuses_no_probes(count):
+    # a sweep with no probe would report ok having checked nothing
+    cad = cad_full([X2 * Y2 - 1], O2)
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_sign_invariance(cad, [X2 * Y2 - 1], samples_per_cell=count)
+
+
 def test_cylindricity_circle():
     cad = cad_full([CIRCLE], O2)
     rep = check_cylindricity(cad)

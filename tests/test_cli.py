@@ -567,8 +567,7 @@ def test_output_past_digit_limit_exits_cleanly():
     assert err.endswith("\n") and err.count("\n") == 1
 
 
-# seeds 40-50 without 47, whose 3069-cell Collins CAD takes seconds
-@pytest.mark.parametrize("seed", [s for s in range(40, 51) if s != 47])
+@pytest.mark.parametrize("seed", range(40, 51))
 def test_filtered_signs_match_gcd_first_end_to_end(monkeypatch, seed):
     # the gcd-first route bisects other boxes, and the output, which
     # depends on the input alone, must not move by one byte
