@@ -67,24 +67,22 @@ That gives the polynomial's dense image: a list of integers, a positive
 multiple of the polynomial on the fiber, on which every decision is
 taken, on integers.  A linear image is squarefree outright; any other is
 first tried against its derivative by polyring's coprimality certificate
-(_images_coprime).  For coprimality _fiber_basis fixes one xi per call,
-above the root bound of every image, and evaluates each image there
-once; a pair is then one integer gcd (polyring's _coprime_at), and a
-piece split off an element keeps the element's bound, as in
-polyring.finest_squarefree_basis.  A pair with a linear image is decided
-exactly instead, by one integer Horner of the other image at the linear
-one's root: the certificate cannot prove a pair such as y and y*x - 1 at
-a dyadic x whose denominator is xi or more, as both values at xi are
-then multiples of xi.  Only a pair neither proves goes, alone, to the
-fiber gcd, which is exact and, with every coordinate the pair involves
-rational, refines no box.  _isolate
-reads the root bound straight off the image, gives the root of a linear
-image as an exact rational, and runs Descartes/bisection on the image's
-int list (_image_vca): each node is the sign variations of _to_unit on
-it, each split point a _horner sign.  Each root keeps the image's point
-enclosure (every radius 0), on which its bisection signs are read.  A
-polynomial that first involves an algebraic coordinate but is free of it
-once reduced over the fiber has a dense image too.
+(_images_coprime).  A pair of basis elements is tested by _fiber_basis
+on its images: with a linear image, exactly, by one integer Horner of
+the other image at the linear one's root; otherwise by the certificate,
+one integer gcd of the two values at a point above both images' roots.
+The certificate cannot prove a pair such as y and y*x - 1 at a dyadic x
+whose denominator is that point or more, as both values there are then
+multiples of it, hence the Horner test.  Only a pair neither proves
+goes, alone, to the fiber gcd, which is exact and, with every coordinate
+the pair involves rational, refines no box.  _isolate reads the root
+bound straight off the image, gives the root of a linear image as an
+exact rational, and runs Descartes/bisection on the image's int list
+(_image_vca): each node is the sign variations of _to_unit on it, each
+split point a _horner sign.  Each root keeps the image's point enclosure
+(every radius 0), on which its bisection signs are read.  A polynomial
+that first involves an algebraic coordinate but is free of it once
+reduced over the fiber has a dense image too.
 
 A sign at a sample point first substitutes every point-valued
 coordinate in one pass of integer Horner on the polynomial's nodes.
@@ -132,15 +130,12 @@ from typing import Iterable, Optional
 
 from .polyring import (
     MultiPoly,
-    _cert_radius,
-    _coprime_at,
     _images_coprime,
     _nbox_cleared,
     _nbox_scales,
     _ndegrees,
     _nlevel,
     _npoint_subs,
-    _value_at_pow2,
     poly_gcd,
     pquo,
     prem,
@@ -1050,22 +1045,19 @@ def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
     return _strip(fiber_reduce(_memoized(pquo, f, g, var), var, s))
 
 
-def _proven_coprime(img_f, val_f, img_g, val_g, xi: int, bound: int) -> bool:
+def _proven_coprime(img_f, img_g) -> bool:
     """True when two basis elements are coprime over the fiber, proven
-    from their dense images (None for none) and those images' values at
-    xi (None when the element's roots are not known to lie below bound);
-    False means "not proven".  A pair with a linear image is decided
-    exactly: it shares a root only if the other image vanishes at the
-    linear one's.  Any other pair takes the certificate (polyring's
-    _coprime_at)."""
+    from their dense images (None for none); False means "not proven".
+    A pair with a linear image is decided exactly: it shares a root only
+    if the other image vanishes at the linear one's.  Any other pair
+    takes polyring's coprimality certificate (_images_coprime)."""
     if img_f is None or img_g is None:
         return False
     if len(img_f) == 2:
         return _horner(img_g, -img_f[0], img_f[1]) != 0
     if len(img_g) == 2:
         return _horner(img_f, -img_g[0], img_g[1]) != 0
-    return (val_f is not None and val_g is not None
-            and _coprime_at(val_f, val_g, xi, bound))
+    return _images_coprime(img_f, img_g)
 
 
 def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
@@ -1073,15 +1065,8 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
     there, squarefree and pairwise coprime there, with the same roots.
     A polynomial that is a nonzero constant there, or vanishes
     identically there, has no roots and is set aside.  Maps each element
-    to its dense image (None when it has none).
-
-    Coprimality is tested pairwise (_proven_coprime) with one xi per
-    call, as in polyring.finest_squarefree_basis: xi = 2^shift above the
-    largest Cauchy radius R of the squarefree items' images, each image
-    evaluated there once.  A piece split off an element has its roots
-    among that element's, so it keeps the bound R when the element did:
-    the gcd of a pair when either side did, each quotient when its
-    dividend did.  A pair not proven coprime takes the exact fiber gcd
+    to its dense image (None when it has none).  A pair not proven
+    coprime from its images (_proven_coprime) takes the exact fiber gcd
     alone."""
     order = polys[0].order
     work = []
@@ -1105,44 +1090,28 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
         # repeated roots over this fiber are harmless for the root set,
         # so flatten them here rather than reject the input
         work.append(_squarefree_with_image(r, img, var, s))
-    bound = max((_cert_radius(img) for _, img in work if img is not None),
-                default=1)
-    shift = bound.bit_length() + 32
-    xi = 1 << shift
-
-    def entry(p, bounded):
-        # (image, its value at xi or None) of a basis element
-        img = _fiber_image(p, var, s)
-        if img is None or not bounded:
-            return img, None
-        return img, _value_at_pow2(img, shift)
-
     basis: dict = {}
     for f, img_f in work:
-        val_f = _value_at_pow2(img_f, shift) if img_f is not None else None
         merged: dict = {}
-        for g, (img_g, val_g) in basis.items():
-            if f.degree(var) < 1 or _proven_coprime(img_f, val_f, img_g,
-                                                    val_g, xi, bound):
-                merged[g] = img_g, val_g
+        for g, img_g in basis.items():
+            if f.degree(var) < 1 or _proven_coprime(img_f, img_g):
+                merged[g] = img_g
                 continue
             h = _reduced_gcd(f, g, var, s)
             if h.degree(var) < 1:
-                merged[g] = img_g, val_g
+                merged[g] = img_g
                 continue
             # split off the common part; both quotients stay coprime to
             # it because everything here is squarefree over the fiber
-            for piece, bounded in ((h, val_f is not None or val_g is not None),
-                                   (_fiber_quo(g, h, var, s),
-                                    val_g is not None)):
+            for piece in (h, _fiber_quo(g, h, var, s)):
                 if piece.degree(var) >= 1:
-                    merged[piece] = entry(piece, bounded)
+                    merged[piece] = _fiber_image(piece, var, s)
             f = _fiber_quo(f, h, var, s)
-            img_f, val_f = entry(f, val_f is not None)
+            img_f = _fiber_image(f, var, s)
         if f.degree(var) >= 1:
-            merged[f] = img_f, val_f
+            merged[f] = img_f
         basis = merged
-    return {g: img for g, (img, _) in basis.items()}
+    return basis
 
 
 def _isolated_basis(polys, var: str, s: SamplePoint) -> dict:

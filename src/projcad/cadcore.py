@@ -15,8 +15,8 @@ section polynomials, with each basis element isolated once.  The basis
 is squarefree and pairwise coprime at the fiber, which is what
 delineability asks of a stack (McCallum 1988); algnum proves it on the
 polynomials' integer images at the fiber: each pair by the coprimality
-certificate at one xi per stack, a pair with a linear image by one
-exact Horner sign, and a pair neither proves by the exact fiber gcd.
+certificate on its two images, a pair with a linear image by one exact
+Horner sign, and a pair neither proves by the exact fiber gcd.
 When every section polynomial is a basis element unchanged, so reduced,
 squarefree and coprime to the others there, and has as many roots as
 it owns sections, its roots fill its sections in turn, in the order the

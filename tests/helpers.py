@@ -325,11 +325,7 @@ def force_prs_gcds(monkeypatch):
     fiber gcd, unless one image is linear: that pair is decided by one
     exact Horner sign, not by the certificate.
     """
-    def never(vf, vg, xi, r):
-        return False
-
-    monkeypatch.setattr(polyring, "_coprime_at", never)
-    monkeypatch.setattr(algnum, "_coprime_at", never)
+    monkeypatch.setattr(polyring, "_coprime_at", lambda vf, vg, xi, r: False)
 
 
 def force_gcd_first_signs(monkeypatch):
