@@ -65,24 +65,26 @@ coordinate, the rationals are substituted once, by integer Horner with
 every denominator cleared to one common scale.
 That gives the polynomial's dense image: a list of integers, a positive
 multiple of the polynomial on the fiber, on which every decision is
-taken, on integers.  A linear image is squarefree outright; any other is
-first tried against its derivative by polyring's coprimality certificate
-(_images_coprime).  A pair of basis elements is tested by _fiber_basis
-on its images: with a linear image, exactly, by one integer Horner of
-the other image at the linear one's root; otherwise by the certificate,
-one integer gcd of the two values at a point above both images' roots.
-The certificate cannot prove a pair such as y and y*x - 1 at a dyadic x
-whose denominator is that point or more, as both values there are then
-multiples of it, hence the Horner test.  Only a pair neither proves
-goes, alone, to the fiber gcd, which is exact and, with every coordinate
-the pair involves rational, refines no box.  _isolate reads the root
-bound straight off the image, gives the root of a linear image as an
-exact rational, and runs Descartes/bisection on the image's int list
-(_image_vca): each node is the sign variations of _to_unit on it, each
-split point a _horner sign.  Each root keeps the image's point enclosure
-(every radius 0), on which its bisection signs are read.  A polynomial
-that first involves an algebraic coordinate but is free of it once
-reduced over the fiber has a dense image too.
+taken, on integers.  _fiber_basis asks one question of images, whether
+two polynomials share a root there: of a polynomial and its derivative,
+which tests squarefreeness, and of two basis elements (_proven_coprime).
+A pair with a linear image is decided exactly, by one integer Horner of
+the other image at the linear one's root, so a linear image is
+squarefree outright and a quadratic is signed at its derivative's root;
+any other pair takes polyring's coprimality certificate
+(_images_coprime), one integer gcd of the two values at a point above
+both images' roots.  The certificate cannot prove a pair such as y and
+y*x - 1 at a dyadic x whose denominator is that point or more, as both
+values there are then multiples of it, hence the Horner test.  Only a
+pair neither proves goes, alone, to the fiber gcd, which is exact and,
+with every coordinate the pair involves rational, refines no box.
+_isolate reads the root bound straight off the image, gives the root of
+a linear image as an exact rational, and runs Descartes/bisection on the
+image's int list (_image_vca): each node is the sign variations of
+_to_unit on it, each split point a _horner sign.  Each root keeps the
+image's point enclosure (every radius 0), on which its bisection signs
+are read.  A polynomial that first involves an algebraic coordinate but
+is free of it once reduced over the fiber has a dense image too.
 
 A sign at a sample point first substitutes every point-valued
 coordinate in one pass of integer Horner on the polynomial's nodes.
@@ -1023,32 +1025,18 @@ def _simplest_pos(an: int, ad: int, bn: int, bd: int) -> tuple:
     return h1 * u + h0 * v, k1 * u + k0 * v
 
 
-def _squarefree_with_image(r: MultiPoly, img, var: str, s: SamplePoint):
-    """Squarefree part of r there (r itself when it is squarefree),
-    reduced over the fiber, and its dense image.  r must be reduced over
-    the fiber s and of positive degree in var, so r' is reduced there
-    too; the gcd of r and r' that tests squarefreeness is the
-    divisor."""
-    if img is not None and (len(img) == 2 or _images_coprime(
-            img, [i * c for i, c in enumerate(img)][1:])):
-        return r, img
-    h = _reduced_gcd(r, _memoized(MultiPoly.derivative, r, var), var, s)
-    if h.degree(var) == 0:
-        return r, img
-    r = _fiber_quo(r, h, var, s)
-    return r, _fiber_image(r, var, s)
-
-
-def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str, s: SamplePoint):
+def _fiber_quo(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     # exact over the fiber: the pseudo-remainder vanishes there, and the
-    # pseudo-quotient differs from the true quotient by a nonzero constant
-    return _strip(fiber_reduce(_memoized(pquo, f, g, var), var, s))
+    # pseudo-quotient differs from the true quotient by a nonzero constant.
+    # It needs no reduction: its leading coefficient lc(f) lc(g)^(deg f -
+    # deg g) is nonzero there, as every caller passes f and g reduced
+    return _strip(_memoized(pquo, f, g, var))
 
 
 def _proven_coprime(img_f, img_g) -> bool:
-    """True when two basis elements are coprime over the fiber, proven
-    from their dense images (None for none); False means "not proven".
-    A pair with a linear image is decided exactly: it shares a root only
+    """True when two polynomials are coprime over the fiber, proven from
+    their dense images (None for none); False means "not proven".  A
+    pair with a linear image is decided exactly: it shares a root only
     if the other image vanishes at the linear one's.  Any other pair
     takes polyring's coprimality certificate (_images_coprime)."""
     if img_f is None or img_g is None:
@@ -1065,33 +1053,40 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
     there, squarefree and pairwise coprime there, with the same roots.
     A polynomial that is a nonzero constant there, or vanishes
     identically there, has no roots and is set aside.  Maps each element
-    to its dense image (None when it has none).  A pair not proven
-    coprime from its images (_proven_coprime) takes the exact fiber gcd
-    alone."""
+    to its dense image (None when it has none).  Each polynomial is
+    reduced, flattened and split against the basis so far in one pass.
+    Its squarefreeness is the pair test against its derivative, and each
+    pair is first tried on its images (_proven_coprime); only what that
+    leaves unproven goes, alone, to the exact fiber gcd."""
     order = polys[0].order
-    work = []
+    basis: dict = {}
     for p in polys:
         if p.order != order:
             raise ValueError("mixed variable orders")
         if p.level() != order.level(var):
             raise ValueError(
                 "expected main variable %r, got %r" % (var, p.mvar()))
-        img = _fiber_image(p, var, s)
-        if img is None:
-            r = fiber_reduce(p, var, s)
+        img_f = _fiber_image(p, var, s)
+        if img_f is None:
+            f = fiber_reduce(p, var, s)
         else:
-            r = _truncated(p, len(img) - 1)
-        if r.degree(var) < 1:
+            f = _truncated(p, len(img_f) - 1)
+        if f.degree(var) < 1:
             # a nonzero constant there, or 0: no roots
             continue
-        if img is None:
+        if img_f is None:
             # reduction may have removed every algebraic coordinate
-            img = _fiber_image(r, var, s)
+            img_f = _fiber_image(f, var, s)
         # repeated roots over this fiber are harmless for the root set,
-        # so flatten them here rather than reject the input
-        work.append(_squarefree_with_image(r, img, var, s))
-    basis: dict = {}
-    for f, img_f in work:
+        # so flatten them here rather than reject the input; f' is
+        # reduced there, as f is
+        img_d = img_f and [i * c for i, c in enumerate(img_f)][1:]
+        if not _proven_coprime(img_f, img_d):
+            df = _memoized(MultiPoly.derivative, f, var)
+            h = _reduced_gcd(f, df, var, s)
+            if h.degree(var) >= 1:
+                f = _fiber_quo(f, h, var)
+                img_f = _fiber_image(f, var, s)
         merged: dict = {}
         for g, img_g in basis.items():
             if f.degree(var) < 1 or _proven_coprime(img_f, img_g):
@@ -1103,10 +1098,10 @@ def _fiber_basis(polys, var: str, s: SamplePoint) -> dict:
                 continue
             # split off the common part; both quotients stay coprime to
             # it because everything here is squarefree over the fiber
-            for piece in (h, _fiber_quo(g, h, var, s)):
+            for piece in (h, _fiber_quo(g, h, var)):
                 if piece.degree(var) >= 1:
                     merged[piece] = _fiber_image(piece, var, s)
-            f = _fiber_quo(f, h, var, s)
+            f = _fiber_quo(f, h, var)
             img_f = _fiber_image(f, var, s)
         if f.degree(var) >= 1:
             merged[f] = img_f

@@ -465,7 +465,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         return code
     try:
-        with open(ns.input, "r", encoding="utf-8") as fh:
+        with open(ns.input, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         sys.stderr.write("error: %s\n" % e)

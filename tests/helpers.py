@@ -323,7 +323,9 @@ def force_prs_gcds(monkeypatch):
     the certificate would have settled to the PRS and divide by the gcd
     exactly, and algnum sends each pair of dense fiber images to the
     fiber gcd, unless one image is linear: that pair is decided by one
-    exact Horner sign, not by the certificate.
+    exact Horner sign, not by the certificate.  So is a squarefree test
+    on a linear or quadratic image, whose derivative's image is constant
+    or linear: a quadratic is signed at its derivative's root.
     """
     monkeypatch.setattr(polyring, "_coprime_at", lambda vf, vg, xi, r: False)
 
@@ -387,7 +389,7 @@ def reference_isolated_basis(polys, var: str, s) -> dict:
                 img, [i * c for i, c in enumerate(img)][1:]):
             h = algnum._reduced_gcd(r, r.derivative(var), var, s)
             if h.degree(var) > 0:
-                r = algnum._fiber_quo(r, h, var, s)
+                r = algnum._fiber_quo(r, h, var)
                 img = algnum._fiber_image(r, var, s)
         work.append((r, img))
     basis: dict = {}
@@ -401,10 +403,10 @@ def reference_isolated_basis(polys, var: str, s) -> dict:
             if h.degree(var) < 1:
                 merged[g] = img_g
                 continue
-            for piece in (h, algnum._fiber_quo(g, h, var, s)):
+            for piece in (h, algnum._fiber_quo(g, h, var)):
                 if piece.degree(var) >= 1:
                     merged[piece] = algnum._fiber_image(piece, var, s)
-            f = algnum._fiber_quo(f, h, var, s)
+            f = algnum._fiber_quo(f, h, var)
             img_f = algnum._fiber_image(f, var, s)
         if f.degree(var) >= 1:
             merged[f] = img_f
@@ -752,7 +754,7 @@ def fiber_squarefree_part(f: MultiPoly, var: str, s) -> MultiPoly:
     g = algnum.fiber_gcd(f, f.derivative(var), var, s)
     if g.degree(var) == 0:
         return algnum._strip(f)
-    return algnum._fiber_quo(f, g, var, s)
+    return algnum._fiber_quo(f, g, var)
 
 
 # ---------------------------------------------------------------------------

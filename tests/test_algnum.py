@@ -1075,6 +1075,31 @@ def test_linear_pair_at_dyadic_fiber_skips_the_gcd(monkeypatch):
     assert sorted(got) == sorted(pair)
 
 
+def test_quadratic_squarefree_at_dyadic_fiber_skips_the_gcd(monkeypatch):
+    # y^2*x - 1 at the same dyadic x, positive: the certificate cannot
+    # prove the image coprime to its derivative's, but the derivative's
+    # image is linear, and one Horner sign at its root proves the
+    # quadratic squarefree, with no fiber gcd
+    x = F(577515059852874347094673, 302231454903657293676544)
+    s = _rational_fiber(x)
+    f = Y2**2 * X2 - 1
+    img = _fiber_image(f, "y", s)
+    assert not polyring._images_coprime(
+        img, [i * c for i, c in enumerate(img)][1:])
+
+    def no_gcd(*args):
+        raise AssertionError("fiber gcd on a quadratic's squarefree test")
+
+    monkeypatch.setattr(algnum, "_reduced_gcd", no_gcd)
+    got = algnum._isolated_basis([f], "y", s)
+    assert list(got) == [f]
+    roots, _ = got[f]
+    assert len(roots) == 2
+    for c in roots:
+        lo, hi = c.box()
+        assert lo < hi and (lo * lo * x - 1) * (hi * hi * x - 1) < 0
+
+
 def test_exact_fiber_decisions_reach_rational_fibers(monkeypatch):
     # under force_exact_fiber_decisions the Descartes nodes of a dense
     # image take the exact symbolic step too, and find the same boxes

@@ -117,6 +117,19 @@ def test_main_rejects_non_utf8_input(tmp_path, capsys):
     assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
 
 
+def test_main_reads_input_with_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark before the header prints the same bytes
+    outs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        prob = tmp_path / "circle.prob"
+        prob.write_bytes(mark + CIRCLE.encode())
+        assert main(["compute", "--input", str(prob)]) == 0
+        cap = capsys.readouterr()
+        assert cap.err == ""
+        outs.append(cap.out)
+    assert outs[0] == outs[1] and outs[0]
+
+
 def _parsed_or_rejected(text):
     try:
         order, polys = parse_input(text)
@@ -634,6 +647,16 @@ def test_mccallum_and_collins_agree_at_located_cells():
     assert compared >= 240
 
 
+def _golden_and_seed_runs():
+    # (text, config) of the golden problems, and of seeds 0-39 without
+    # 17, which does not finish in seconds, under both operators
+    runs = [(GOLDEN_EXTRA[nm][0], RunConfig()) if nm in GOLDEN_EXTRA
+            else _EXAMPLES[nm][:2] for nm in sorted(GOLDEN_JSON)]
+    return runs + [(_random_problem(seed), RunConfig(method=method))
+                   for seed in range(40) if seed != 17
+                   for method in ("mccallum", "collins")]
+
+
 def _rendered(text, cfg):
     order, polys = parse_input(text)
     cad = cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
@@ -645,12 +668,7 @@ def test_output_depends_on_the_input_alone(monkeypatch):
     # boxes are bisected, and the JSON, text and piecewise output must
     # not move by one byte: the golden problems, and seeds 0-39 without
     # 17, which does not finish in seconds, under both operators
-    runs = [(GOLDEN_EXTRA[nm][0], RunConfig()) if nm in GOLDEN_EXTRA
-            else _EXAMPLES[nm][:2] for nm in sorted(GOLDEN_JSON)]
-    runs += [(_random_problem(seed), RunConfig(method=method))
-             for seed in range(40) if seed != 17
-             for method in ("mccallum", "collins")]
-    for text, cfg in runs:
+    for text, cfg in _golden_and_seed_runs():
         want = _rendered(text, cfg)
         with monkeypatch.context() as m:
             private_copies(m)
@@ -699,18 +717,47 @@ def test_reduced_gcd_matches_fiber_gcd(monkeypatch):
         return got
 
     monkeypatch.setattr(algnum, "_reduced_gcd", checking)
-    runs = [(GOLDEN_EXTRA[nm][0], RunConfig()) if nm in GOLDEN_EXTRA
-            else _EXAMPLES[nm][:2] for nm in sorted(GOLDEN_JSON)]
-    runs += [(_random_problem(seed), RunConfig(method=method))
-             for seed in range(40) if seed != 17
-             for method in ("mccallum", "collins")]
-    for text, cfg in runs:
+    for text, cfg in _golden_and_seed_runs():
         order, polys = parse_input(text)
         cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
-    # 1380 pairs, 563 over algebraic fibers and 589 with a common factor
+    # 1362 pairs, 561 over algebraic fibers and 571 with a common factor
     assert len(checked) >= 1000 and all(c[0] for c in checked)
     assert sum(c[1] for c in checked) >= 400
     assert sum(c[2] for c in checked) >= 400
+
+
+def test_fiber_quotients_are_reduced(monkeypatch):
+    # _fiber_quo takes no fiber and reduces nothing: its operands come
+    # reduced over the fiber, so the quotient's leading coefficient
+    # lc(f) lc(g)^(deg f - deg g) is nonzero there.  Checked on every
+    # quotient of the golden problems and of seeds 0-39 without 17 under
+    # both operators, each build followed by a 1-sample oracle sweep
+    fiber_basis, fiber_quo = algnum._fiber_basis, algnum._fiber_quo
+    fibers, checked = [], []
+
+    def recording(polys, var, s):
+        fibers.append(s)
+        try:
+            return fiber_basis(polys, var, s)
+        finally:
+            fibers.pop()
+
+    def checking(f, g, var):
+        q = fiber_quo(f, g, var)
+        s = fibers[-1]
+        assert sign_at(q.coefficient(var, q.degree(var)), s) != 0, (f, g, s)
+        checked.append(any(c.point_value() is None for c in s.coords))
+        return q
+
+    monkeypatch.setattr(algnum, "_fiber_basis", recording)
+    monkeypatch.setattr(algnum, "_fiber_quo", checking)
+    for text, cfg in _golden_and_seed_runs():
+        order, polys = parse_input(text)
+        cad = cad_full(polys, order, cfg.method, final_oi=cfg.final_oi)
+        assert verify_sign_invariance(cad, polys, samples_per_cell=1,
+                                      seed=0).ok
+    # 611 quotients, 210 of them over algebraic fibers
+    assert len(checked) >= 500 and sum(checked) >= 150
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
