@@ -92,9 +92,12 @@ What is left is read off the current boxes: interval Horner on integers
 over the isolating intervals as they stand, with no refinement.  Every
 box contains its coordinate, so an enclosure that excludes 0 gives the
 exact sign (the validated-numerics filter of Strzebonski, JSC 41,
-2006).  Only an enclosure containing 0 goes to the
-exact zero test, a fiber-local gcd with the coordinate's defining
-polynomial: the defining polynomial may well be reducible (bases are
+2006).  An enclosure containing 0 first takes the one exact decision
+known before any work: an integer multiple of the defining polynomial
+of the top remaining coordinate, a root signed over its own prefix, is
+0 there (a PRS remainder that equals the section's owner, say).
+Anything else goes to the exact zero test, a fiber-local gcd with the
+coordinate's defining polynomial, which may well be reducible (bases are
 only squarefree, not irreducible), so a shared root is detected by a
 sign change of that gcd across the isolating interval rather than by
 divisibility.  A value the gcd shows to be nonzero is signed by interval
@@ -298,12 +301,20 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     at one common scale, which leaves a positive multiple of q with the
     other coordinates symbolic.  That is evaluated over their current
     boxes by integer interval Horner; when the enclosure excludes 0 its
-    sign is the answer, and nothing is refined.  Otherwise the zero
-    decision goes through a fiber gcd with the defining polynomial of the
-    top remaining algebraic coordinate, whose signs at the ends of that
-    coordinate's box are each one sign_at at the lower coordinates
-    extended by the end (_fiber_sign), and a nonzero value is signed by
-    interval evaluation under refinement.
+    sign is the answer, and nothing is refined.
+
+    Otherwise, with coord the top remaining algebraic coordinate, at
+    level j, the sign is 0 when q is an integer times coord's defining
+    polynomial: j is q's own level, coord's prefix is the point's lower
+    coordinates and _strip(q) equals the defining polynomial.  _strip
+    drops q's integer content and sign; the prefix guard keeps the rule
+    off a root placed over a fiber other than its own, where its
+    defining polynomial need not vanish.  Nothing is refined then.  Any
+    other zero decision goes through a fiber gcd with coord's defining
+    polynomial, whose signs at the ends of coord's box are each one
+    sign_at at the lower coordinates extended by the end (_fiber_sign),
+    and a nonzero value is signed by interval evaluation under
+    refinement.
     """
     node = q.node
     if isinstance(node, int):
@@ -313,7 +324,8 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
         name = next(v for v in q.variables() if q.order.level(v) > k)
         raise ValueError("variable %r is not fixed by the sample point"
                          % (name,))
-    node = _npoint_subs(node, [c.point_value() for c in s.coords[:node[0]]])
+    node = _npoint_subs(node, [c.point_value() for c in s.coords[:node[0]]],
+                        q._shape())
     if isinstance(node, int):
         return _sgn(node)
     r = MultiPoly(q.order, node)
@@ -322,6 +334,9 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
         return sg
     j = node[0]
     coord = s.coords[j - 1]
+    if (j == q.node[0] and coord.prefix == s.coords[:j - 1]
+            and _strip(q) == coord.defining):
+        return 0
     var = r.mvar()
     pref = s.prefix(j - 1)
     g = fiber_gcd(r, coord.defining, var, pref)
@@ -594,8 +609,7 @@ def _fiber_image(p: MultiPoly, var: str, s: SamplePoint) -> Optional[list]:
             for c in s.coords[:lvl - 1]]
     if None in vals:
         # only the levels p involves need a point value
-        for name in p.variables():
-            j = order.level(name)
+        for j in p._shape():
             if j < lvl and vals[j - 1] is None:
                 return None
     img = p.cleared_coeffs(var, vals)

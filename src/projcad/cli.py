@@ -216,26 +216,32 @@ def _poly_str(p, strs: dict) -> str:
     return out
 
 
-def _coord_json(coord, strs: dict):
+def _coord_json(coord, strs: dict) -> str:
     if isinstance(coord, RationalCoordinate):
-        return {"rational": str(coord.value)}
-    return {"rootOf": _poly_str(coord.defining, strs),
-            "interval": [str(v) for v in coord.isolated]}
+        return json.dumps({"rational": str(coord.value)})
+    return json.dumps({"rootOf": _poly_str(coord.defining, strs),
+                       "interval": [str(v) for v in coord.isolated]})
 
 
-def _cell_json(cell, strs: dict):
-    return {
-        "index": list(cell.index),
-        "dimension": cell.dimension(),
-        "sample": [_coord_json(c, strs) for c in cell.sample.coords],
-    }
-
-
-def _coord_text(coord, strs: dict):
+def _coord_text(coord, strs: dict) -> str:
     if isinstance(coord, RationalCoordinate):
         return str(coord.value)
     return "root of %s in (%s, %s)" % (
         _poly_str(coord.defining, strs), *coord.isolated)
+
+
+def _sample_strs(cell, render, pieces: dict, strs: dict) -> list:
+    """render(coord, strs) for each coordinate of the cell's sample,
+    rendered once per dict pieces: many cells share a coordinate.  The
+    dict is keyed by id, cheap to hash where a Fraction is not, and
+    lives no longer than the cells that hold the coordinates."""
+    out = []
+    for coord in cell.sample.coords:
+        piece = pieces.get(id(coord))
+        if piece is None:
+            piece = pieces[id(coord)] = render(coord, strs)
+        out.append(piece)
+    return out
 
 
 def _root_expr(ref, var: str) -> str:
@@ -313,6 +319,7 @@ def render_output(cad: CAD, fmt: str) -> str:
     if fmt == "count":
         return "%d\n" % len(cad.cells)
     strs: dict = {}
+    pieces: dict = {}
     if fmt == "json":
         head = json.dumps({
             "variables": list(cad.order.names),
@@ -324,15 +331,19 @@ def render_output(cad: CAD, fmt: str) -> str:
                 for idx, p in cad.warnings
             ],
         })
-        cells = ",\n".join(json.dumps(_cell_json(c, strs))
-                           for c in cad.cells)
+        # json.dumps of {"index": ..., "dimension": ..., "sample": ...},
+        # with each coordinate's object dumped once
+        cells = ",\n".join(
+            '{"index": [%s], "dimension": %d, "sample": [%s]}' % (
+                ", ".join(map(str, c.index)), c.dimension(),
+                ", ".join(_sample_strs(c, _coord_json, pieces, strs)))
+            for c in cad.cells)
         return '%s, "cells": [\n%s\n]}\n' % (head[:-1], cells)
     if fmt == "text":
         lines = []
         for c in cad.cells:
             idx = ",".join(str(k) for k in c.index)
-            sample = ", ".join(_coord_text(co, strs)
-                               for co in c.sample.coords)
+            sample = ", ".join(_sample_strs(c, _coord_text, pieces, strs))
             lines.append("%s | %d | %s" % (idx, c.dimension(), sample))
         return "\n".join(lines) + "\n"
     if fmt == "piecewise":

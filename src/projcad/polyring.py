@@ -101,7 +101,10 @@ Evaluation at rational points is integer Horner on nodes at one common
 scale: each level's denominator raised to the polynomial's degree in
 that level (_nscales).  _ncleared evaluates at a point, and
 _npoint_subs substitutes the levels that have a value in one pass and
-leaves the others symbolic; algnum.sign_at signs through it.
+leaves the others symbolic; algnum.sign_at signs through it.  The
+degrees come from the polynomial's shape, _ndegrees of its node, which
+a MultiPoly walks once and keeps, as it keeps its hash: degree below
+the main variable, variables and cleared_coeffs read it too.
 MultiPoly.evaluate, exact on Fractions, is kept as the reference the
 tests and the benchmark's own checks compare against.  _nbox_cleared
 encloses a node's values over boxes the same way: each box [lo, hi]
@@ -305,18 +308,6 @@ def _npow(a, k: int):
     return out
 
 
-def _ndeg(node, level: int) -> int:
-    """Degree in the variable at `level`; 0 for constants (including 0)."""
-    if isinstance(node, int):
-        return 0
-    nl = node[0]
-    if nl < level:
-        return 0
-    if nl == level:
-        return node[1][0][0]
-    return max(_ndeg(c, level) for _, c in node[1])
-
-
 def _ncoeffs_in(node, level: int) -> dict:
     """Coefficients of the variable at `level`: {exponent: node}."""
     if isinstance(node, int) or node[0] < level:
@@ -461,15 +452,17 @@ def _nsubs_cleared(node, values, degs: dict, scale: list, pt: int,
     return acc
 
 
-def _npoint_subs(node, values):
+def _npoint_subs(node, values, degs=None):
     """The node with every level l whose value values[l - 1] is not None
     substituted, times the positive integer product of den(values[l - 1])
     raised to the node's degree at l over those levels: one pass of
     integer Horner for the point levels, with the others left symbolic.
-    values covers every level up to the node's own."""
+    values covers every level up to the node's own; degs is the node's
+    _ndegrees, walked here when not given."""
     if isinstance(node, int):
         return node
-    degs = _ndegrees(node)
+    if degs is None:
+        degs = _ndegrees(node)
     pt = sym = node[0] + 1
     for lvl in degs:
         if values[lvl - 1] is None:
@@ -557,8 +550,10 @@ def _nbox_scales(degs: dict, box, top: int):
 class MultiPoly:
     """An immutable multivariate polynomial over the integers."""
 
-    # _key caches sort_key and _hash the hash, each set on first use
-    __slots__ = ("order", "node", "_key", "_hash")
+    # each set on first use, as the node never changes: _key caches
+    # sort_key, _hash the hash, _degs the shape _ndegrees(node), which
+    # callers only read, and _bits height_bits()
+    __slots__ = ("order", "node", "_key", "_hash", "_degs", "_bits")
 
     def __init__(self, order: VarOrder, node):
         self.order = order
@@ -609,11 +604,29 @@ class MultiPoly:
         return self.order.name(lvl)
 
     def degree(self, var: str | None = None) -> int:
-        """Degree in `var` (default: the main variable).  deg(0) is 0 here."""
-        lvl = self.level() if var is None else self.order.level(var)
-        if lvl == 0:
+        """Degree in `var` (default: the main variable).  deg(0) is 0 here.
+
+        The main variable and the levels above it are read off the node;
+        a fresh polynomial asked only those pays for no walk.  A lower
+        level is read off the cached shape."""
+        node = self.node
+        if var is None:
+            return 0 if isinstance(node, int) else node[1][0][0]
+        lvl = self.order.level(var)
+        if isinstance(node, int) or lvl > node[0]:
             return 0
-        return _ndeg(self.node, lvl)
+        if lvl == node[0]:
+            return node[1][0][0]
+        return self._shape().get(lvl, 0)
+
+    def _shape(self) -> dict:
+        """_ndegrees(node): {level: degree} for every level the polynomial
+        involves, walked once.  Shared by every caller: read it only."""
+        try:
+            return self._degs
+        except AttributeError:
+            self._degs = degs = _ndegrees(self.node)
+            return degs
 
     def total_degree(self) -> int:
         def go(node):
@@ -624,17 +637,7 @@ class MultiPoly:
         return go(self.node)
 
     def variables(self) -> tuple[str, ...]:
-        present: set[int] = set()
-
-        def go(node):
-            if isinstance(node, int):
-                return
-            present.add(node[0])
-            for _, c in node[1]:
-                go(c)
-
-        go(self.node)
-        return tuple(self.order.name(l) for l in sorted(present))
+        return tuple(self.order.name(l) for l in sorted(self._shape()))
 
     def coeff_terms(self, var: str | None = None) -> list[tuple[int, "MultiPoly"]]:
         """Nonzero (exponent, coefficient) pairs in `var`, descending."""
@@ -668,12 +671,18 @@ class MultiPoly:
 
     def height_bits(self) -> int:
         """Bit length of the largest absolute base coefficient."""
+        try:
+            return self._bits
+        except AttributeError:
+            pass
+
         def go(node):
             if isinstance(node, int):
                 return abs(node).bit_length()
             return max(go(c) for _, c in node[1])
 
-        return go(self.node)
+        self._bits = bits = go(self.node)
+        return bits
 
     def reductum(self) -> "MultiPoly":
         """Strip the leading term in the main variable."""
@@ -819,7 +828,7 @@ class MultiPoly:
         if _nlevel(node) > lvl:
             raise ValueError("polynomial involves variables above %r" % var)
         terms = node[1] if _nlevel(node) == lvl else ((0, node),)
-        degs = _ndegrees(node)
+        degs = self._shape()
         scale = _nscales(degs, values, lvl - 1)
         out = [0] * (terms[0][0] + 1)
         for e, c in terms:

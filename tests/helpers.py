@@ -684,6 +684,11 @@ def _reference_sign_at(q: MultiPoly, s) -> int:
         return sg
     j = r.level()
     coord = s.coords[j - 1]
+    if (j == q.level() and coord.prefix == s.coords[:j - 1]
+            and algnum._strip(q) == coord.defining):
+        # sign_at's zero rule: q is an integer times its top root's
+        # defining polynomial, over that root's own fiber
+        return 0
     var = r.mvar()
     pref = s.prefix(j - 1)
     g = algnum.fiber_gcd(r, coord.defining, var, pref)

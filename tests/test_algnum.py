@@ -500,6 +500,67 @@ def test_sign_at_matches_sequential_substitution(monkeypatch):
     assert {-1, 0, 1} <= set(signs)
 
 
+def test_own_defining_zero_takes_no_fiber_gcd(monkeypatch):
+    # an integer multiple of a root's defining polynomial is 0 at the
+    # root over its own prefix: roots at levels 1 and 2, over a rational
+    # and an algebraic x, signed at their own points and at a point
+    # above; no fiber gcd runs and no box moves
+    x, y = MultiPoly.var(O3, "x"), MultiPoly.var(O3, "y")
+    alpha = _sqrt2_coord(O3)
+    rat = SamplePoint((RationalCoordinate(F(1, 3)),))
+    alg = SamplePoint((alpha,))
+    roots = [(alpha, alg)]
+    for base, f in ((rat, y**2 - x - 1), (alg, y**2 - x)):
+        for beta in _irrational_roots([f], base):
+            roots.append((beta, base.extend(beta)))
+    assert len(roots) == 5
+    cases = []
+    for root, s in roots:
+        above = MultiPoly.var(O3, O3.name(len(s) + 1))**2 - 2
+        cases += [(root, s), (root, s.extend(_irrational_roots([above], s)[0]))]
+    def forbidden(*args):
+        raise AssertionError("fiber_gcd called")
+
+    monkeypatch.setattr(algnum, "fiber_gcd", forbidden)
+    for root, s in cases:
+        boxes = [_int_box(c) for c in s.coords]
+        for c in (-3, 1, 2):
+            assert sign_at(c * root.defining, s) == 0
+        assert [_int_box(c) for c in s.coords] == boxes
+
+
+def test_root_over_another_prefix_takes_the_gcd_path(monkeypatch):
+    # y^2 - x is not 0 at a root of it placed over a fiber other than
+    # its own: sqrt(2) placed over x = 3, and 2^(1/4) over x = -sqrt(2).
+    # The box filter is made to answer "undecided", so the zero rule is
+    # asked and must send both to the fiber gcd
+    x, y = MultiPoly.var(O2, "x"), MultiPoly.var(O2, "y")
+    f = y**2 - x
+    two = SamplePoint((RationalCoordinate(F(2)),))
+    # the gcd path reads y^2 - x over the point's own x, so beta's box
+    # must leave out sqrt(3), the root of y^2 - 3
+    beta = refine(_irrational_roots([f], two)[-1], F(1, 8))
+    alpha_lo, alpha_hi = _irrational_roots([x**2 - 2], SamplePoint(()))
+    gamma = _irrational_roots([f], SamplePoint((alpha_hi,)))[-1]
+    moved = [(SamplePoint((RationalCoordinate(F(3)), beta)), -1),
+             (SamplePoint((alpha_lo, gamma)), 1)]
+    gcd, calls = algnum.fiber_gcd, []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(algnum, "fiber_gcd", counting_gcd)
+    force_gcd_first_signs(monkeypatch)
+    for s, want in moved:
+        assert s.coords[1].prefix != s.coords[:1]
+        for c in (-3, 1, 2):
+            del calls[:]
+            assert sign_at(c * f, s) == want * (1 if c > 0 else -1)
+            assert calls
+    assert _strip(-3 * f) == beta.defining == gamma.defining
+
+
 # ---------------------------------------------------------------------------
 # fiber-local tools
 

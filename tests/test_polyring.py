@@ -257,6 +257,60 @@ def test_monomials_come_in_display_order():
                                reverse=True)
 
 
+def _walk_degree(node, level):
+    if isinstance(node, int) or node[0] < level:
+        return 0
+    if node[0] == level:
+        return node[1][0][0]
+    return max(_walk_degree(c, level) for _, c in node[1])
+
+
+def _walk_levels(node, out):
+    if not isinstance(node, int):
+        out.add(node[0])
+        for _, c in node[1]:
+            _walk_levels(c, out)
+    return out
+
+
+def _walk_bits(node):
+    if isinstance(node, int):
+        return abs(node).bit_length()
+    return max(_walk_bits(c) for _, c in node[1])
+
+
+def test_cached_shape_matches_fresh_walks():
+    # degree, variables and height_bits read a shape kept on the
+    # polynomial; on the first call, and on a repeat call made after
+    # every other polynomial has filled its own and the kernels that
+    # read the shape have run, they equal fresh walks
+    order = VarOrder(["w", "x", "y", "z"])
+    rng = random.Random(90210)
+    point = [Fraction(-3, 2), Fraction(2), Fraction(5, 7), Fraction(-1)]
+    cases = []
+    for _ in range(1000):
+        names = tuple(nm for nm in order.names if rng.random() < 0.7)
+        p = random_poly(rng, order, vars_used=names, max_deg=4,
+                        max_coeff=rng.choice((9, 2**70)), n_terms=5)
+        want = ([_walk_degree(p.node, lvl) for lvl in range(1, 5)],
+                tuple(order.name(lvl) for lvl
+                      in sorted(_walk_levels(p.node, set()))),
+                _walk_bits(p.node))
+        cases.append((p, want))
+    for rep in range(2):
+        for p, want in cases:
+            got = ([p.degree(v) for v in order.names], p.variables(),
+                   p.height_bits())
+            assert got == want, (p, rep)
+            assert p.degree() == (want[0][p.level() - 1] if p.level()
+                                  else 0)
+            assert p._shape() == polyring._ndegrees(p.node)
+        for p, _ in cases:
+            p.cleared_coeffs(order.name(max(p.level(), 1)), point)
+            _npoint_subs(p.node, point, p._shape())
+    assert len({want[1] for _, want in cases}) >= 12
+
+
 def test_exact_division():
     x, y = xy()
     f = (x + y) * (x - y) * (2 * x + 3)
