@@ -111,8 +111,7 @@ Each real root is one RootOfCoordinate, shared by every sample point
 over it; refinement shrinks its box in place, which moves no decision
 and nothing printed: the output shows the interval isolation found from
 a root bound fixed by the polynomial and the fiber (_root_bound_of, or
-_image_root_bound on a dense image), built as Fractions only when first
-read.
+_image_root_bound on a dense image), built as Fractions only when read.
 Every comparison of a root is made here.  A root is placed against a
 rational by its box alone when the rational lies outside it, and else
 by one sign of its defining polynomial, with no box narrowed
@@ -197,7 +196,7 @@ class RootOfCoordinate:
     `prefix` holds the lower coordinates the defining polynomial's
     coefficients are evaluated over.  `isolated` is the interval
     isolation found, as a pair of Fractions, which the output prints; it
-    is built on first read from that box, kept as the triple `_iso`.
+    is built on each read from that box, kept as the triple `_iso`.
     The working box [a/q, b/q] starts there and shrinks in place, for
     every sample point sharing the root.  It is stored as the integers
     a, b and q, q > 0 and reduced by gcd(a, b, q); isolation and
@@ -220,7 +219,7 @@ class RootOfCoordinate:
     """
 
     __slots__ = ("defining", "a", "b", "q", "prefix", "enclosure",
-                 "_sign_lo", "_iso", "_isolated")
+                 "_sign_lo", "_iso")
 
     def __init__(self, defining: MultiPoly, interval: tuple, prefix=(),
                  enclosure: Optional[tuple] = None):
@@ -246,17 +245,14 @@ class RootOfCoordinate:
         self.defining = defining
         self.a, self.b, self.q = a, b, q
         self._iso = (a, b, q)
-        self._isolated = None
         self.prefix = tuple(prefix)
         self.enclosure = enclosure
         self._sign_lo = None
 
     @property
     def isolated(self) -> tuple:
-        if self._isolated is None:
-            a, b, q = self._iso
-            self._isolated = (Fraction(a, q), Fraction(b, q))
-        return self._isolated
+        a, b, q = self._iso
+        return (Fraction(a, q), Fraction(b, q))
 
     def point_value(self) -> Optional[Fraction]:
         return Fraction(self.a, self.q) if self.a == self.b else None
@@ -304,17 +300,17 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
     sign is the answer, and nothing is refined.
 
     Otherwise, with coord the top remaining algebraic coordinate, at
-    level j, the sign is 0 when q is an integer times coord's defining
-    polynomial: j is q's own level, coord's prefix is the point's lower
-    coordinates and _strip(q) equals the defining polynomial.  _strip
-    drops q's integer content and sign; the prefix guard keeps the rule
-    off a root placed over a fiber other than its own, where its
-    defining polynomial need not vanish.  Nothing is refined then.  Any
-    other zero decision goes through a fiber gcd with coord's defining
-    polynomial, whose signs at the ends of coord's box are each one
-    sign_at at the lower coordinates extended by the end (_fiber_sign),
-    and a nonzero value is signed by interval evaluation under
-    refinement.
+    level j, coord's prefix must be the point's lower coordinates: a
+    root placed over a fiber other than its own raises ValueError, as
+    its defining polynomial, read over the point's fiber, need not
+    vanish at it.  The sign is 0 when q is an integer times coord's
+    defining polynomial: j is q's own level and _strip(q), which drops
+    q's integer content and sign, equals the defining polynomial.
+    Nothing is refined then.  Any other zero decision goes through a
+    fiber gcd with coord's defining polynomial, whose signs at the ends
+    of coord's box are each one sign_at at the lower coordinates
+    extended by the end (_fiber_sign), and a nonzero value is signed by
+    interval evaluation under refinement.
     """
     node = q.node
     if isinstance(node, int):
@@ -334,8 +330,10 @@ def sign_at(q: MultiPoly, s: SamplePoint) -> int:
         return sg
     j = node[0]
     coord = s.coords[j - 1]
-    if (j == q.node[0] and coord.prefix == s.coords[:j - 1]
-            and _strip(q) == coord.defining):
+    if coord.prefix != s.coords[:j - 1]:
+        raise ValueError("the root %r lies over a fiber other than the "
+                         "point's lower coordinates" % (coord,))
+    if j == q.node[0] and _strip(q) == coord.defining:
         return 0
     var = r.mvar()
     pref = s.prefix(j - 1)
@@ -444,11 +442,10 @@ def _root_side(coord: RootOfCoordinate, u: int, v: int) -> int:
 
 
 def _bisect_once(coord: RootOfCoordinate):
-    """One bisection step: the box keeps the half on the root's side of
-    its midpoint (a + b)/(2q), and collapses to it on an exact hit."""
+    """One bisection step on a proper box (a < b): the box keeps the
+    half on the root's side of its midpoint (a + b)/(2q), and collapses
+    to it on an exact hit."""
     a, b, q = coord.a, coord.b, coord.q
-    if a == b:
-        return
     m, q2 = a + b, 2 * q
     side = _root_side(coord, m, q2)
     # [a, m] for a root below m, [m, b] above it, and m itself at it
@@ -769,8 +766,6 @@ def _sign_variations(f: MultiPoly, var: str, s: SamplePoint,
         c[e] = ce
     signs = []
     for ce in reversed(_to_unit(c, q, a, b - a)):
-        if ce.is_zero():
-            continue
         sc = sign_at(ce, s)
         if sc:
             signs.append(sc)

@@ -67,8 +67,8 @@ F(xi)/H(xi) and G(xi)/H(xi).  The result is accepted only when
 With c = gcd(cf, cg) of the integer contents of f and g, the result is
 h = c H, f/h = (cf/c) A and g/h = (cg/c) B: h is exactly poly_gcd's.
 
-A refused point is retried once at 2^(2s); after that the pair takes
-poly_gcd and exact division.  Every proof goes through _coprime_at.
+A refused point sends the pair to poly_gcd and exact division.  Every
+proof goes through _coprime_at.
 poly_gcd itself keeps the certificate and the PRS: the gcds it is asked
 for inside contents of multivariate PRS remainders can have degree in
 the hundreds and share a factor of nearly that degree, where the PRS
@@ -998,14 +998,14 @@ def _npdiv(f, g, want_quo: bool):
     multiplies the rest by lc(g) and subtracts t * x^k * g without its
     leading term, by shifting exponents.  Steps whose leading term is
     already 0 are skipped, and their powers of lc(g) are applied once at
-    the end.
+    the end.  A monic g takes the same steps: skipping its products by
+    lc(g) = 1 measured within noise.
     """
     lvl, gterms = g
     if _nlevel(f) < lvl or f[1][0][0] < gterms[0][0]:
         return 0, f
     dg, lcg = gterms[0]
     rest = [(e - dg, _nneg(c)) for e, c in gterms[1:]]
-    unit = lcg == 1
     df = f[1][0][0]
     r = _ndense(f)
     quo = [0] * (df - dg + 1) if want_quo else None
@@ -1015,20 +1015,18 @@ def _npdiv(f, g, want_quo: bool):
         if _nis_zero(t):
             continue
         lazy -= 1
-        if not unit:
-            for i in range(d):
-                if not _nis_zero(r[i]):
-                    r[i] = _nmul(r[i], lcg)
-            if want_quo:
-                for i in range(d - dg + 1, len(quo)):
-                    if not _nis_zero(quo[i]):
-                        quo[i] = _nmul(quo[i], lcg)
+        for i in range(d):
+            if not _nis_zero(r[i]):
+                r[i] = _nmul(r[i], lcg)
         if want_quo:
+            for i in range(d - dg + 1, len(quo)):
+                if not _nis_zero(quo[i]):
+                    quo[i] = _nmul(quo[i], lcg)
             quo[d - dg] = t
         for e, c in rest:
             k = e + d
             r[k] = _nadd(r[k], _nmul(t, c))
-    if lazy and not unit:
+    if lazy:
         m = _npow(lcg, lazy)
         r = [_nmul(c, m) for c in r[:dg]]
         if want_quo:
@@ -1077,8 +1075,6 @@ def pquo(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
 
 def _int_poly_gcd(c: int, g: MultiPoly) -> MultiPoly:
-    if c == 0:
-        return g.sign_normalized()
     return MultiPoly.const(g.order, math.gcd(abs(c), g.int_content()))
 
 
@@ -1197,8 +1193,7 @@ def _nheuristic_gcd(f, g):
         G = [c // cg for c in G]
     radius = max(_cert_radius(F), _cert_radius(G))
     shift = (2 * max(map(abs, F + G)) + 2).bit_length() + 32
-    out = (_heuristic_gcd_at(F, G, shift, radius)
-           or _heuristic_gcd_at(F, G, 2 * shift, radius))
+    out = _heuristic_gcd_at(F, G, shift, radius)
     if out is None:
         return None
     H, A, B = out
@@ -1319,9 +1314,7 @@ def squarefree_decomposition(f: MultiPoly) -> list[tuple[MultiPoly, int]]:
     # needed
     if dp.level() < p.level() or _nodes_coprime(p.node, dp.node):
         return [(p, 1)]
-    g, c, y = _gcd_cofactors(p, dp)
-    if g.is_constant():
-        return [(p, 1)]
+    _, c, y = _gcd_cofactors(p, dp)
     out: list[tuple[MultiPoly, int]] = []
     i = 1
     while c.degree(var) > 0:

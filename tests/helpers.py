@@ -684,10 +684,12 @@ def _reference_sign_at(q: MultiPoly, s) -> int:
         return sg
     j = r.level()
     coord = s.coords[j - 1]
-    if (j == q.level() and coord.prefix == s.coords[:j - 1]
-            and algnum._strip(q) == coord.defining):
+    if coord.prefix != s.coords[:j - 1]:
+        raise ValueError("the root %r lies over a fiber other than the "
+                         "point's lower coordinates" % (coord,))
+    if j == q.level() and algnum._strip(q) == coord.defining:
         # sign_at's zero rule: q is an integer times its top root's
-        # defining polynomial, over that root's own fiber
+        # defining polynomial
         return 0
     var = r.mvar()
     pref = s.prefix(j - 1)

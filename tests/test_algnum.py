@@ -529,35 +529,33 @@ def test_own_defining_zero_takes_no_fiber_gcd(monkeypatch):
         assert [_int_box(c) for c in s.coords] == boxes
 
 
-def test_root_over_another_prefix_takes_the_gcd_path(monkeypatch):
-    # y^2 - x is not 0 at a root of it placed over a fiber other than
-    # its own: sqrt(2) placed over x = 3, and 2^(1/4) over x = -sqrt(2).
-    # The box filter is made to answer "undecided", so the zero rule is
-    # asked and must send both to the fiber gcd
+def test_root_over_another_prefix_raises(monkeypatch):
+    # a root placed over a fiber other than its own: sqrt(2), a root of
+    # y^2 - x over x = 2, placed over x = 3, and 2^(1/4) over x =
+    # -sqrt(2).  y^2 - x over the point's own x has sqrt(3) in sqrt(2)'s
+    # box, so a fiber gcd there would answer 0 where the value is -1.
+    # Once the box filter leaves the sign undecided, sign_at raises and
+    # runs no fiber gcd
     x, y = MultiPoly.var(O2, "x"), MultiPoly.var(O2, "y")
     f = y**2 - x
-    two = SamplePoint((RationalCoordinate(F(2)),))
-    # the gcd path reads y^2 - x over the point's own x, so beta's box
-    # must leave out sqrt(3), the root of y^2 - 3
-    beta = refine(_irrational_roots([f], two)[-1], F(1, 8))
+    beta = _irrational_roots([f], SamplePoint((RationalCoordinate(F(2)),)))[-1]
     alpha_lo, alpha_hi = _irrational_roots([x**2 - 2], SamplePoint(()))
     gamma = _irrational_roots([f], SamplePoint((alpha_hi,)))[-1]
-    moved = [(SamplePoint((RationalCoordinate(F(3)), beta)), -1),
-             (SamplePoint((alpha_lo, gamma)), 1)]
-    gcd, calls = algnum.fiber_gcd, []
+    moved = [SamplePoint((RationalCoordinate(F(3)), beta)),
+             SamplePoint((alpha_lo, gamma))]
+    def forbidden(*args):
+        raise AssertionError("fiber_gcd called")
 
-    def counting_gcd(*args):
-        calls.append(args)
-        return gcd(*args)
-
-    monkeypatch.setattr(algnum, "fiber_gcd", counting_gcd)
+    monkeypatch.setattr(algnum, "fiber_gcd", forbidden)
+    assert beta.box() == (1, 2)
+    with pytest.raises(ValueError, match="other than"):
+        sign_at(f, moved[0])
     force_gcd_first_signs(monkeypatch)
-    for s, want in moved:
+    for s in moved:
         assert s.coords[1].prefix != s.coords[:1]
         for c in (-3, 1, 2):
-            del calls[:]
-            assert sign_at(c * f, s) == want * (1 if c > 0 else -1)
-            assert calls
+            with pytest.raises(ValueError, match="other than"):
+                sign_at(c * f, s)
     assert _strip(-3 * f) == beta.defining == gamma.defining
 
 

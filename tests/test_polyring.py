@@ -355,7 +355,7 @@ def test_division_kernels_match_reference(names):
     rng = random.Random(2013 + len(names))
     var = names[-1]
     counts = {"exact": 0, "inexact": 0, "zero_rem": 0, "short": 0,
-              "sparse_exact": 0, "sparse_inexact": 0}
+              "sparse_exact": 0, "sparse_inexact": 0, "monic": 0}
     for _ in range(120):
         g = random_nonconstant(rng, O3, vars_used=names, max_deg=2,
                                n_terms=3)
@@ -382,6 +382,13 @@ def test_division_kernels_match_reference(names):
             assert got == _division_outcome(reference_exact_div, f, g)
             counts["inexact" if got is InexactDivisionError else "exact"] += 1
         assert exact_div(a * g, g) == a
+        # the same dividends over g with its leading coefficient set to 1
+        gm = g + (1 - g.lc(var)) * MultiPoly.var(O3, var) ** g.degree(var)
+        for f in fs + [a * gm]:
+            q, r = pseudo_division(f, gm, var)
+            assert (q, r) == reference_pseudo_division(f, gm, var)
+            assert prem(f, gm, var) == r
+        counts["monic"] += 1
         # divisors below f's level and integer divisors
         if not lower.is_zero():
             assert exact_div(a * lower, lower) == a
@@ -414,6 +421,7 @@ def test_division_kernels_match_reference(names):
                 == _division_outcome(reference_exact_div, a * gx + lower, gx))
         assert exact_div(a * gx, gx) == a
     assert min(counts.values()) >= 10, counts
+    assert counts["monic"] >= 100, counts
 
 
 def test_pseudo_division_outside_main_variable_raises():
@@ -611,12 +619,22 @@ def test_squarefree_decomposition_matches_division_yun(names, max_deg):
     # division-based Yun loop, also with every gcd on the PRS; the degrees
     # are kept low where the multivariate PRS would take seconds
     rng = random.Random(2718 + len(names))
-    repeated = 0
+    inputs = []
     for _ in range(30):
         a, b, c = (random_nonconstant(rng, O3, vars_used=names,
                                       max_deg=max_deg, n_terms=2)
                    for _ in range(3))
-        f = a * b**2 * c**3
+        inputs.append(a * b**2 * c**3)
+    if names == ("x", "y"):
+        # p and p' coprime, with lc(p) zero at x = _cert_point(1) = 1710,
+        # where the certificate cannot prove them coprime, so the pair
+        # goes to _gcd_cofactors; also squared
+        assert polyring._cert_point(1) == 1710
+        x, y = MultiPoly.var(O3, "x"), MultiPoly.var(O3, "y")
+        p = (x - 1710) * y**2 + y + 1
+        inputs += [p, (x - 1710) * y**3 + 3 * y + x, p**2 * (y - x)]
+    repeated = 0
+    for f in inputs:
         parts = squarefree_decomposition(f)
         assert parts == reference_squarefree_decomposition(f)
         with pytest.MonkeyPatch.context() as mp:
@@ -627,10 +645,11 @@ def test_squarefree_decomposition_matches_division_yun(names, max_deg):
     assert repeated >= 20
 
 
-def test_heuristic_gcd_retries_at_doubled_point():
+def test_heuristic_gcd_refused_point_falls_back_to_prs():
     # A and B are coprime, but A(2^60) and B(2^60) share a prime factor
-    # above 2^60, so the first point is refused and the second proves
-    # the gcd x + 1
+    # above 2^60, so the heuristic refuses its point; the doubled point
+    # would prove the gcd x + 1, but it is not tried, and the pair takes
+    # poly_gcd and exact division instead, with the same result
     A = [3501512, -9088383, 15789165]
     B = [65809609, 56776649, 21600657]
     F = [3501512, -5586871, 6700782, 15789165]
@@ -648,9 +667,14 @@ def test_heuristic_gcd_retries_at_doubled_point():
     assert polyring._heuristic_gcd_at(F, G, shift, radius) is None
     assert polyring._heuristic_gcd_at(F, G, 2 * shift, radius) == ([1, 1],
                                                                    A, B)
-    h, fq, gq = polyring._gcd_cofactors(f, g)
+    assert polyring._nheuristic_gcd(f.node, g.node) is None
+    gcds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "poly_gcd",
+                   lambda *args: gcds.append(args) or poly_gcd(*args))
+        h, fq, gq = polyring._gcd_cofactors(f, g)
+    assert gcds[0] == (f, g)
     assert (h, fq, gq) == (x + 1, _from_dense(A), _from_dense(B))
-    assert polyring._nheuristic_gcd(f.node, g.node) is not None
     assert h == prs_gcd(f, g)
 
 
