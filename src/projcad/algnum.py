@@ -45,7 +45,10 @@ sign, reduction, root or box.  No memo outlives its run, so one run
 never starts from another's state.
 
 Root isolation over a fiber is Descartes/bisection (Collins and Akritas,
-SYMSAC 1976) on the polynomial's interval image (Collins, Johnson and
+SYMSAC 1976) in one loop, _descartes, whose boxes wait on an explicit
+stack, so no isolation depth meets Python's recursion limit; it ends
+because the polynomial is squarefree over the fiber.  It decides on
+the polynomial's interval image (Collins, Johnson and
 Krandick, JSC 34, 2002): its coefficients in the main variable enclosed
 over the fiber's boxes, scaled to integer endpoints.  Each Descartes
 node on (a/q, b/q) runs the integer scale by q, a Taylor shift by a,
@@ -80,7 +83,7 @@ pair neither proves goes, alone, to the fiber gcd, which is exact and,
 with every coordinate the pair involves rational, refines no box.
 _isolate reads the root bound straight off the image, gives the root of
 a linear image as an exact rational, and runs Descartes/bisection on the
-image's int list (_image_vca): each node is the sign variations of
+image's int list (_descartes): each node is the sign variations of
 _to_unit on it, each split point a _horner sign.  Each root keeps the
 image's point enclosure (every radius 0), on which its bisection signs
 are read.  A polynomial that first involves an algebraic coordinate but
@@ -236,7 +239,7 @@ class RootOfCoordinate:
     def _of(cls, defining: MultiPoly, a: int, b: int, q: int, prefix,
             enclosure) -> "RootOfCoordinate":
         """The root in the box [a/q, b/q]: a <= b, q > 0 and the triple
-        reduced by gcd(a, b, q), as _vca emits it."""
+        reduced by gcd(a, b, q), as _descartes emits it."""
         root = cls.__new__(cls)
         root._init(defining, a, b, q, prefix, enclosure)
         return root
@@ -801,44 +804,26 @@ def _split_point(nonzero, degree: int, a: int, b: int, q: int) -> tuple:
         t += 1
 
 
-def _nonroot_split(f, var, s, a, b, q, enc=None) -> tuple:
-    return _split_point(
-        lambda u, v: _fiber_sign(f, s.coords, enc, u, v) != 0,
-        f.degree(var), a, b, q)
-
-
-def _vca(f, var, s, enc, a, b, q, out):
-    # Descartes/bisection on (a/q, b/q)
-    v = _enclosure_variations(enc, a, b, q)
-    if v is None:
-        v = _sign_variations(f, var, s, a, b, q)
-    if v == 0:
-        return
-    if v == 1:
-        out.append((a, b, q))
-        return
-    m, mq = _nonroot_split(f, var, s, a, b, q, enc)
-    k = mq // q
-    _vca(f, var, s, enc, *_reduced(a * k, m, mq), out)
-    _vca(f, var, s, enc, *_reduced(m, b * k, mq), out)
-
-
-def _image_vca(f, var, s, img, a, b, q, out):
-    # Descartes/bisection on (a/q, b/q) for a dense image img of f at the
-    # fiber s, on integers: each node counts the sign variations of the
-    # transformed image, each split point is signed by Horner.  f, var
-    # and s only ride along, for a route that decides on f instead
-    v = _changes([c > 0 for c in _to_unit(img, q, a, b - a) if c])
-    if v == 0:
-        return
-    if v == 1:
-        out.append((a, b, q))
-        return
-    m, mq = _split_point(lambda u, w: _horner(img, u, w) != 0,
-                         len(img) - 1, a, b, q)
-    k = mq // q
-    _image_vca(f, var, s, img, *_reduced(a * k, m, mq), out)
-    _image_vca(f, var, s, img, *_reduced(m, b * k, mq), out)
+def _descartes(count, nonzero, degree: int, a: int, b: int, q: int, out):
+    """Descartes/bisection on (a/q, b/q): append to out an isolating box
+    (a, b, q) for each real root there, in increasing order.  count(a,
+    b, q) is the node, the sign variations of the polynomial on the box
+    (0: no root, 1: one), and a box counting more is split where
+    nonzero holds (_split_point).  The boxes wait on an explicit stack,
+    left half on top, so no depth meets the recursion limit; the loop
+    ends for a polynomial squarefree on (a/q, b/q), as a box narrow
+    enough counts at most 1."""
+    todo = [(a, b, q)]
+    while todo:
+        a, b, q = todo.pop()
+        v = count(a, b, q)
+        if v == 1:
+            out.append((a, b, q))
+        elif v:
+            m, mq = _split_point(nonzero, degree, a, b, q)
+            k = mq // q
+            todo.append(_reduced(m, b * k, mq))
+            todo.append(_reduced(a * k, m, mq))
 
 
 def _point_enclosure(img) -> tuple:
@@ -859,13 +844,14 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
     reduced over the fiber (its leading coefficient nonzero at s),
     squarefree at s and of positive degree there.  img is f's dense
     image at s, or None.  With img, B is read off it, a linear f gives
-    its exact rational root, and Descartes/bisection (_image_vca) runs
-    on it, on integers.  Without one every decision is taken on the
-    interval image of _strip(f) over the boxes, once they have been
-    shrunk until its leading coefficient's excludes 0: B is taken on it
-    once (_root_bound_of), and _vca searches (-B, B).  Each root keeps
-    the enclosure its bisection signs are read on: that interval image,
-    or the point enclosure of img.
+    its exact rational root, and _descartes runs on it, on integers.
+    Without one every decision is taken on the interval image of
+    _strip(f) over the boxes, once they have been shrunk until its
+    leading coefficient's excludes 0: B is taken on it once
+    (_root_bound_of), and _descartes searches (-B, B), each node or
+    split sign the enclosure leaves undecided taking its exact step.
+    Each root keeps the enclosure its bisection signs are read on: that
+    interval image, or the point enclosure of img.
     """
     boxes = []
     if img is None:
@@ -873,7 +859,14 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
         _interval_sign(MultiPoly(f.order, f.node[1][0][1]), s)
         enc = _coeff_enclosure(f.node, s.coords)
         B = _root_bound_of(f, var, s, enc)
-        _vca(f, var, s, enc, -B, B, 1, boxes)
+
+        def count(a, b, q):
+            v = _enclosure_variations(enc, a, b, q)
+            return _sign_variations(f, var, s, a, b, q) if v is None else v
+
+        _descartes(count,
+                   lambda u, v: _fiber_sign(f, s.coords, enc, u, v) != 0,
+                   f.degree(var), -B, B, 1, boxes)
     else:
         B = _image_root_bound(img)
         if len(img) == 2:
@@ -883,7 +876,11 @@ def _isolate(f: MultiPoly, var: str, img, s: SamplePoint):
         if f.lead_base_coeff() < 0:
             img = [-c for c in img]
         f = _strip(f)
-        _image_vca(f, var, s, img, -B, B, 1, boxes)
+        _descartes(
+            lambda a, b, q: _changes(
+                [c > 0 for c in _to_unit(img, q, a, b - a) if c]),
+            lambda u, v: _horner(img, u, v) != 0,
+            len(img) - 1, -B, B, 1, boxes)
         enc = _point_enclosure(img)
     return [RootOfCoordinate._of(f, a, b, q, s.coords, enc)
             for a, b, q in boxes], B

@@ -354,20 +354,22 @@ def force_exact_fiber_decisions(monkeypatch):
     Descartes nodes, split points and bisection signs then all take the
     exact symbolic step, as they did before interval images existed.
     That holds for the dense images over rational fibers too, which
-    otherwise decide everything on integers: their Descartes loop
-    (_image_vca) is swapped for _vca on the image's point enclosure,
-    whose decisions are forced like every other enclosure's.  The
+    otherwise decide everything on integers: _isolate is handed no
+    image for a non-linear one, so its roots take the interval route,
+    over the rational boxes, whose decisions are forced like every
+    other enclosure's.  A linear image still gives its exact root.  The
     enclosures and images are still taken, because the root bound is
     read from them.
     """
     monkeypatch.setattr(algnum, "_enclosure_variations",
                         lambda enc, a, b, q: None)
     monkeypatch.setattr(algnum, "_enclosure_sign", lambda enc, u, v: None)
+    isolate = algnum._isolate
 
-    def on_point_enclosure(f, var, s, img, a, b, q, out):
-        algnum._vca(f, var, s, algnum._point_enclosure(img), a, b, q, out)
+    def without_image(f, var, img, s):
+        return isolate(f, var, img if img and len(img) == 2 else None, s)
 
-    monkeypatch.setattr(algnum, "_image_vca", on_point_enclosure)
+    monkeypatch.setattr(algnum, "_isolate", without_image)
 
 
 def reference_isolated_basis(polys, var: str, s) -> dict:
@@ -375,10 +377,10 @@ def reference_isolated_basis(polys, var: str, s) -> dict:
     image, by the route the integer Descartes loop replaced: the
     separable basis with each pair tested by the certificate on its own
     images (_images_coprime), and sent to the exact fiber gcd when that
-    proves nothing; each element isolated by _vca on the point
-    enclosure of its image, from the bound _root_bound_of takes there,
-    a linear image giving its exact root.  Maps each element, sorted,
-    to (roots in increasing order, root bound)."""
+    proves nothing; each element isolated by _descartes deciding on the
+    point enclosure of its image, from the bound _root_bound_of takes
+    there, a linear image giving its exact root.  Maps each element,
+    sorted, to (roots in increasing order, root bound)."""
     work = []
     for p in polys:
         img = algnum._fiber_image(p, var, s)
@@ -423,7 +425,10 @@ def reference_isolated_basis(polys, var: str, s) -> dict:
             continue
         g = algnum._strip(f)
         boxes: list = []
-        algnum._vca(g, var, s, enc, -bound, bound, 1, boxes)
+        algnum._descartes(
+            lambda a, b, q: algnum._enclosure_variations(enc, a, b, q),
+            lambda u, v: algnum._enclosure_sign(enc, u, v) != 0,
+            g.degree(var), -bound, bound, 1, boxes)
         out[f] = [algnum.RootOfCoordinate(g, (Fraction(a, q), Fraction(b, q)),
                                           s.coords, enc)
                   for a, b, q in boxes], bound

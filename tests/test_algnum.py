@@ -24,11 +24,11 @@ from projcad.algnum import (
     _enclosure_sign,
     _enclosure_variations,
     _fiber_image,
+    _fiber_sign,
     _gap_sample,
     _int_box,
     _interval_sign,
     _isolate,
-    _nonroot_split,
     _point_enclosure,
     _root_bound_of,
     _root_side,
@@ -127,6 +127,45 @@ def test_isolate_cubic():
     assert ivs[0][1] <= ivs[1][0] and ivs[1][1] <= ivs[2][0]
 
 
+def test_isolate_roots_deeper_than_the_recursion_limit():
+    # 1 + 2^-990 and 1 + 2^-989: some 990 bisection levels below the
+    # root bound before a box holds one root alone
+    k = 2**990
+    f = (k * X - k - 1) * (k * X - k - 2)
+    ivs = isolate_real_roots(f)
+    assert len(ivs) == 2 and ivs[0][1] <= ivs[1][0]
+    for (lo, hi), root in zip(ivs, (1 + F(1, k), 1 + F(2, k))):
+        assert lo < root < hi
+        assert f.evaluate({"x": lo}) * f.evaluate({"x": hi}) < 0
+
+
+def test_isolate_products_of_close_dyadic_roots():
+    # seeded products of distinct factors 2^k x - a_i, some a_i adjacent
+    # so that their roots lie 2^-k apart: each interval holds exactly one
+    # root a_i/2^k, and the intervals come out in increasing order
+    rng = random.Random(2002)
+    deep = 0
+    for _ in range(24):
+        k, n = rng.randint(1, 1200), rng.randint(2, 5)
+        a = set()
+        while len(a) < n:
+            c = rng.randint(-2**k, 2**k)
+            a.add(c)
+            if len(a) < n and rng.random() < 0.5:
+                a.add(c + 1)
+        roots = sorted(F(c, 2**k) for c in a)
+        f = MultiPoly.const(O1, 1)
+        for c in a:
+            f = f * (2**k * X - c)
+        ivs = isolate_real_roots(f)
+        assert len(ivs) == len(roots)
+        for (lo, hi), root in zip(ivs, roots):
+            assert [r for r in roots if lo < r < hi] == [root]
+        deep += k > 990 and min(
+            b - a for a, b in zip(roots, roots[1:])) == F(1, 2**k)
+    assert deep >= 3
+
+
 def test_isolate_no_real_roots():
     assert isolate_real_roots(X**2 + 1) == []
     assert isolate_real_roots(MultiPoly.const(O1, 5)) == []
@@ -209,6 +248,16 @@ def test_isolate_random_against_sampling():
                     signs.add(v > 0)
             assert len(signs) <= 1
         checked += 1
+
+
+def test_sections_deeper_than_the_recursion_limit():
+    # the interval route: the roots x + 2^-990 and x + 2^-989 over
+    # x = sqrt(2), where no fiber value is rational
+    k = 2**990
+    f = (k * Y2 - k * X2 - 1) * (k * Y2 - k * X2 - 2)
+    sections, samples, _ = roots_over_cell([f],
+                                           SamplePoint((_sqrt2_coord(O2),)))
+    assert len(sections) == 2 and len(samples) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -783,19 +832,23 @@ def test_fiber_image_matches_fraction_reference(seed, case):
 def test_split_search_is_bounded():
     # y*x vanishes identically over x = 0: no candidate can be a
     # non-root, and the search must say so instead of looping
+    s0 = _rational_fiber(0)
+
+    def nonzero(f, enc=None):
+        return lambda u, v: _fiber_sign(f, s0.coords, enc, u, v) != 0
+
     with pytest.raises(ArithmeticError, match=r"\(0, 1\)"):
-        _nonroot_split(X2 * Y2, "y", _rational_fiber(0), 0, 1, 1)
+        _split_point(nonzero(X2 * Y2), 1, 0, 1, 1)
     # the same when every candidate is signed on a point enclosure,
     # with no exact step: here the zero polynomial's
-    s0 = _rational_fiber(0)
     with pytest.raises(ArithmeticError, match="vanishes"):
-        _nonroot_split(X2 * Y2**2, "y", s0, -2, 2, 1,
-                       _point_enclosure([0, 0, 0]))
+        _split_point(nonzero(X2 * Y2**2, _point_enclosure([0, 0, 0])), 2,
+                     -2, 2, 1)
     # a nonzero image finds a split among its first deg + 1 candidates
     # even when the early ones are roots: (y - 1/2)(y - 1/4) on (0, 1)
     f = 8 * Y2**2 - 6 * Y2 + 1
-    assert _nonroot_split(f, "y", s0, 0, 1, 1,
-                          _point_enclosure([1, -6, 8])) == (3, 4)
+    assert _split_point(nonzero(f, _point_enclosure([1, -6, 8])), 2,
+                        0, 1, 1) == (3, 4)
 
 
 def _bound_and_enclosure(g, var, s):
@@ -1160,8 +1213,9 @@ def test_quadratic_squarefree_at_dyadic_fiber_skips_the_gcd(monkeypatch):
 
 
 def test_exact_fiber_decisions_reach_rational_fibers(monkeypatch):
-    # under force_exact_fiber_decisions the Descartes nodes of a dense
-    # image take the exact symbolic step too, and find the same boxes
+    # under force_exact_fiber_decisions a polynomial with a non-linear
+    # dense image is isolated on the interval route, its Descartes nodes
+    # take the exact symbolic step, and they find the same boxes
     # (y - 1)(4y^2 + 4y - 1) at x = 5/4
     f = 4 * Y2**3 - 4 * X2 * Y2 + 1
     s = _rational_fiber(F(5, 4))

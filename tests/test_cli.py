@@ -175,6 +175,13 @@ def test_count_long_coefficients(nines):
     assert (out, err, code) == ("5\n", "", 0)
 
 
+def test_count_roots_closer_than_the_recursion_limit():
+    # the roots 1 + 2^-990 and 1 + 2^-989 are isolated some 990
+    # bisection levels below the root bound
+    text = "vars: x\n(2^990*x - 2^990 - 1)*(2^990*x - 2^990 - 2)\n"
+    assert run_compute(RunConfig(output="count"), text) == ("5\n", "", 0)
+
+
 def test_count_final_oi():
     out, _, code = run_compute(RunConfig(final_oi=True, output="count"),
                                SADDLE)
