@@ -161,9 +161,9 @@ __all__ = [
     "sign_at",
 ]
 
-# bisection steps allowed in a refinement loop: separating two roots that
-# should be distinct, or shrinking boxes until an enclosure of a value
-# that should be nonzero excludes 0
+# the floor of _separation_budget, the bisection steps allowed in a loop
+# that separates two roots that should be distinct, or shrinks boxes
+# until an enclosure of a value that should be nonzero excludes 0
 _MAX_SEPARATION_STEPS = 512
 
 
@@ -386,14 +386,14 @@ def _interval_sign(r: MultiPoly, s: SamplePoint) -> int:
     # value known nonzero: shrink boxes until the evaluation excludes 0
     order = r.order
     coords = [s.coords[order.level(v) - 1] for v in r.variables()]
-    for _ in range(_MAX_SEPARATION_STEPS):
+    for steps, _ in enumerate(_separation_budget(*coords, poly=r)):
+        if steps and not _bisect_all(coords):
+            raise ArithmeticError("exact zero reached in nonzero sign path")
         sg = _box_sign(r, s)
         if sg is not None:
             return sg
-        if not _bisect_all(coords):
-            raise ArithmeticError("exact zero reached in nonzero sign path")
     raise ArithmeticError("sign of %s not decided after %d bisection steps"
-                          % (r, _MAX_SEPARATION_STEPS))
+                          % (r, steps))
 
 
 def _bisect_all(coords) -> bool:
@@ -909,9 +909,9 @@ def isolate_real_roots(f: MultiPoly):
 # merged roots of several polynomials over one cell
 
 
-def _separation_budget(c1, c2):
-    """One item per look at the boxes of two coordinates: the first at
-    the boxes as they stand, then one per bisection step allowed.
+def _separation_budget(*coords, poly=None):
+    """One item per look at the boxes of the coordinates in a loop that
+    narrows them: the first as they stand, then one per bisection step.
 
     Distinct roots of an integer polynomial of degree d whose
     coefficients have b bits lie about 2^-(d b) apart or more (Mahler,
@@ -919,11 +919,16 @@ def _separation_budget(c1, c2):
     the fixed floor: d sums the degrees over Q the coordinates can have
     (the product of the defining degrees down their prefixes) and b the
     largest coefficient bit lengths among those defining polynomials.
-    The budget is only worked out once a bisection is needed.
+    A polynomial poly whose nonzero value there is to be signed adds its
+    total degree to d and its bit length to b, as that value is a root
+    of an integer polynomial that grows with both.  The budget is only
+    worked out once a bisection is needed.
     """
     yield
     d = b = 0
-    for c in (c1, c2):
+    if poly is not None:
+        d, b = poly.total_degree(), poly.height_bits()
+    for c in coords:
         if isinstance(c, RationalCoordinate):
             v = c.value
             d += 1

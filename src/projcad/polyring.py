@@ -36,7 +36,7 @@ F(xi) and G(xi), and F(xi) != 0 because xi > R.  Hence H(xi) divides
 their gcd, which is then at least xi - R, against step 4.
 
 The certificate only ever answers "proven coprime" or "not proven"; an
-unproven pair takes the exact primitive PRS, so no result depends on it.
+unproven pair takes the exact subresultant PRS, so no result hangs on it.
 poly_gcd, squarefree_decomposition (a primitive p against p') and
 algnum's dense fiber images (_images_coprime) run it on fresh images.
 finest_squarefree_basis fixes one xi per call and keeps each element's
@@ -69,11 +69,11 @@ h = c H, f/h = (cf/c) A and g/h = (cg/c) B: h is exactly poly_gcd's.
 
 A refused point sends the pair to poly_gcd and exact division.  Every
 proof goes through _coprime_at.
-poly_gcd itself keeps the certificate and the PRS: the gcds it is asked
-for inside contents of multivariate PRS remainders can have degree in
-the hundreds and share a factor of nearly that degree, where the PRS
-ends in a few steps and one integer gcd of values hundreds of
-thousands of bits long costs far more.
+
+poly_gcd reads any gcd the certificate leaves off _subresultant_prs, the
+one sequence the psc chains also read: the gcd of two primitive parts is
+the primitive part of their last subresultant (Collins, JACM 14, 1967).
+One content is taken at its end, not one at every step.
 
 Node arithmetic has flat kernels for level-1 nodes, whose coefficients
 are all ints: a product of two is one convolution into a dict of ints
@@ -1070,6 +1070,34 @@ def pquo(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     return pseudo_division(f, g, var)[0]
 
 
+def _subresultant_prs(f: MultiPoly, g: MultiPoly, var: str) -> tuple:
+    """(psc_m, {j: S_j}) for deg f = n >= deg g = m >= 1 in var: psc_m
+    is lc(g)^(n-m), or 1 when n == m, and S_j each subresultant the PRS
+    reaches with Lazard's division-controlled steps (Ducos, JPAA 145,
+    2000); the least j is the last one's, and none is reached when
+    prem(f, g) is 0."""
+    n, m = f.degree(var), g.degree(var)
+    sub: dict[int, MultiPoly] = {}
+    psc_top = g.lc(var) ** (n - m) if n > m else MultiPoly.one(f.order)
+    r = prem(f, g, var)
+    b = r if (n - m + 1) % 2 == 0 else -r
+    a, s = g, psc_top
+    while not b.is_zero():
+        d, e = a.degree(var), b.degree(var)
+        sub[d - 1] = b
+        delta = d - e
+        if delta > 1:
+            c = sub[e] = exact_div(b * b.lc(var) ** (delta - 1),
+                                   s ** (delta - 1))
+        else:
+            c = b
+        if e == 0:
+            break
+        nxt = exact_div(prem(a, -b, var), s**delta * a.lc(var))
+        a, b, s = c, nxt, c.lc(var)
+    return psc_top, sub
+
+
 # ---------------------------------------------------------------------------
 # gcd, content, squarefree machinery
 
@@ -1204,7 +1232,7 @@ def _nheuristic_gcd(f, g):
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Sign-normalized gcd over the integers (primitive PRS).
+    """Sign-normalized gcd over the integers.
 
     When f and g share their main variable x, the coprimality
     certificate of the module docstring runs first: one integer gcd of
@@ -1212,8 +1240,10 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     deg_x gcd(f, g) == 0 makes the result exactly gcd(content(f),
     content(g)).  Otherwise (both leading coefficients vanish at the
     fixed point, the pair shares a factor, or the point is unlucky) the
-    primitive PRS runs: the certificate only ever proves coprimality.
-    The heuristic gcd runs only in _gcd_cofactors (module docstring).
+    result is c * pp(S_j), c the gcd of the contents and S_j the last
+    subresultant of the primitive parts (module docstring): c when S_j
+    is free of x, c times the lower-degree primitive part when there is
+    none.  The heuristic gcd runs only in _gcd_cofactors.
     """
     if f.order != g.order:
         raise ValueError("mixed variable orders")
@@ -1242,14 +1272,13 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     c = poly_gcd(cf, cg)
     if pf.degree(var) < pg.degree(var):
         pf, pg = pg, pf
-    while True:
-        r = prem(pf, pg, var)
-        if r.is_zero():
-            break
-        if r.level() < lf:
-            # a nonzero remainder free of x: the primitive parts are coprime
+    sub = _subresultant_prs(pf, pg, var)[1]
+    if sub:
+        last = sub[min(sub)]
+        if last.level() < lf:
+            # S_j is free of x: the primitive parts are coprime
             return c
-        pf, pg = pg, primitive_part(r)
+        pg = primitive_part(last)
     return (c * pg.sign_normalized()).sign_normalized()
 
 

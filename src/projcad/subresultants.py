@@ -1,10 +1,11 @@
 """Resultants, discriminants and principal subresultant coefficients.
 
-All of them come from a subresultant polynomial remainder sequence with
-Lazard's division-controlled updates.  The independent determinant route
-(Sylvester-style minors by fraction-free Bareiss elimination) lives in
-the test suite as the reference, and both must agree exactly, signs
-included.
+All of them come from one subresultant polynomial remainder sequence
+with Lazard's division-controlled updates, polyring._subresultant_prs,
+built beside prem and exact_div, and poly_gcd reads its gcds off it.
+The independent determinant route (Sylvester-style minors by
+fraction-free Bareiss elimination) lives in the test suite as the
+reference, and both must agree exactly, signs included.
 
 Conventions.  For f of degree n and g of degree m in the variable v, the
 j-th principal subresultant coefficient psc_j(f, g) is the determinant of
@@ -16,7 +17,7 @@ v^(n+m-j-1) ... v^j.  psc_0 is the Sylvester resultant.  The empty matrix
 
 from __future__ import annotations
 
-from .polyring import MultiPoly, exact_div, prem
+from .polyring import MultiPoly, _subresultant_prs, exact_div
 
 __all__ = [
     "discriminant",
@@ -38,61 +39,23 @@ def _check_pair(f: MultiPoly, g: MultiPoly, var: str) -> tuple[int, int]:
 
 
 def psc_chain(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
-    """psc_0..psc_min(n,m) via the subresultant PRS."""
+    """psc_0..psc_min(n,m), read off the subresultant PRS: psc_j is the
+    coefficient of v^j in S_j, 0 where the sequence skips j."""
     n, m = _check_pair(f, g, var)
     if m == 0:
         return [g**n]
     if n == 0:
         return [f**m]
-    if n < m:
-        rev = _psc_chain_desc(g, f, var)
-        return [
-            p if ((n - j) * (m - j)) % 2 == 0 else -p
-            for j, p in enumerate(rev)
-        ]
-    return _psc_chain_desc(f, g, var)
-
-
-def _psc_chain_desc(f: MultiPoly, g: MultiPoly, var: str) -> list[MultiPoly]:
-    """Chain for deg f >= deg g >= 1 in var."""
-    order = f.order
-    n, m = f.degree(var), g.degree(var)
-    one = MultiPoly.one(order)
-    zero = MultiPoly.zero(order)
-    sub: dict[int, MultiPoly] = {}
-
-    # psc_m: lc(g)^(n-m) for n > m, empty determinant 1 for n == m
-    psc_top = g.lc(var) ** (n - m) if n > m else one
-
-    r = prem(f, g, var)
-    if (n - m + 1) % 2 == 0:
-        b = r
-    else:
-        b = -r
-    a = g
-    s = psc_top
-    while not b.is_zero():
-        d, e = a.degree(var), b.degree(var)
-        sub[d - 1] = b
-        delta = d - e
-        if delta > 1:
-            c = exact_div(b * b.lc(var) ** (delta - 1), s ** (delta - 1))
-            sub[e] = c
-        else:
-            c = b
-        if e == 0:
-            break
-        nxt = exact_div(prem(a, -b, var), s**delta * a.lc(var))
-        a, b, s = c, nxt, c.lc(var)
-
-    out: list[MultiPoly] = []
-    for j in range(m):
-        sj = sub.get(j)
-        if sj is None or sj.degree(var) < j:
-            out.append(zero)
-        else:
-            out.append(sj.coefficient(var, j))
-    out.append(psc_top)
+    flip = n < m
+    if flip:
+        f, g = g, f
+    psc_top, sub = _subresultant_prs(f, g, var)
+    zero = MultiPoly.zero(f.order)
+    out = [sub[j].coefficient(var, j) if j in sub else zero
+           for j in range(min(n, m))] + [psc_top]
+    if flip:
+        # psc_j(f, g) = (-1)^((n-j)(m-j)) psc_j(g, f)
+        out = [-p if (n - j) * (m - j) % 2 else p for j, p in enumerate(out)]
     return out
 
 

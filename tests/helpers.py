@@ -2,18 +2,18 @@
 node arithmetic on distributed monomials, reference division,
 substitution and interval evaluation on MultiPoly and Fractions, the
 division-based Yun loop, the determinant route to resultants and psc
-chains, the PRS route for every gcd, the gcd-first and the
-sequential-substitution sign routes, the exact route over algebraic
-fibers, the symbolic Descartes transform on MultiPoly, the isolated
-fiber basis by per-pair certificates and Descartes on point enclosures,
-the sorted route for stack roots at query fibers, a base stack isolated
-afresh on every descent, sample points with private copies of their
-roots, the flat-scan reading of a CAD's stacks, a builder of CADs from
-hand-made cells, the fiber squarefree part, bisection, split points,
-root comparison and gap samples on Fraction boxes, a root placed against
-a rational by bisection and by a Fraction sign, the oracle's probes
-drawn and signed on Fractions, and the Collins operator over one pool of
-all reducta."""
+chains, the primitive PRS gcd and the PRS route for every gcd, the
+gcd-first and the sequential-substitution sign routes, the exact route
+over algebraic fibers, the symbolic Descartes transform on MultiPoly,
+the isolated fiber basis by per-pair certificates and Descartes on point
+enclosures, the sorted route for stack roots at query fibers, a base
+stack isolated afresh on every descent, sample points with private
+copies of their roots, the flat-scan reading of a CAD's stacks, a
+builder of CADs from hand-made cells, the fiber squarefree part,
+bisection, split points, root comparison and gap samples on Fraction
+boxes, a root placed against a rational by bisection and by a Fraction
+sign, the oracle's probes drawn and signed on Fractions, and the Collins
+operator over one pool of all reducta."""
 
 from __future__ import annotations
 
@@ -199,6 +199,49 @@ def reference_squarefree_decomposition(f: MultiPoly) -> list:
     return out
 
 
+def _reference_content(f: MultiPoly) -> MultiPoly:
+    """Content of a nonzero f in its main variable, by reference_poly_gcd
+    of its coefficients."""
+    if f.is_constant():
+        return MultiPoly.const(f.order, abs(f.const_value()))
+    cont = MultiPoly.zero(f.order)
+    for _, c in f.coeff_terms():
+        cont = reference_poly_gcd(cont, c)
+    return cont
+
+
+def reference_poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Sign-normalized gcd by the primitive PRS, the reference for
+    poly_gcd's subresultant route: split off the contents, then divide
+    primitive parts until a remainder is 0 or free of the main variable,
+    taking the primitive part of every remainder.  No certificate."""
+    if f.is_zero():
+        return g.sign_normalized()
+    if g.is_zero():
+        return f.sign_normalized()
+    if f.level() < g.level():
+        f, g = g, f
+    if f.level() == 0:
+        return MultiPoly.const(f.order, math.gcd(f.const_value(),
+                                                 g.const_value()))
+    if f.level() > g.level():
+        return reference_poly_gcd(_reference_content(f), g)
+    var = f.mvar()
+    cf, cg = _reference_content(f), _reference_content(g)
+    c = reference_poly_gcd(cf, cg)
+    pf, pg = exact_div(f, cf), exact_div(g, cg)
+    if pf.degree(var) < pg.degree(var):
+        pf, pg = pg, pf
+    while True:
+        r = polyring.prem(pf, pg, var)
+        if r.is_zero():
+            break
+        if r.level() < f.level():
+            return c
+        pf, pg = pg, exact_div(r, _reference_content(r))
+    return (c * pg.sign_normalized()).sign_normalized()
+
+
 def reference_pseudo_division(
     f: MultiPoly, g: MultiPoly, var: str
 ) -> tuple[MultiPoly, MultiPoly]:
@@ -317,15 +360,16 @@ def force_prs_gcds(monkeypatch):
     """Switch off the coprimality certificate and the heuristic gcd.
 
     The heuristic gcd accepts a result only through the certificate's
-    coprimality test, so it never accepts one.  poly_gcd then runs the
-    primitive PRS on every pair that shares its main variable,
-    finest_squarefree_basis and squarefree_decomposition send each pair
-    the certificate would have settled to the PRS and divide by the gcd
-    exactly, and algnum sends each pair of dense fiber images to the
-    fiber gcd, unless one image is linear: that pair is decided by one
-    exact Horner sign, not by the certificate.  So is a squarefree test
-    on a linear or quadratic image, whose derivative's image is constant
-    or linear: a quadratic is signed at its derivative's root.
+    coprimality test, so it never accepts one.  poly_gcd then reads its
+    gcd off the subresultant PRS for every pair that shares its main
+    variable, finest_squarefree_basis and squarefree_decomposition send
+    each pair the certificate would have settled to the PRS and divide
+    by the gcd exactly, and algnum sends each pair of dense fiber images
+    to the fiber gcd, unless one image is linear: that pair is decided
+    by one exact Horner sign, not by the certificate.  So is a
+    squarefree test on a linear or quadratic image, whose derivative's
+    image is constant or linear: a quadratic is signed at its
+    derivative's root.
     """
     monkeypatch.setattr(polyring, "_coprime_at", lambda vf, vg, xi, r: False)
 

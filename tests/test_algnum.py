@@ -872,9 +872,10 @@ def test_root_bound_is_bounded():
         2, ((1, 1, 1), (0, 0, 0)))
     assert _isolate(f, "y", None, _rational_fiber(1)) == ([], 2)
     # over x = sqrt(2) the leading coefficient x^2 - 2 vanishes, but the
-    # box of x can be bisected forever: the search must give up
+    # box of x can be bisected forever: the search must give up, after the
+    # 512 + (2 + 2) * (2 + 2) steps of the separation budget
     s = SamplePoint((_sqrt2_coord(O2),))
-    with pytest.raises(ArithmeticError, match="not decided after 512"):
+    with pytest.raises(ArithmeticError, match="not decided after 528 "):
         _isolate((X2**2 - 2) * Y2**2 + Y2 + 1, "y", None, s)
 
 
@@ -901,12 +902,28 @@ def test_root_bound_does_not_depend_on_the_boxes(monkeypatch):
 
 def test_interval_sign_is_bounded():
     # x^2 - 2 is 0 at sqrt(2), so no box ever excludes 0; the refinement
-    # loop behind sign_at must give up instead of bisecting forever
+    # loop behind sign_at must give up instead of bisecting forever.  Its
+    # budget is _separation_budget's: the floor of 512 plus d * b, with
+    # d = 2 + 2 (the degree of sqrt(2) and the total degree of x^2 - 2)
+    # and b = 2 + 2 (their coefficient bit lengths)
     s = SamplePoint((_sqrt2_coord(),))
-    with pytest.raises(ArithmeticError, match="not decided after 512"):
+    with pytest.raises(ArithmeticError, match="not decided after 528 "):
         _interval_sign(X**2 - 2, s)
     lo, hi = s.coords[0].box()
-    assert hi - lo == F(1, 2**512)
+    assert hi - lo == F(1, 2**528)
+
+
+@pytest.mark.parametrize("n", [200, 300, 400])
+def test_interval_sign_of_a_convergent_of_sqrt2(n):
+    # p/q, the n-th convergent of sqrt(2), lies about 1/q^2 from it, so
+    # q*x - p is about 1/q at sqrt(2) and nonzero: the budget grows with
+    # q's bits (255, 382 and 509), where a fixed 512 steps decide only
+    # the first
+    p = q = 1
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    assert q.bit_length() == {200: 255, 300: 382, 400: 509}[n]
+    assert sign_at(q * X - p, SamplePoint((_sqrt2_coord(),))) == 1
 
 
 def test_interval_route_carries_enclosure(monkeypatch):

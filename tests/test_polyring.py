@@ -43,6 +43,7 @@ from helpers import (
     random_poly,
     reference_derivative,
     reference_exact_div,
+    reference_poly_gcd,
     reference_pseudo_division,
     reference_squarefree_decomposition,
     reference_subs_rational_cleared,
@@ -465,10 +466,14 @@ def test_gcd_frozen_and_properties():
 
 
 def prs_gcd(f, g):
-    """poly_gcd with the coprimality certificate switched off."""
+    """poly_gcd with the coprimality certificate switched off, so read
+    off the subresultant PRS alone; checked against the primitive PRS
+    (reference_poly_gcd)."""
     with pytest.MonkeyPatch.context() as mp:
         force_prs_gcds(mp)
-        return poly_gcd(f, g)
+        h = poly_gcd(f, g)
+    assert h == reference_poly_gcd(f, g)
+    return h
 
 
 def test_gcd_certificate_edge_cases():
@@ -506,6 +511,7 @@ def test_gcd_certificate_edge_cases():
     ]
     for f, g, proven in cases:
         assert poly_gcd(f, g) == prs_gcd(f, g) == prs_gcd(g, f)
+        assert poly_gcd(f, g) == reference_poly_gcd(g, f)
         with pytest.MonkeyPatch.context() as mp:
             force_prs_gcds(mp)
             want = finest_squarefree_basis([f, g])
@@ -524,13 +530,13 @@ def test_gcd_certificate_edge_cases():
     assert not polyring._images_coprime([1, 0], [0, 0])
 
 
-def _planted(rng, order, names, bits):
+def _planted(rng, order, names, bits, max_deg=2, n_terms=3):
     """A random polynomial of positive degree in the main variable of
     names, with coefficients of up to `bits` bits."""
     top = names[-1]
     while True:
-        p = random_poly(rng, order, vars_used=names, max_deg=2, n_terms=3,
-                        max_coeff=(1 << bits) - 1)
+        p = random_poly(rng, order, vars_used=names, max_deg=max_deg,
+                        n_terms=n_terms, max_coeff=(1 << bits) - 1)
         if p.degree(top) > 0:
             return p
 
@@ -574,6 +580,47 @@ def test_gcd_random_differential(names):
         assert g == prs_gcd(a * m, b * m)
         checked += 1
     assert checked >= 25
+
+
+@pytest.mark.parametrize("names, max_deg, n_terms", [
+    (("x",), 16, 10), (("x", "y"), 4, 4), (("x", "y", "z"), 2, 4)])
+def test_gcd_matches_primitive_prs(names, max_deg, n_terms):
+    # seeded pairs a*m, b*m and a*m^2, b*m with 20-bit coefficients, where
+    # the shared factor keeps the certificate from proving anything: the
+    # gcd read off the subresultant PRS equals the primitive PRS's, with
+    # and without the certificate.  The sizes keep the primitive PRS to
+    # about 2 s in all; it runs past 20 s on some larger pairs
+    rng = random.Random(3607 + len(names))
+    for _ in range(20):
+        a, b, m = (_planted(rng, O3, names, 20, max_deg, n_terms)
+                   for _ in range(3))
+        for f, g in ((a * m, b * m), (a * m**2, b * m)):
+            want = reference_poly_gcd(f, g)
+            exact_div(want, m)  # raises unless m divides the gcd
+            assert poly_gcd(f, g) == poly_gcd(g, f) == want
+            with pytest.MonkeyPatch.context() as mp:
+                force_prs_gcds(mp)
+                assert poly_gcd(f, g) == poly_gcd(g, f) == want
+
+
+def test_squarefree_decomposition_of_a_content_heavy_product():
+    # at level 3 the primitive PRS took a content at every step: 972
+    # certificate calls, nearly all of them on level-1 contents of its
+    # remainders, and about 10 CPU s; read off the subresultant PRS the
+    # decomposition makes under 200
+    x, y, z = (MultiPoly.var(O3, v) for v in "xyz")
+    f = ((-5 * z**2 * y * x + 3 * x**2) * (-z**2 * y**2 - 5 * z)**2
+         * (-z**2 * y**2 * x**2 - 2 * y**2))
+    calls = []
+    coprime = polyring._nodes_coprime
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_nodes_coprime",
+                   lambda a, b: calls.append(1) or coprime(a, b))
+        parts = squarefree_decomposition(f)
+    assert [(str(p), k) for p, k in parts] == [
+        ("5*z^4*y*x^2 + 10*z^2*y - 3*z^2*x^3 - 6*x", 1),
+        ("z^2*y^2 + 5*z", 2)]
+    assert len(calls) < 200
 
 
 def _from_dense(coeffs):

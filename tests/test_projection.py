@@ -373,8 +373,9 @@ def test_quadric_projections_take_no_level1_prem(monkeypatch):
             level1.append(var)
         return real_prem(f, g, var)
 
+    # the psc chains and poly_gcd both reach prem through polyring's
+    # subresultant PRS
     monkeypatch.setattr(polyring, "prem", counting_prem)
-    monkeypatch.setattr(subresultants, "prem", counting_prem)
     assert _quadric_projections()[:2] == QUADRIC_PINNED
     assert level1 == []
     force_prs_gcds(monkeypatch)
