@@ -193,7 +193,12 @@ def parse_input(text):
                 raise ParseError("duplicate variable", lineno, 1)
             order = VarOrder(names)
             continue
-        p = _ExprParser(_tokenize(line, lineno), order, lineno).parse()
+        try:
+            p = _ExprParser(_tokenize(line, lineno), order, lineno).parse()
+        except RecursionError:
+            # the node kernels recurse once per variable a term involves
+            raise ParseError("polynomial nested too deeply to build",
+                             lineno, 1) from None
         if p.is_constant():
             raise ParseError("constant polynomial", lineno, 1)
         polys.append(p)
@@ -401,7 +406,8 @@ def run_compute(cfg: RunConfig, text: str):
         out = render_output(cad, cfg.output)
     except NotWellOrientedError as e:
         return "", "error: %s\n" % e, 2
-    except (IntegrityError, ArithmeticError, ValueError) as e:
+    except (IntegrityError, ArithmeticError, ValueError,
+            RecursionError) as e:
         # an internal failure, not bad input: one line, no traceback.  A
         # ValueError also comes from str() of an output number longer
         # than sys.get_int_max_str_digits() allows

@@ -97,14 +97,17 @@ exponents, the leading terms, which cancel, are dropped instead of
 computed, and the pseudo-quotient is only built when it is asked for
 (prem does not ask).
 
-Evaluation at rational points is integer Horner on nodes at one common
-scale: each level's denominator raised to the polynomial's degree in
-that level (_nscales).  _ncleared evaluates at a point, and
-_npoint_subs substitutes the levels that have a value in one pass and
-leaves the others symbolic; algnum.sign_at signs through it.  The
-degrees come from the polynomial's shape, _ndegrees of its node, which
-a MultiPoly walks once and keeps, as it keeps its hash: degree below
-the main variable, variables and cleared_coeffs read it too.
+Substitution of rational points runs on nodes at one common scale: each
+level's denominator raised to the polynomial's degree in that level
+(_nscales).  One kernel, _nsubs_cleared, substitutes the levels that
+have a value and leaves the others symbolic, summing on ints while no
+symbolic level is left.  _npoint_subs runs it on a whole node
+(algnum.sign_at signs through it), and cleared_coeffs on each
+coefficient in the main variable, for the dense images of rational
+fibers.  The degrees come from the polynomial's shape, _ndegrees of
+its node, which a MultiPoly walks once and keeps, as it keeps its hash:
+degree below the main variable, variables and cleared_coeffs read it
+too.
 MultiPoly.evaluate, exact on Fractions, is kept as the reference the
 tests and the benchmark's own checks compare against.  _nbox_cleared
 encloses a node's values over boxes the same way: each box [lo, hi]
@@ -392,24 +395,6 @@ def _nscales(degs: dict, values, top: int) -> list:
     return scale
 
 
-def _ncleared(node, values, degs: dict, scale: list) -> int:
-    """The node's value at the rational point values times scale[its
-    level], by integer Horner."""
-    if isinstance(node, int):
-        return node
-    lvl, terms = node
-    x = values[lvl - 1]
-    u, v = x.numerator, x.denominator
-    top = prev = terms[0][0]
-    acc = 0
-    for e, c in terms:
-        low = 0 if isinstance(c, int) else c[0]
-        acc = (acc * u ** (prev - e) + _ncleared(c, values, degs, scale)
-               * (scale[lvl - 1] // scale[low]) * v ** (top - e))
-        prev = e
-    return acc * u**prev * v ** (degs[lvl] - top)
-
-
 def _nscale(node, k: int):
     """The node times a nonzero integer k."""
     if isinstance(node, int):
@@ -417,27 +402,24 @@ def _nscale(node, k: int):
     return (node[0], tuple((e, _nscale(c, k)) for e, c in node[1]))
 
 
-def _nsubs_cleared(node, values, degs: dict, scale: list, pt: int,
-                   sym: int):
+def _nsubs_cleared(node, values, degs: dict, scale: list, pt: int):
     """The node with the variable at each level l that has a value
     values[l - 1] (not None) substituted, times scale[its level]; the
     other levels stay symbolic.  The node involves no point-valued level
-    below pt and no symbolic level below sym, so a node below pt comes
-    back as it is and one below sym is a value, by _ncleared.  Point
-    levels are summed as c_e u^e v^(deg - e) on nodes."""
+    below pt, so a node below pt comes back as it is.  Point levels are
+    summed as c_e u^e v^(deg - e), on ints while both the sum and the
+    term are ints and on nodes otherwise."""
     if isinstance(node, int):
         return node
     lvl, terms = node
     if lvl < pt:
         return node
-    if lvl < sym:
-        return _ncleared(node, values, degs, scale)
     x = values[lvl - 1]
     base = scale[lvl - 1]
     if x is None:
         out = {}
         for e, c in terms:
-            r = _nsubs_cleared(c, values, degs, scale, pt, sym)
+            r = _nsubs_cleared(c, values, degs, scale, pt)
             k = base // scale[_nlevel(c)]
             out[e] = _nscale(r, k) if k != 1 else r
         return _nmake(lvl, out)
@@ -447,30 +429,29 @@ def _nsubs_cleared(node, values, degs: dict, scale: list, pt: int,
     for e, c in terms:
         k = base // scale[_nlevel(c)] * u**e * v ** (d - e)
         if k:
-            r = _nsubs_cleared(c, values, degs, scale, pt, sym)
-            acc = _nadd(acc, _nscale(r, k))
+            r = _nsubs_cleared(c, values, degs, scale, pt)
+            if isinstance(r, int) and isinstance(acc, int):
+                acc += r * k
+            else:
+                acc = _nadd(acc, _nscale(r, k))
     return acc
 
 
 def _npoint_subs(node, values, degs=None):
     """The node with every level l whose value values[l - 1] is not None
     substituted, times the positive integer product of den(values[l - 1])
-    raised to the node's degree at l over those levels: one pass of
-    integer Horner for the point levels, with the others left symbolic.
-    values covers every level up to the node's own; degs is the node's
-    _ndegrees, walked here when not given."""
+    raised to the node's degree at l over those levels, with the others
+    left symbolic (_nsubs_cleared).  values covers every level up to the
+    node's own; degs is the node's _ndegrees, walked here when not
+    given."""
     if isinstance(node, int):
         return node
     if degs is None:
         degs = _ndegrees(node)
-    pt = sym = node[0] + 1
-    for lvl in degs:
-        if values[lvl - 1] is None:
-            sym = min(sym, lvl)
-        else:
-            pt = min(pt, lvl)
+    pt = min((lvl for lvl in degs if values[lvl - 1] is not None),
+             default=node[0] + 1)
     scale = _nscales(degs, values, node[0])
-    return _nsubs_cleared(node, values, degs, scale, pt, sym)
+    return _nsubs_cleared(node, values, degs, scale, pt)
 
 
 def _imul(a, b):
@@ -818,7 +799,9 @@ class MultiPoly:
         product of each lower variable's denominator raised to the
         polynomial's degree in it.  values[l - 1] is the value of the
         variable at level l, for each lower level the polynomial
-        involves; entries for other levels are never read.
+        involves; entries for other levels are never read.  Each
+        coefficient goes through _nsubs_cleared, the kernel of every
+        rational substitution, with every level it involves valued.
 
         The polynomial must not involve variables above var.  Zero
         coefficients are kept, so the list has deg + 1 entries.
@@ -832,7 +815,7 @@ class MultiPoly:
         scale = _nscales(degs, values, lvl - 1)
         out = [0] * (terms[0][0] + 1)
         for e, c in terms:
-            out[e] = (_ncleared(c, values, degs, scale)
+            out[e] = (_nsubs_cleared(c, values, degs, scale, 1)
                       * (scale[-1] // scale[_nlevel(c)]))
         return out
 
@@ -998,8 +981,8 @@ def _npdiv(f, g, want_quo: bool):
     multiplies the rest by lc(g) and subtracts t * x^k * g without its
     leading term, by shifting exponents.  Steps whose leading term is
     already 0 are skipped, and their powers of lc(g) are applied once at
-    the end.  A monic g takes the same steps: skipping its products by
-    lc(g) = 1 measured within noise.
+    the end.  A monic g takes the same steps, and zero entries are
+    multiplied by lc(g) too: skipping either measured within noise.
     """
     lvl, gterms = g
     if _nlevel(f) < lvl or f[1][0][0] < gterms[0][0]:
@@ -1016,12 +999,10 @@ def _npdiv(f, g, want_quo: bool):
             continue
         lazy -= 1
         for i in range(d):
-            if not _nis_zero(r[i]):
-                r[i] = _nmul(r[i], lcg)
+            r[i] = _nmul(r[i], lcg)
         if want_quo:
             for i in range(d - dg + 1, len(quo)):
-                if not _nis_zero(quo[i]):
-                    quo[i] = _nmul(quo[i], lcg)
+                quo[i] = _nmul(quo[i], lcg)
             quo[d - dg] = t
         for e, c in rest:
             k = e + d
@@ -1295,7 +1276,10 @@ def _gcd_cofactors(f: MultiPoly, g: MultiPoly):
 
 
 def content(f: MultiPoly) -> MultiPoly:
-    """Content with respect to the main variable (gcd of the coefficients)."""
+    """Content with respect to the main variable (gcd of the coefficients).
+
+    The gcd runs over every coefficient: stopping once it reaches 1
+    measured within noise."""
     if f.is_zero():
         raise ValueError("content of zero polynomial")
     if f.is_constant():
@@ -1309,8 +1293,6 @@ def content(f: MultiPoly) -> MultiPoly:
     for _, c in terms:
         coef = MultiPoly(f.order, c)
         cont = coef.sign_normalized() if cont is None else poly_gcd(cont, coef)
-        if cont.is_constant() and cont.const_value() == 1:
-            break
     return cont
 
 

@@ -95,10 +95,14 @@ def test_parse_nesting_up_to_the_bound():
 
 
 def test_main_rejects_oversized_input(tmp_path, capsys):
-    # one error line and exit 1, no traceback
-    for body in ("9" * 5000 + "*x", "(" * 3000 + "x" + ")" * 3000):
+    # one error line and exit 1, no traceback; a product of 1000
+    # variables recurses past the interpreter's limit as it is built
+    names = ["v%d" % i for i in range(1000)]
+    for text in ("vars: x\n" + "9" * 5000 + "*x\n",
+                 "vars: x\n" + "(" * 3000 + "x" + ")" * 3000 + "\n",
+                 "vars: %s\n%s + 1\n" % (", ".join(names), "*".join(names))):
         prob = tmp_path / "big.prob"
-        prob.write_text("vars: x\n" + body + "\n")
+        prob.write_text(text)
         assert main(["compute", "--input", str(prob)]) == 1
         cap = capsys.readouterr()
         assert cap.out == ""
@@ -502,6 +506,7 @@ def test_piecewise_and_text_golden_digest(name):
     SeparabilityError("separability violated"),
     IntegrityError("stack over (1,) has 2 sections\nbut 1 roots"),
     ArithmeticError("exact zero reached in nonzero sign path"),
+    RecursionError("maximum recursion depth exceeded"),
 ])
 def test_internal_failure_exit_code(monkeypatch, exc):
     def failing(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -52,6 +53,7 @@ from helpers import (
 O1 = VarOrder(["x"])
 O2 = VarOrder(["x", "y"])
 O3 = VarOrder(["x", "y", "z"])
+O4 = VarOrder(["x", "y", "z", "w"])
 
 
 def xy(order=O2):
@@ -901,6 +903,24 @@ def test_subs_rational_cleared_matches_reference(seed):
     assert {("main", True, True), ("lower", True, True),
             ("main", False, True), ("lower", False, False)} <= seen
     assert any(case[0] == "above" for case in seen)
+    # every None/value pattern over four levels, so points that fix two
+    # or three levels above and below symbolic ones: the substituted node
+    # at values for its symbolic levels is f's value there times den^deg
+    # over the fixed levels
+    names = O4.names
+    for fixed in itertools.product((False, True), repeat=4):
+        for _ in range(10):
+            f = random_poly(rng, O4, max_deg=3, max_coeff=9, n_terms=5)
+            point = [rng.choice(values) if fx else None for fx in fixed]
+            scale = 1
+            for name, v in zip(names, point):
+                if v is not None:
+                    scale *= v.denominator ** f.degree(name)
+            got = MultiPoly(O4, _npoint_subs(f.node, point))
+            for _ in range(2):
+                env = {name: v if v is not None else rng.choice(values)
+                       for name, v in zip(names, point)}
+                assert got.evaluate(env) == f.evaluate(env) * scale
 
 
 def test_cleared_coeffs_share_one_scale():
